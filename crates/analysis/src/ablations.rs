@@ -7,7 +7,7 @@
 
 use crate::report::{fnum, Report};
 use bncg_core::{
-    agent_cost, agent_cost_from_matrix, concepts, delta, Alpha, CostModelSpec, GameError,
+    agent_cost, agent_cost_from_matrix, concepts, delta, Alpha, Concept, CostModelSpec, GameError,
     GameState, Move,
 };
 use bncg_graph::{generators, DistanceMatrix};
@@ -146,7 +146,7 @@ pub fn kbse_restriction(report: &mut Report, quick: bool) -> Result<(), GameErro
         for g in &corpus {
             for &alpha in &alphas {
                 total += 1;
-                let exact_unstable = concepts::kbse::find_violation(g, alpha, 3)?.is_some();
+                let exact_unstable = Concept::KBse(3).find_violation(g, alpha)?.is_some();
                 let restricted_unstable =
                     concepts::kbse::find_violation_restricted(g, alpha, 3, max_removals).is_some();
                 // Soundness: the refuter never invents violations.
@@ -513,7 +513,13 @@ pub fn trajectory_pruning(report: &mut Report, quick: bool) -> Result<(), GameEr
             (format!("tree{n}"), generators::random_tree(n, &mut rng)),
         ];
         for (name, g) in instances {
-            let out = round_robin::run_with_policy(&g, alpha, 200, &policy)?;
+            let out = round_robin::run_with_policy_under(
+                &g,
+                alpha,
+                CostModelSpec::SumDistances,
+                200,
+                &policy,
+            )?;
             assert!(
                 !out.exhausted,
                 "an unbounded policy must finish the {name} trajectory"

@@ -93,9 +93,7 @@
 //! fixed constructions and ignore the solver flags entirely.
 //! ```
 
-use bncg_analysis::{
-    dynamics_exp, figures, propositions, report::Report, run_all_with_atlas, table1,
-};
+use bncg_analysis::{dynamics_exp, figures, propositions, report::Report, run_all, table1};
 use bncg_atlas::{Atlas, BuildSpec, Cursor, DiskBacking, DynAtlas, MemoryBacking};
 use bncg_core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
 use bncg_core::{Alpha, Concept, CostModelSpec, GameError};
@@ -644,8 +642,8 @@ fn main() -> ExitCode {
 
     let render = |r: Report| if json { r.to_json() } else { r.render() };
     let result = match command.as_str() {
-        "all" => run_all_with_atlas(quick, &policy, atlas.as_ref()).map(render),
-        "table1" => table1::full_table_under(quick, &policy, atlas.as_ref(), model).map(render),
+        "all" => run_all(quick, &policy, atlas.as_ref()).map(render),
+        "table1" => table1::full_table(quick, &policy, atlas.as_ref(), model).map(render),
         "check" => run_check(&args, &policy, model),
         "serve" => run_serve(&args),
         "query" => run_query(&args),
@@ -654,12 +652,12 @@ fn main() -> ExitCode {
         other => {
             let mut r = Report::new();
             let run = match other {
-                "ps" => table1::row_ps_under(&mut r, quick, &policy, atlas.as_ref(), model),
-                "bswe" => table1::row_bswe_under(&mut r, quick, &policy, atlas.as_ref(), model),
+                "ps" => table1::row_ps(&mut r, quick, &policy, atlas.as_ref(), model),
+                "bswe" => table1::row_bswe(&mut r, quick, &policy, atlas.as_ref(), model),
                 "bge" => table1::row_bge(&mut r, quick),
                 "bne" => table1::row_bne(&mut r, quick),
-                "3bse" => table1::row_3bse_under(&mut r, quick, &policy, atlas.as_ref(), model),
-                "bse" => table1::row_bse_under(&mut r, quick, &policy, atlas.as_ref(), model),
+                "3bse" => table1::row_3bse(&mut r, quick, &policy, atlas.as_ref(), model),
+                "bse" => table1::row_bse(&mut r, quick, &policy, atlas.as_ref(), model),
                 "fig1a" => figures::fig1a(&mut r, quick),
                 "fig1b" => figures::fig1b(&mut r, quick),
                 "fig2" => figures::fig2(&mut r, quick),

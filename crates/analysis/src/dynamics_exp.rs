@@ -5,7 +5,7 @@
 
 use crate::report::{fnum, Report};
 use bncg_core::solver::ExecPolicy;
-use bncg_core::{Alpha, Concept, GameError};
+use bncg_core::{Alpha, Concept, CostModelSpec, GameError};
 use bncg_dynamics::{convergence_experiment, SelectionRule};
 
 /// Runs the cooperation-ladder dynamics experiment.
@@ -106,7 +106,13 @@ pub fn round_robin_census(
                 } else {
                     bncg_graph::generators::random_connected(n, 0.2, &mut rng)
                 };
-                let out = bncg_dynamics::round_robin::run_with_policy(&start, alpha, 400, policy)?;
+                let out = bncg_dynamics::round_robin::run_with_policy_under(
+                    &start,
+                    alpha,
+                    CostModelSpec::SumDistances,
+                    400,
+                    policy,
+                )?;
                 moves += out.moves;
                 if out.converged {
                     converged += 1;

@@ -90,28 +90,15 @@ pub fn tree_poa_with(
 ///
 /// Forwards the enumeration guard and checker guards.
 pub fn graph_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, GameError> {
-    graph_poa_with(n, alpha, concept, &ExecPolicy::default())
-}
-
-/// [`graph_poa`] under an explicit [`ExecPolicy`].
-///
-/// # Errors
-///
-/// Forwards the enumeration guard and solver errors.
-pub fn graph_poa_with(
-    n: usize,
-    alpha: Alpha,
-    concept: Concept,
-    policy: &ExecPolicy,
-) -> Result<PoaPoint, GameError> {
     let graphs = enumerate::connected_graphs(n).map_err(GameError::Graph)?;
+    let model = CostModelSpec::SumDistances;
     poa_over(
         &graphs,
         n,
         alpha,
         concept,
-        CostModelSpec::SumDistances,
-        policy,
+        model,
+        &ExecPolicy::default(),
         None,
     )
 }
@@ -256,20 +243,6 @@ fn poa_over_pooled(
     })
 }
 
-/// A sweep of [`tree_poa`] over an α grid (parallel across the grid,
-/// see [`tree_poa_grid`]).
-///
-/// # Errors
-///
-/// Forwards the per-point errors.
-pub fn tree_poa_sweep(
-    n: usize,
-    alphas: &[Alpha],
-    concept: Concept,
-) -> Result<Vec<PoaPoint>, GameError> {
-    tree_poa_grid(n, alphas, concept, &ExecPolicy::default(), None)
-}
-
 /// Exhaustive tree PoA over a whole α grid at once: the instances are
 /// enumerated a single time and each α point runs on its own scoped
 /// thread. All points share **one** batch-budget pool (when the policy
@@ -279,35 +252,15 @@ pub fn tree_poa_sweep(
 /// and identical to serial [`tree_poa_with`] calls. A supplied atlas
 /// answers stored instances at zero solver cost ([`PoaPoint::atlas_hits`]).
 ///
+/// Every stability check and social cost is priced under `model`
+/// ([`CostModelSpec::SumDistances`] is the paper's objective); a
+/// non-default model bypasses the atlas (the corpus stores
+/// default-model verdicts only).
+///
 /// # Errors
 ///
 /// Forwards the enumeration guard and solver errors.
 pub fn tree_poa_grid(
-    n: usize,
-    alphas: &[Alpha],
-    concept: Concept,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
-) -> Result<Vec<PoaPoint>, GameError> {
-    tree_poa_grid_under(
-        n,
-        alphas,
-        concept,
-        CostModelSpec::SumDistances,
-        policy,
-        atlas,
-    )
-}
-
-/// [`tree_poa_grid`] pricing every stability check and social cost
-/// under an explicit [`CostModelSpec`]. The default model reproduces
-/// [`tree_poa_grid`] exactly; a non-default model bypasses the atlas
-/// (the corpus stores default-model verdicts only).
-///
-/// # Errors
-///
-/// Forwards the enumeration guard and solver errors.
-pub fn tree_poa_grid_under(
     n: usize,
     alphas: &[Alpha],
     concept: Concept,
@@ -325,29 +278,6 @@ pub fn tree_poa_grid_under(
 ///
 /// Forwards the enumeration guard and solver errors.
 pub fn graph_poa_grid(
-    n: usize,
-    alphas: &[Alpha],
-    concept: Concept,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
-) -> Result<Vec<PoaPoint>, GameError> {
-    graph_poa_grid_under(
-        n,
-        alphas,
-        concept,
-        CostModelSpec::SumDistances,
-        policy,
-        atlas,
-    )
-}
-
-/// [`graph_poa_grid`] under an explicit [`CostModelSpec`] (see
-/// [`tree_poa_grid_under`]).
-///
-/// # Errors
-///
-/// Forwards the enumeration guard and solver errors.
-pub fn graph_poa_grid_under(
     n: usize,
     alphas: &[Alpha],
     concept: Concept,
@@ -397,6 +327,7 @@ fn poa_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bncg_core::CostModelSpec::SumDistances;
 
     fn a(s: &str) -> Alpha {
         s.parse().unwrap()
@@ -508,7 +439,15 @@ mod tests {
         // One scoped thread per α, shared pool unbudgeted: every point
         // must equal its serial counterpart bit for bit.
         let alphas: Vec<Alpha> = ["1", "2", "8"].map(a).to_vec();
-        let grid = tree_poa_grid(8, &alphas, Concept::Bne, &ExecPolicy::default(), None).unwrap();
+        let grid = tree_poa_grid(
+            8,
+            &alphas,
+            Concept::Bne,
+            SumDistances,
+            &ExecPolicy::default(),
+            None,
+        )
+        .unwrap();
         assert_eq!(grid.len(), alphas.len());
         for (point, &alpha) in grid.iter().zip(&alphas) {
             let serial = tree_poa(8, alpha, Concept::Bne).unwrap();
@@ -528,7 +467,7 @@ mod tests {
         // grid's total rather than per point.
         let alphas: Vec<Alpha> = ["2", "4", "8"].map(a).to_vec();
         let policy = ExecPolicy::default().with_batch_budget(5);
-        let grid = tree_poa_grid(10, &alphas, Concept::Bne, &policy, None).unwrap();
+        let grid = tree_poa_grid(10, &alphas, Concept::Bne, SumDistances, &policy, None).unwrap();
         let exhausted: usize = grid.iter().map(|p| p.exhausted).sum();
         assert!(exhausted > 0, "a 5-eval pool must shed most of the grid");
         for point in &grid {
@@ -561,7 +500,7 @@ mod tests {
             7,
             &[a("2")],
             Concept::Bne,
-            CostModelSpec::SumDistances,
+            SumDistances,
             &policy,
             Some(&atlas),
         )
@@ -581,10 +520,17 @@ mod tests {
         // default model, so verdicts, counts, and ρ must coincide even
         // though the scan runs through the generic pricing arm.
         let id = CostModelSpec::Generalized(bncg_core::Utility::Identity);
-        let base = tree_poa_grid(8, &[a("2")], Concept::Bne, &ExecPolicy::default(), None).unwrap();
+        let base = tree_poa_grid(
+            8,
+            &[a("2")],
+            Concept::Bne,
+            SumDistances,
+            &ExecPolicy::default(),
+            None,
+        )
+        .unwrap();
         let under =
-            tree_poa_grid_under(8, &[a("2")], Concept::Bne, id, &ExecPolicy::default(), None)
-                .unwrap();
+            tree_poa_grid(8, &[a("2")], Concept::Bne, id, &ExecPolicy::default(), None).unwrap();
         assert_eq!(base[0].stable_count, under[0].stable_count);
         assert_eq!(base[0].max_rho, under[0].max_rho);
         assert_eq!(base[0].worst, under[0].worst);
@@ -603,7 +549,7 @@ mod tests {
         let mut atlas = Atlas::open(backing).unwrap();
         build(&mut atlas, &spec, 10_000_000, None).unwrap();
         let capped = CostModelSpec::Generalized(bncg_core::Utility::Capped(2));
-        let under = tree_poa_grid_under(
+        let under = tree_poa_grid(
             6,
             &[a("2")],
             Concept::Bne,

@@ -98,7 +98,7 @@ pub fn fig1a(report: &mut Report, quick: bool) -> Result<(), GameError> {
     let f7 = figure7(6);
     section.note(format!(
         "BNE vs k-BSE incomparable: Figure 6 graph is BNE ∧ ¬2-BSE ({}), Figure 7 graph is ¬BNE ({})",
-        concepts::bne::is_stable(&f6.graph, f6.alpha)?,
+        Concept::Bne.is_stable(&f6.graph, f6.alpha)?,
         delta::move_improves_all(&f7.graph, f7.alpha, f7.violation.as_ref().expect("move"))?
     ));
     Ok(())
@@ -302,7 +302,7 @@ pub fn fig4(report: &mut Report, quick: bool) -> Result<(), GameError> {
     for n in 3..=max_n {
         for tree in enumerate::free_trees(n).map_err(GameError::Graph)? {
             for &alpha in &alphas {
-                if concepts::kbse::find_violation(&tree, alpha, 3)?.is_none() {
+                if Concept::KBse(3).find_violation(&tree, alpha)?.is_none() {
                     assert!(
                         bncg_core::bounds::lemma_3_14_holds(&tree, alpha)?,
                         "Lemma 3.14 violated on a 3-BSE tree"
@@ -360,8 +360,8 @@ pub fn fig6(report: &mut Report, _quick: bool) -> Result<(), GameError> {
     let fig = figure6();
     let section =
         report.section("Figure 6 / Proposition A.5: in BNE, not in 2-BSE (α = 7, n = 10)");
-    let bne = concepts::bne::is_stable(&fig.graph, fig.alpha)?;
-    let two_bse_violation = concepts::kbse::find_violation(&fig.graph, fig.alpha, 2)?;
+    let bne = Concept::Bne.is_stable(&fig.graph, fig.alpha)?;
+    let two_bse_violation = Concept::KBse(2).find_violation(&fig.graph, fig.alpha)?;
     assert!(bne && two_bse_violation.is_some());
     section.note(format!(
         "reconstructed topology (graph6 = {}): dist(a1) = 19, dist(b1) = 27, dist(c1) = 19 as stated",

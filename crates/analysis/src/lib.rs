@@ -44,39 +44,24 @@ pub mod windows_exp;
 
 use bncg_atlas::DynAtlas;
 use bncg_core::solver::ExecPolicy;
-use bncg_core::GameError;
+use bncg_core::{CostModelSpec, GameError};
 use report::Report;
 
 /// Runs the complete experiment suite into one report (the artifact behind
 /// `EXPERIMENTS.md`). The [`ExecPolicy`] governs every solver-routed
-/// stability sweep (thread count per enumeration batch).
+/// stability sweep (thread count per enumeration batch), and an optional
+/// precomputed stability atlas answers the Table 1 enumeration sweeps'
+/// stored instances at zero solver cost.
 ///
 /// # Errors
 ///
 /// Forwards the first failing runner's error.
-pub fn run_all(quick: bool, policy: &ExecPolicy) -> Result<Report, GameError> {
-    run_all_with_atlas(quick, policy, None)
-}
-
-/// [`run_all`] with an optional precomputed stability atlas: the
-/// Table 1 enumeration sweeps consult it first and serve stored
-/// verdicts at zero solver cost.
-///
-/// # Errors
-///
-/// Forwards the first failing runner's error.
-pub fn run_all_with_atlas(
+pub fn run_all(
     quick: bool,
     policy: &ExecPolicy,
     atlas: Option<&DynAtlas>,
 ) -> Result<Report, GameError> {
-    let mut r = Report::new();
-    table1::row_ps(&mut r, quick, policy, atlas)?;
-    table1::row_bswe(&mut r, quick, policy, atlas)?;
-    table1::row_bge(&mut r, quick)?;
-    table1::row_bne(&mut r, quick)?;
-    table1::row_3bse(&mut r, quick, policy, atlas)?;
-    table1::row_bse(&mut r, quick, policy, atlas)?;
+    let mut r = table1::full_table(quick, policy, atlas, CostModelSpec::SumDistances)?;
     figures::fig1a(&mut r, quick)?;
     figures::fig1b(&mut r, quick)?;
     figures::fig2(&mut r, quick)?;

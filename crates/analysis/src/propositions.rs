@@ -3,7 +3,7 @@
 //! (no evenly-spread constant-cost family at α = n).
 
 use crate::report::{fnum, Report};
-use bncg_core::{concepts, Alpha, GameError};
+use bncg_core::{Alpha, Concept, GameError};
 use bncg_graph::{diameter, generators, RootedTree};
 
 /// Lemma 2.4: cycles are in BSE inside a `Θ(n²)` window of α. The
@@ -40,7 +40,7 @@ pub fn cycles_bse(report: &mut Report, quick: bool) -> Result<(), GameError> {
         let mut prev_stable = false;
         for q in 1..=(hi4 + 8) {
             let alpha = Alpha::from_ratio(q, 4).expect("grid α");
-            let stable = concepts::bse::is_stable(&g, alpha)?;
+            let stable = Concept::Bse.is_stable(&g, alpha)?;
             if stable {
                 if first_stable.is_none() {
                     first_stable = Some(q);
@@ -94,19 +94,19 @@ pub fn prop_3_16(report: &mut Report, quick: bool) -> Result<(), GameError> {
     let mut diam2_exact = true;
     for g in &graphs {
         let is_clique = g.m() == n * (n - 1) / 2;
-        if concepts::bse::is_stable(g, below)? != is_clique {
+        if Concept::Bse.is_stable(g, below)? != is_clique {
             clique_only = false;
         }
         let diam_ok = diameter(g).is_some_and(|d| d <= 2);
-        if concepts::bse::is_stable(g, at_one)? != diam_ok {
+        if Concept::Bse.is_stable(g, at_one)? != diam_ok {
             diam2_exact = false;
         }
     }
     assert!(clique_only && diam2_exact);
     let star_stable =
-        concepts::bse::is_stable(&generators::star(n), Alpha::integer(2).expect("α"))?;
+        Concept::Bse.is_stable(&generators::star(n), Alpha::integer(2).expect("α"))?;
     let p4_stable =
-        concepts::bse::is_stable(&generators::path(4), Alpha::integer(100).expect("α"))?;
+        Concept::Bse.is_stable(&generators::path(4), Alpha::integer(100).expect("α"))?;
     assert!(star_stable && p4_stable);
     let section = report.section(format!(
         "Proposition 3.16: the BSE landscape (exhaustive, n = {n})"

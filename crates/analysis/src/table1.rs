@@ -106,7 +106,10 @@ fn rho_cell(point: &empirical::PoaPoint) -> String {
     }
 }
 
-/// PS row: exhaustive tree PoA vs. the `min{√α, n/√α}` envelope.
+/// PS row: exhaustive tree PoA vs. the `min{√α, n/√α}` envelope, with
+/// the sweep priced under `model`. The paper's envelope is a
+/// default-model statement, so a non-default row shows it for reference
+/// without asserting against it.
 ///
 /// # Errors
 ///
@@ -116,27 +119,11 @@ pub fn row_ps(
     quick: bool,
     policy: &ExecPolicy,
     atlas: Option<&DynAtlas>,
-) -> Result<(), GameError> {
-    row_ps_under(report, quick, policy, atlas, CostModelSpec::SumDistances)
-}
-
-/// [`row_ps`] pricing the sweep under an explicit [`CostModelSpec`].
-/// The paper's envelope is a default-model statement, so a non-default
-/// row shows it for reference without asserting against it.
-///
-/// # Errors
-///
-/// Forwards enumeration/checker guards.
-pub fn row_ps_under(
-    report: &mut Report,
-    quick: bool,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
     model: CostModelSpec,
 ) -> Result<(), GameError> {
     let n = if quick { 9 } else { 10 };
     let alphas: Vec<Alpha> = [1, 2, 4, 8, 16, 32, 64, 128].map(alpha_int).to_vec();
-    let points = empirical::tree_poa_grid_under(n, &alphas, Concept::Ps, model, policy, atlas)?;
+    let points = empirical::tree_poa_grid(n, &alphas, Concept::Ps, model, policy, atlas)?;
     let section = report.section(title_under("Table 1 / PS on trees (exhaustive", n, model));
     section.note("paper: PoA = Θ(min{√α, n/√α}); the measured curve should rise then fall with the crossover near α ≈ n²ish scale");
     note_cost_model(section, model);
@@ -166,7 +153,9 @@ pub fn row_ps_under(
     Ok(())
 }
 
-/// BSwE row: exhaustive tree PoA with Theorem 3.6's `2 + 2log α` asserted.
+/// BSwE row: exhaustive tree PoA with Theorem 3.6's `2 + 2log α`,
+/// priced under `model`. The theorem is asserted only on the default
+/// model, where it is a theorem.
 ///
 /// # Errors
 ///
@@ -177,26 +166,11 @@ pub fn row_bswe(
     quick: bool,
     policy: &ExecPolicy,
     atlas: Option<&DynAtlas>,
-) -> Result<(), GameError> {
-    row_bswe_under(report, quick, policy, atlas, CostModelSpec::SumDistances)
-}
-
-/// [`row_bswe`] under an explicit [`CostModelSpec`]; Theorem 3.6 is
-/// asserted only on the default model, where it is a theorem.
-///
-/// # Errors
-///
-/// Forwards enumeration/checker guards.
-pub fn row_bswe_under(
-    report: &mut Report,
-    quick: bool,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
     model: CostModelSpec,
 ) -> Result<(), GameError> {
     let n = if quick { 9 } else { 10 };
     let alphas: Vec<Alpha> = [1, 2, 4, 8, 16, 32, 64, 128].map(alpha_int).to_vec();
-    let points = empirical::tree_poa_grid_under(n, &alphas, Concept::Bswe, model, policy, atlas)?;
+    let points = empirical::tree_poa_grid(n, &alphas, Concept::Bswe, model, policy, atlas)?;
     let section = report.section(title_under("Table 1 / BSwE on trees (exhaustive", n, model));
     section
         .note("paper: PoA = Θ(log α); Theorem 3.6 upper bound 2 + 2·log₂ α checked on every point");
@@ -341,7 +315,7 @@ pub fn row_bne(report: &mut Report, quick: bool) -> Result<(), GameError> {
         let mut stable = 0usize;
         let mut max_rho = f64::NAN;
         for tree in &corpus {
-            if concepts::bne::is_stable(tree, alpha)? {
+            if Concept::Bne.is_stable(tree, alpha)? {
                 stable += 1;
                 let rho = social_cost_ratio(tree, alpha)?.as_f64();
                 if max_rho.is_nan() || rho > max_rho {
@@ -429,7 +403,8 @@ pub fn bne_n24_instances() -> Vec<(&'static str, Graph, Alpha, bool)> {
 }
 
 /// 3-BSE row: exhaustive tree PoA under 3-BSE (constant), with the 2-BSE
-/// `Ω(log α)` contrast inherited from BGE via Proposition 3.7.
+/// `Ω(log α)` contrast inherited from BGE via Proposition 3.7, priced
+/// under `model`. Theorem 3.15 is asserted only on the default model.
 ///
 /// # Errors
 ///
@@ -439,28 +414,12 @@ pub fn row_3bse(
     quick: bool,
     policy: &ExecPolicy,
     atlas: Option<&DynAtlas>,
-) -> Result<(), GameError> {
-    row_3bse_under(report, quick, policy, atlas, CostModelSpec::SumDistances)
-}
-
-/// [`row_3bse`] under an explicit [`CostModelSpec`]; Theorem 3.15 is
-/// asserted only on the default model.
-///
-/// # Errors
-///
-/// Forwards enumeration/checker guards.
-pub fn row_3bse_under(
-    report: &mut Report,
-    quick: bool,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
     model: CostModelSpec,
 ) -> Result<(), GameError> {
     let n = if quick { 8 } else { 9 };
     let alphas: Vec<Alpha> = [1, 2, 4, 8, 16, 32].map(alpha_int).to_vec();
-    let threes =
-        empirical::tree_poa_grid_under(n, &alphas, Concept::KBse(3), model, policy, atlas)?;
-    let twos = empirical::tree_poa_grid_under(n, &alphas, Concept::KBse(2), model, policy, atlas)?;
+    let threes = empirical::tree_poa_grid(n, &alphas, Concept::KBse(3), model, policy, atlas)?;
+    let twos = empirical::tree_poa_grid(n, &alphas, Concept::KBse(2), model, policy, atlas)?;
     let section = report.section(title_under(
         "Table 1 / 3-BSE on trees (exhaustive",
         n,
@@ -490,29 +449,15 @@ pub fn row_3bse_under(
 }
 
 /// BSE row: exact tiny-n general-graph PoA plus the Lemma 3.18 d-ary
-/// regimes against Theorems 3.19–3.21.
+/// regimes against Theorems 3.19–3.21. The exact sweep is priced under
+/// `model`; the d-ary regimes are default-model machinery (worst-agent
+/// cost against the default optimum), so a non-default row renders only
+/// the exact tiny-n sweep.
 ///
 /// # Errors
 ///
 /// Forwards enumeration/checker guards.
 pub fn row_bse(
-    report: &mut Report,
-    quick: bool,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
-) -> Result<(), GameError> {
-    row_bse_under(report, quick, policy, atlas, CostModelSpec::SumDistances)
-}
-
-/// [`row_bse`] under an explicit [`CostModelSpec`]. The Lemma 3.18
-/// d-ary regimes are default-model machinery (worst-agent cost against
-/// the default optimum), so a non-default row renders only the exact
-/// tiny-n sweep.
-///
-/// # Errors
-///
-/// Forwards enumeration/checker guards.
-pub fn row_bse_under(
     report: &mut Report,
     quick: bool,
     policy: &ExecPolicy,
@@ -524,7 +469,7 @@ pub fn row_bse_under(
     let alphas: Vec<Alpha> = ["1/2", "1", "3/2", "2", "4", "8", "16"]
         .map(|s| s.parse().expect("grid α"))
         .to_vec();
-    let points = empirical::graph_poa_grid_under(n, &alphas, Concept::Bse, model, policy, atlas)?;
+    let points = empirical::graph_poa_grid(n, &alphas, Concept::Bse, model, policy, atlas)?;
     let section = report.section(title_under(
         "Table 1 / BSE on general graphs (exact",
         n,
@@ -621,67 +566,46 @@ fn push_dary_row(
     ]);
 }
 
-/// Runs every Table 1 row into a fresh report.
+/// Runs every Table 1 row into a fresh report. An optional
+/// precomputed atlas answers stored instances of the enumeration sweeps
+/// at zero solver cost, noting the hit share per section. The sweeps are
+/// priced under `model`; the construction-certifying rows (BGE, BNE) are
+/// default-model proofs and render only on the default model, and the
+/// sweep rows downgrade the paper's bounds to reference values on any
+/// other model.
 ///
 /// # Errors
 ///
 /// Forwards the per-row errors.
-pub fn full_table(quick: bool, policy: &ExecPolicy) -> Result<Report, GameError> {
-    full_table_with_atlas(quick, policy, None)
-}
-
-/// [`full_table`] with an optional precomputed atlas: enumeration
-/// sweeps consult it first and serve stored verdicts at zero solver
-/// cost, noting the hit share per section.
-///
-/// # Errors
-///
-/// Forwards the per-row errors.
-pub fn full_table_with_atlas(
-    quick: bool,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
-) -> Result<Report, GameError> {
-    full_table_under(quick, policy, atlas, CostModelSpec::SumDistances)
-}
-
-/// [`full_table_with_atlas`] pricing the enumeration sweeps under an
-/// explicit [`CostModelSpec`]. The construction-certifying rows (BGE,
-/// BNE) are default-model proofs and render only on the default model;
-/// the sweep rows run under the requested model with the paper's
-/// bounds downgraded to reference values.
-///
-/// # Errors
-///
-/// Forwards the per-row errors.
-pub fn full_table_under(
+pub fn full_table(
     quick: bool,
     policy: &ExecPolicy,
     atlas: Option<&DynAtlas>,
     model: CostModelSpec,
 ) -> Result<Report, GameError> {
     let mut report = Report::new();
-    row_ps_under(&mut report, quick, policy, atlas, model)?;
-    row_bswe_under(&mut report, quick, policy, atlas, model)?;
+    row_ps(&mut report, quick, policy, atlas, model)?;
+    row_bswe(&mut report, quick, policy, atlas, model)?;
     if model.is_default() {
         row_bge(&mut report, quick)?;
         row_bne(&mut report, quick)?;
     }
-    row_3bse_under(&mut report, quick, policy, atlas, model)?;
-    row_bse_under(&mut report, quick, policy, atlas, model)?;
+    row_3bse(&mut report, quick, policy, atlas, model)?;
+    row_bse(&mut report, quick, policy, atlas, model)?;
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bncg_core::CostModelSpec::SumDistances;
 
     #[test]
     fn ps_and_bswe_rows_render() {
         let mut r = Report::new();
         let policy = ExecPolicy::default().with_threads(2);
-        row_ps(&mut r, true, &policy, None).unwrap();
-        row_bswe(&mut r, true, &policy, None).unwrap();
+        row_ps(&mut r, true, &policy, None, SumDistances).unwrap();
+        row_bswe(&mut r, true, &policy, None, SumDistances).unwrap();
         let text = r.render();
         assert!(text.contains("PS on trees"));
         assert!(text.contains("BSwE on trees"));
@@ -696,10 +620,10 @@ mod tests {
         // the (false-there) note.
         let mut r = Report::new();
         let policy = ExecPolicy::default().with_batch_budget(100_000);
-        row_3bse(&mut r, true, &policy, None).unwrap();
+        row_3bse(&mut r, true, &policy, None, SumDistances).unwrap();
         assert!(r.render().contains("batch budget"));
         let mut r = Report::new();
-        row_ps(&mut r, true, &policy, None).unwrap();
+        row_ps(&mut r, true, &policy, None, SumDistances).unwrap();
         assert!(!r.render().contains("batch budget"));
     }
 
@@ -722,12 +646,26 @@ mod tests {
         build(&mut atlas, &spec, 10_000_000, None).unwrap();
 
         let mut with = Report::new();
-        row_bse(&mut with, true, &ExecPolicy::default(), Some(&atlas)).unwrap();
+        row_bse(
+            &mut with,
+            true,
+            &ExecPolicy::default(),
+            Some(&atlas),
+            SumDistances,
+        )
+        .unwrap();
         let text = with.render();
         assert!(text.contains("atlas:"), "hit note must render: {text}");
 
         let mut without = Report::new();
-        row_bse(&mut without, true, &ExecPolicy::default(), None).unwrap();
+        row_bse(
+            &mut without,
+            true,
+            &ExecPolicy::default(),
+            None,
+            SumDistances,
+        )
+        .unwrap();
         // Served verdicts change provenance, never the table itself.
         let strip = |s: &str| {
             s.lines()
@@ -752,7 +690,7 @@ mod tests {
     #[test]
     fn bse_regime_rows_respect_bounds() {
         let mut r = Report::new();
-        row_bse(&mut r, true, &ExecPolicy::default(), None).unwrap();
+        row_bse(&mut r, true, &ExecPolicy::default(), None, SumDistances).unwrap();
         let text = r.render();
         assert!(text.contains("Lemma 3.18"));
         assert!(text.contains("α = n·log n"));

@@ -4,7 +4,7 @@
 
 use bncg_constructions::figures::{figure5, figure6, figure7};
 use bncg_constructions::{conjecture, venn};
-use bncg_core::{concepts, delta, Alpha};
+use bncg_core::{concepts, delta, Alpha, Concept};
 use bncg_graph::generators;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -78,7 +78,11 @@ fn bench_fig5_6_7(c: &mut Criterion) {
     });
     let f6 = figure6();
     group.bench_function("fig6_exact_bne_n10", |b| {
-        b.iter(|| assert!(concepts::bne::is_stable(black_box(&f6.graph), f6.alpha).unwrap()));
+        b.iter(|| {
+            assert!(Concept::Bne
+                .is_stable(black_box(&f6.graph), f6.alpha)
+                .unwrap())
+        });
     });
     let f7 = figure7(10);
     let mv = f7.violation.clone().expect("move");
@@ -95,7 +99,7 @@ fn bench_cycles(c: &mut Criterion) {
     let c6 = generators::cycle(6);
     let a5 = alpha("5");
     group.bench_function("bse_certify_c6", |b| {
-        b.iter(|| assert!(concepts::bse::is_stable(black_box(&c6), a5).unwrap()));
+        b.iter(|| assert!(Concept::Bse.is_stable(black_box(&c6), a5).unwrap()));
     });
     group.finish();
 }

@@ -69,7 +69,7 @@ fn bench_row_bne(c: &mut Criterion) {
     });
     group.bench_function("exact_bne_n16_star", |b| {
         let g = generators::star(16);
-        b.iter(|| assert!(concepts::bne::is_stable(black_box(&g), alpha(4)).unwrap()));
+        b.iter(|| assert!(Concept::Bne.is_stable(black_box(&g), alpha(4)).unwrap()));
     });
     group.bench_function("rho_of_instance", |b| {
         b.iter(|| social_cost_ratio(black_box(&star.graph), a9).unwrap());

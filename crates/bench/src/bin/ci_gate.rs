@@ -432,7 +432,7 @@ fn main() -> std::process::ExitCode {
     gate.record("batched_leaf_eval/bne_cycle12", batched);
 
     // Generator resume overhead (ISSUE 5): draining the pinned n = 24
-    // cycle — a size the legacy guard refused outright — through a
+    // cycle — a size the old raw-space guard refused outright — through a
     // chain of budgeted slices must stay within a small factor of the
     // uninterrupted scan: resuming re-derives one branch path, it does
     // not re-scan. Exactness first: the chain must reach the identical
@@ -491,7 +491,7 @@ fn main() -> std::process::ExitCode {
     // CheckBudget::default() calibration: the rustdoc's wall-clock claim
     // is derived here, not assumed. The star16 raw BNE reference prices
     // exactly 16·(2^15 − 1) candidates; the measured rate converts the
-    // default guard into seconds of raw scanning on this host.
+    // default budget into seconds of raw scanning on this host.
     let star16_raw_evals = 16.0 * ((1u64 << 15) - 1) as f64;
     let eval_rate = star16_raw_evals / bne_reference_star16.max(1e-12);
     let budget_default_secs = CheckBudget::DEFAULT_MAX_EVALS as f64 / eval_rate;
@@ -500,7 +500,7 @@ fn main() -> std::process::ExitCode {
         gate.failures.push(format!(
             "budget_default_seconds = {budget_default_secs:.1}s drifted outside \
              [0.5, 500] — update the CheckBudget::default() rustdoc and the \
-             default guard"
+             default budget"
         ));
     }
 
@@ -679,13 +679,17 @@ fn main() -> std::process::ExitCode {
     // is bounded re-hydration, not re-scanning. Exactness first: the
     // chain must land on the identical final state.
     let unbounded = ExecPolicy::default();
-    let reference_run = round_robin::run_with_policy(&path, alpha2, 50, &unbounded).unwrap();
+    let model = CostModelSpec::SumDistances;
+    let reference_run =
+        round_robin::run_with_policy_under(&path, alpha2, model, 50, &unbounded).unwrap();
     let slice_budget = (reference_run.evals / 20).max(1_000);
     let slice_policy = ExecPolicy::default().with_eval_budget(slice_budget);
     let chain = |policy: &ExecPolicy| {
-        let mut out = round_robin::run_with_policy(&path, alpha2, 50, policy).unwrap();
+        let mut out = round_robin::run_with_policy_under(&path, alpha2, model, 50, policy).unwrap();
         while let Some(checkpoint) = out.checkpoint.take() {
-            out = round_robin::resume(&out.final_graph, alpha2, 50, policy, &checkpoint).unwrap();
+            out =
+                round_robin::resume_under(&out.final_graph, alpha2, model, 50, policy, &checkpoint)
+                    .unwrap();
         }
         out
     };
@@ -699,7 +703,7 @@ fn main() -> std::process::ExitCode {
     let overhead = paired_overhead(
         1,
         &|| {
-            round_robin::run_with_policy(&path, alpha2, 50, &unbounded).unwrap();
+            round_robin::run_with_policy_under(&path, alpha2, model, 50, &unbounded).unwrap();
         },
         &|| {
             chain(&slice_policy);
@@ -1172,6 +1176,15 @@ fn main() -> std::process::ExitCode {
 
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_baseline.json");
     if write_baseline {
+        // Every ceiling, floor and exactness check above has already run;
+        // a run that fails any of them must not become the new baseline.
+        if !gate.failures.is_empty() {
+            for f in &gate.failures {
+                eprintln!("perf gate FAILURE: {f}");
+            }
+            eprintln!("refusing to write {baseline_path}: the run above failed its checks");
+            return std::process::ExitCode::FAILURE;
+        }
         std::fs::write(baseline_path, &json).expect("write baseline");
         println!("wrote {baseline_path}");
         return std::process::ExitCode::SUCCESS;

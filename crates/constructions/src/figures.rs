@@ -215,7 +215,7 @@ pub fn figure8_witness() -> FigureInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bncg_core::{agent_cost, concepts, delta, unilateral::UnilateralState};
+    use bncg_core::{agent_cost, concepts, delta, unilateral::UnilateralState, Concept};
 
     #[test]
     fn figure5_is_in_bae_and_bge_but_not_bne() {
@@ -277,7 +277,7 @@ mod tests {
         let fig = figure6();
         let (g, alpha) = (&fig.graph, fig.alpha);
         assert!(
-            concepts::bne::is_stable(g, alpha).unwrap(),
+            Concept::Bne.is_stable(g, alpha).unwrap(),
             "Figure 6 must be in BNE at α = 7"
         );
         let mv = fig.violation.as_ref().unwrap();
@@ -286,7 +286,7 @@ mod tests {
             "the {{a1, a3}} coalition move must improve both members"
         );
         // And the exact 2-BSE checker agrees.
-        let found = concepts::kbse::find_violation(g, alpha, 2).unwrap();
+        let found = Concept::KBse(2).find_violation(g, alpha).unwrap();
         assert!(found.is_some(), "2-BSE checker must find a violation");
     }
 

@@ -21,7 +21,7 @@
 //! would (enumeration order, pruning decisions, and tie-breaks are all
 //! deterministic functions of the state — property-tested in
 //! `tests/solver.rs`). This is what gives round-robin dynamics true
-//! anytime budgets instead of the legacy per-activation size guard.
+//! anytime budgets instead of a per-activation size guard.
 
 use crate::alpha::Alpha;
 use crate::candidates::NeighborhoodPruner;
@@ -320,10 +320,9 @@ pub fn best_response(g: &Graph, alpha: Alpha, u: u32) -> Result<BestResponse, Ga
     best_response_in(&GameState::new(g.clone(), alpha), u, CheckBudget::default())
 }
 
-/// The legacy size guard shared by the compat wrapper and the engine
-/// path: `2^{n−1}` candidates must fit the budget before any heavy work
-/// starts (the metered path has no such guard — it scans anytime-style
-/// and returns a resumable verdict instead).
+/// The raw-space size guard of the direct paths ([`best_response`],
+/// [`best_response_in`]): `2^{n−1}` candidates must fit the budget
+/// before any heavy work starts (the metered path has no such guard).
 pub(crate) fn check_enumeration_budget(n: usize, budget: CheckBudget) -> Result<(), GameError> {
     if n <= 1 {
         return Ok(());
@@ -408,7 +407,7 @@ pub fn best_response_in(
 /// There is no *budget* guard on this path: an oversized agent scan
 /// does partial work up to the policy's stop conditions instead of
 /// refusing outright, which is exactly what
-/// `round_robin::run_with_policy` needs for true anytime activations.
+/// `round_robin::run_with_policy_under` needs for true anytime activations.
 /// The structural `n ≤ 64` mask limit still applies (the same shape as
 /// the solver's BNE limit).
 ///
@@ -742,7 +741,7 @@ fn scan_best_response(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concepts;
+    use crate::concepts::Concept;
     use crate::cost::agent_cost;
     use bncg_graph::generators;
 
@@ -759,7 +758,7 @@ mod tests {
                 let alpha = a(alpha);
                 let any_move =
                     (0..8u32).any(|u| best_response(&g, alpha, u).unwrap().best.is_some());
-                let bne = concepts::bne::is_stable(&g, alpha).unwrap();
+                let bne = Concept::Bne.is_stable(&g, alpha).unwrap();
                 assert_eq!(any_move, !bne, "best responses must characterize BNE");
             }
         }
@@ -799,7 +798,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the compat wrapper must keep the legacy guard
     fn budget_guard_fires() {
         let g = generators::path(40);
         assert!(matches!(
@@ -807,9 +805,8 @@ mod tests {
             Err(GameError::CheckTooLarge { .. })
         ));
         assert!(matches!(
-            crate::compat::best_response_with_budget(
-                &generators::path(8),
-                a("1"),
+            best_response_in(
+                &GameState::new(generators::path(8), a("1")),
                 0,
                 CheckBudget::new(10)
             ),

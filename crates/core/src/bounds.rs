@@ -286,7 +286,8 @@ mod tests {
             for tree in enumerate::free_trees(n).unwrap() {
                 for alpha in ["1", "3", "9"] {
                     let alpha = a(alpha);
-                    if concepts::kbse::find_violation(&tree, alpha, 3)
+                    if concepts::Concept::KBse(3)
+                        .find_violation(&tree, alpha)
                         .unwrap()
                         .is_none()
                     {

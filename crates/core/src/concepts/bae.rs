@@ -5,7 +5,7 @@ use crate::alpha::Alpha;
 use crate::delta::cost_after_add;
 use crate::moves::Move;
 use crate::state::GameState;
-use bncg_graph::{DistanceMatrix, Graph};
+use bncg_graph::Graph;
 
 /// Finds a mutually profitable edge addition, or `None` if `g` is in BAE.
 ///
@@ -49,13 +49,6 @@ pub fn find_violation_in(state: &GameState) -> Option<Move> {
         }
     }
     None
-}
-
-/// [`find_violation`] with a caller-supplied distance matrix, for callers
-/// that already paid for it.
-#[must_use]
-pub fn find_violation_with_matrix(g: &Graph, alpha: Alpha, d: &DistanceMatrix) -> Option<Move> {
-    find_violation_in(&GameState::with_matrix(g.clone(), alpha, d.clone()))
 }
 
 /// Whether `g` is in Bilateral Add Equilibrium.

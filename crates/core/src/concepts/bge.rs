@@ -77,7 +77,8 @@ mod tests {
                 for alpha in ["1/2", "1", "2", "7/2", "6", "20"] {
                     let alpha = a(alpha);
                     let bge = is_stable(&tree, alpha);
-                    let two_bse = crate::concepts::kbse::find_violation(&tree, alpha, 2)
+                    let two_bse = crate::concepts::Concept::KBse(2)
+                        .find_violation(&tree, alpha)
                         .unwrap()
                         .is_none();
                     assert_eq!(

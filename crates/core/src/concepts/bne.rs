@@ -10,12 +10,12 @@
 //! generated by branching on one endpoint at a time, and whole mask
 //! subtrees the pruning inequalities kill are skipped in `O(1)` instead
 //! of being iterated. The structural limit is the 64-bit position mask
-//! (`n ≤ 64`); within it, [`find_violation`] runs the scan under the
-//! default [`CheckBudget`] as an *evaluation* budget (overruns surface
-//! as the legacy [`GameError::CheckTooLarge`]), and the
+//! (`n ≤ 64`); within it, [`crate::Concept::find_violation`] runs the
+//! scan under the default [`CheckBudget`] as an *evaluation* budget
+//! (overruns surface as [`GameError::CheckTooLarge`]), and the
 //! [`crate::solver`] surface exposes the same scan anytime-style —
-//! budgets and deadlines exhaust into a resumable frontier (one unit
-//! per center) rather than erroring.
+//! budgets and deadlines exhaust into a resumable frontier (one unit per
+//! center) rather than erroring.
 //!
 //! The checker routes through the [`candidates`](crate::candidates)
 //! pruning layer: partners that provably cannot consent are dropped from
@@ -44,14 +44,13 @@
 
 use crate::alpha::Alpha;
 use crate::candidates::{CandidateStats, CenterCapCache, NeighborhoodPruner};
-use crate::concepts::{CheckBudget, Concept};
+use crate::concepts::CheckBudget;
 use crate::cost::{agent_cost, AgentCost};
 use crate::cost_model::{CostModel, CostModelSpec};
 use crate::error::GameError;
 use crate::generator::{BranchScan, NeighborhoodOracle, Step};
 use crate::moves::Move;
 use crate::scan::{CtlLocal, ScanCtl, UnitOutcome, UnitScanner};
-use crate::solver::{ExecPolicy, Solver, StabilityQuery};
 use crate::state::GameState;
 use bncg_graph::{BitsetGraph, Graph};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,72 +87,16 @@ mod rand_like {
 
 pub use rand_like::{RngLike, SplitMix};
 
-/// Exact BNE check under the default [`CheckBudget`], spent as an
-/// **evaluation** budget.
-///
-/// Until the branch-and-bound generator landed this entry point refused
-/// any instance whose *raw* move space exceeded the budget (`n ≤ 21`
-/// at the default). The generator made the scan evaluation-bound, so
-/// the guard is now the work actually done: the scan runs up to
-/// `CheckBudget::default().max_evals` candidate evaluations and only
-/// errors if it genuinely needs more — instances whose surviving space
-/// the pruning layer collapses (stars, cycles in their stability
-/// windows, diameter-2 graphs at `α ≤ 1`, …) now solve exactly at any
-/// `n ≤ 64`.
-///
-/// # Errors
-///
-/// Returns [`GameError::CheckTooLarge`] when the scan exhausts the
-/// default evaluation budget (resume instead via [`crate::solver`]) and
-/// [`GameError::Unsupported`] past the structural `n ≤ 64` mask limit.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_core::{concepts::bne, Alpha};
-/// use bncg_graph::generators;
-///
-/// let alpha = Alpha::integer(2)?;
-/// assert!(bne::find_violation(&generators::star(7), alpha)?.is_none());
-/// assert!(bne::find_violation(&generators::path(7), alpha)?.is_some());
-/// // Previously refused by the n ≤ 21 raw-space guard; now exact.
-/// assert!(bne::find_violation(&generators::star(40), alpha)?.is_none());
-/// # Ok::<(), bncg_core::GameError>(())
-/// ```
-pub fn find_violation(g: &Graph, alpha: Alpha) -> Result<Option<Move>, GameError> {
-    find_violation_in(&GameState::new(g.clone(), alpha))
-}
-
-/// [`find_violation`] against a caller-maintained [`GameState`] — the
-/// default-budget anytime scan behind [`Concept::find_violation_in`].
-///
-/// # Errors
-///
-/// Same as [`find_violation`].
-pub fn find_violation_in(state: &GameState) -> Result<Option<Move>, GameError> {
-    Solver::new(ExecPolicy::default().with_eval_budget(CheckBudget::default().max_evals))
-        .check(&StabilityQuery::on(Concept::Bne, state))?
-        .into_violation()
-}
-
-/// The legacy size guard: refuses instances whose **raw** move space
-/// exceeds the budget before any work starts (the solver path has no
-/// such guard — it scans anytime-style and exhausts instead).
+/// [`CheckBudget::admit`] for the `n·2^{n−1}` raw BNE move space.
 pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameError> {
-    if n <= 1 {
-        return Ok(());
-    }
-    let per_center = 1u128 << (n - 1);
-    let work = per_center * n as u128;
-    if work > u128::from(budget.max_evals) {
-        return Err(GameError::CheckTooLarge {
-            reason: format!(
-                "exact BNE needs {work} move evaluations for n = {n}, budget is {}",
-                budget.max_evals
-            ),
-        });
-    }
-    Ok(())
+    let work = if n <= 1 {
+        0
+    } else {
+        (1u128 << (n - 1)) * n as u128
+    };
+    budget.admit(work, || {
+        format!("exact BNE needs {work} move evaluations for n = {n}")
+    })
 }
 
 /// The direct engine-path full scan, reporting how much of the raw
@@ -163,11 +106,10 @@ pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameErro
 ///
 /// # Errors
 ///
-/// Unlike [`find_violation`] (evaluation-bounded), this measurement
-/// path keeps the legacy **raw-space** pre-guard against its explicit
-/// `budget` — same as [`crate::compat::bne::find_violation_with_budget`].
-/// Pass a budget sized to the raw space (the bench kernels use
-/// `u64::MAX`-scale budgets) to measure large instances.
+/// Unlike [`crate::Concept::find_violation`] (evaluation-bounded),
+/// this measurement path keeps the **raw-space** pre-guard against its
+/// explicit `budget`. Pass a budget sized to the raw space (the bench
+/// kernels use `u64::MAX`-scale budgets) to measure large instances.
 pub fn find_violation_in_with_stats(
     state: &GameState,
     budget: CheckBudget,
@@ -454,7 +396,7 @@ fn scan_center(
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget` (this path genuinely
+/// The raw-space pre-guard against `budget` (this path genuinely
 /// iterates).
 pub fn find_violation_in_dense(
     state: &GameState,
@@ -535,7 +477,7 @@ pub fn find_violation_in_dense(
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget`.
+/// The raw-space pre-guard against `budget`.
 pub fn find_violation_in_reference(
     state: &GameState,
     budget: CheckBudget,
@@ -742,18 +684,10 @@ fn eval_candidate_lists(
     }
 }
 
-/// Whether `g` is in Bilateral Neighborhood Equilibrium (exact).
-///
-/// # Errors
-///
-/// Same guard as [`find_violation`].
-pub fn is_stable(g: &Graph, alpha: Alpha) -> Result<bool, GameError> {
-    Ok(find_violation(g, alpha)?.is_none())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concepts::{solve_with_threads, Concept};
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
@@ -763,7 +697,9 @@ mod tests {
     #[test]
     fn star_is_in_bne() {
         for alpha in ["1", "2", "9"] {
-            assert!(is_stable(&generators::star(7), a(alpha)).unwrap());
+            assert!(Concept::Bne
+                .is_stable(&generators::star(7), a(alpha))
+                .unwrap());
         }
     }
 
@@ -775,7 +711,7 @@ mod tests {
             let g = generators::random_connected(7, 0.3, &mut rng);
             for alpha in ["1/2", "1", "2", "6"] {
                 let alpha = a(alpha);
-                if is_stable(&g, alpha).unwrap() {
+                if Concept::Bne.is_stable(&g, alpha).unwrap() {
                     assert!(crate::concepts::bge::is_stable(&g, alpha));
                     assert!(crate::concepts::bae::is_stable(&g, alpha));
                 }
@@ -784,24 +720,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the compat wrapper must keep the legacy guard
     fn guards_are_evaluation_bound_and_structural() {
-        // The deprecated wrappers keep the legacy raw-space pre-guard.
+        // The direct measurement scan keeps the raw-space pre-guard.
         let tiny = CheckBudget::new(10);
+        let path8 = GameState::new(generators::path(8), a("1"));
         assert!(matches!(
-            crate::compat::bne::find_violation_with_budget(&generators::path(8), a("1"), tiny),
+            find_violation_in_with_stats(&path8, tiny),
             Err(GameError::CheckTooLarge { .. })
         ));
         // The default entry point is evaluation-bound since the
         // generator: n = 40 (a 40·2³⁹ raw space the old n ≤ 21 guard
         // refused outright) now solves exactly, because the generator
         // skips the pruned subtrees instead of iterating them.
-        assert!(find_violation(&generators::star(40), a("2"))
+        assert!(Concept::Bne
+            .find_violation(&generators::star(40), a("2"))
             .unwrap()
             .is_none());
         // The 64-bit position mask is a hard structural limit.
         assert!(matches!(
-            find_violation(&generators::path(70), a("2")),
+            Concept::Bne.find_violation(&generators::path(70), a("2")),
             Err(GameError::Unsupported { .. })
         ));
     }
@@ -812,18 +749,17 @@ mod tests {
         for _ in 0..10 {
             let g = generators::random_tree(8, &mut rng);
             for alpha in ["1/2", "1", "3"] {
-                if let Some(mv) = find_violation(&g, a(alpha)).unwrap() {
+                if let Some(mv) = Concept::Bne.find_violation(&g, a(alpha)).unwrap() {
                     assert!(crate::delta::move_improves_all(&g, a(alpha), &mv).unwrap());
                 }
             }
         }
     }
 
-    /// The pruned default and the raw reference scan return the *same*
-    /// witness, not just the same verdict (pruned candidates are all
-    /// non-improving and the enumeration order is shared).
+    /// The pruned solver scan and the raw reference scan return the
+    /// *same* witness, not just the same verdict (pruned candidates are
+    /// all non-improving and the enumeration order is shared).
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrapper
     fn pruned_scan_matches_reference_witness_exactly() {
         let mut rng = bncg_graph::test_rng(0xB14E);
         for case in 0..18 {
@@ -835,8 +771,7 @@ mod tests {
             for alpha in ["1/2", "1", "2", "9"] {
                 let state = GameState::new(g.clone(), a(alpha));
                 let budget = CheckBudget::default();
-                let pruned =
-                    crate::compat::bne::find_violation_in_with_budget(&state, budget).unwrap();
+                let pruned = solve_with_threads(Concept::Bne, &state, 1);
                 let reference = find_violation_in_reference(&state, budget).unwrap();
                 assert_eq!(pruned, reference, "witness mismatch at α = {alpha}");
             }
@@ -844,20 +779,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrappers
     fn parallel_scan_matches_sequential_witness_exactly() {
         let mut rng = bncg_graph::test_rng(0xB14F);
         for _ in 0..10 {
             let g = generators::random_connected(9, 0.3, &mut rng);
             for alpha in ["1", "3"] {
                 let state = GameState::new(g.clone(), a(alpha));
-                let budget = CheckBudget::default();
-                let seq =
-                    crate::compat::bne::find_violation_in_with_budget(&state, budget).unwrap();
+                let seq = solve_with_threads(Concept::Bne, &state, 1);
                 for threads in [1usize, 2, 4] {
-                    let par =
-                        crate::compat::bne::find_violation_in_parallel(&state, budget, threads)
-                            .unwrap();
+                    let par = solve_with_threads(Concept::Bne, &state, threads);
                     assert_eq!(seq, par, "threads = {threads}");
                 }
             }
@@ -883,7 +813,8 @@ mod tests {
         // 32·2³¹ raw space and the surviving leaves are priced by the
         // batched word-parallel kernel.
         let alpha = Alpha::from_ratio(240, 1).unwrap(); // cycle window n(n−2)/4
-        assert!(find_violation(&generators::cycle(32), alpha)
+        assert!(Concept::Bne
+            .find_violation(&generators::cycle(32), alpha)
             .unwrap()
             .is_none());
     }
@@ -909,7 +840,9 @@ mod tests {
 
     #[test]
     fn trivial_graphs_are_stable() {
-        assert!(is_stable(&Graph::new(1), a("1")).unwrap());
-        assert!(is_stable(&generators::path(2), a("1")).unwrap());
+        assert!(Concept::Bne.is_stable(&Graph::new(1), a("1")).unwrap());
+        assert!(Concept::Bne
+            .is_stable(&generators::path(2), a("1"))
+            .unwrap());
     }
 }

@@ -22,58 +22,28 @@
 //! aligned mask ranges whose fixed edits already violate the filters
 //! are skipped whole instead of being iterated.
 
-use crate::alpha::Alpha;
 use crate::candidates::{CandidateStats, EditSetPruner};
-use crate::concepts::{CheckBudget, Concept};
+use crate::concepts::CheckBudget;
 use crate::cost_model::CostModel;
 use crate::error::GameError;
 use crate::generator::{BranchScan, EditOracle, Step};
 use crate::moves::Move;
 use crate::scan::{CtlLocal, ScanCtl, UnitOutcome, UnitScanner};
-use crate::solver::solve_to_completion;
 use crate::state::GameState;
 use bncg_graph::Graph;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Exact BSE check under the default budget (`n ≤ 7`).
-///
-/// # Errors
-///
-/// Returns [`GameError::CheckTooLarge`] when `2^{C(n,2)}` exceeds the
-/// budget.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_core::{concepts::bse, Alpha};
-/// use bncg_graph::generators;
-///
-/// // Proposition 3.16: for α < 1 the clique is the only BSE.
-/// let alpha: Alpha = "1/2".parse()?;
-/// assert!(bse::find_violation(&generators::clique(5), alpha)?.is_none());
-/// assert!(bse::find_violation(&generators::star(5), alpha)?.is_some());
-/// # Ok::<(), bncg_core::GameError>(())
-/// ```
-pub fn find_violation(g: &Graph, alpha: Alpha) -> Result<Option<Move>, GameError> {
-    if g.n() <= 1 {
-        return Ok(None);
-    }
-    check_budget(g.n(), CheckBudget::default())?;
-    solve_to_completion(Concept::Bse, &GameState::new(g.clone(), alpha))
-}
-
-/// The legacy size guard (the solver path exhausts instead).
+/// [`CheckBudget::admit`] for the `2^{C(n,2)}` raw BSE target space.
 pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameError> {
     let pairs = n * (n - 1) / 2;
-    if pairs >= 63 || (1u128 << pairs) > u128::from(budget.max_evals) {
-        return Err(GameError::CheckTooLarge {
-            reason: format!(
-                "exact BSE scans 2^{pairs} target graphs for n = {n}, budget is {}",
-                budget.max_evals
-            ),
-        });
-    }
-    Ok(())
+    let work = if pairs >= 63 {
+        u128::MAX
+    } else {
+        1u128 << pairs
+    };
+    budget.admit(work, || {
+        format!("exact BSE scans 2^{pairs} target graphs for n = {n}")
+    })
 }
 
 /// The direct engine-path full scan, reporting how much of the target
@@ -83,7 +53,7 @@ pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameErro
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget`.
+/// The raw-space pre-guard against `budget`.
 pub fn find_violation_in_with_stats(
     state: &GameState,
     budget: CheckBudget,
@@ -326,7 +296,7 @@ impl TargetScan {
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget`.
+/// The raw-space pre-guard against `budget`.
 pub fn find_violation_in_reference(
     state: &GameState,
     budget: CheckBudget,
@@ -410,18 +380,11 @@ pub fn find_violation_in_reference(
     Ok(None)
 }
 
-/// Whether `g` is in Bilateral Strong Equilibrium (exact).
-///
-/// # Errors
-///
-/// Same guard as [`find_violation`].
-pub fn is_stable(g: &Graph, alpha: Alpha) -> Result<bool, GameError> {
-    Ok(find_violation(g, alpha)?.is_none())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concepts::{solve_with_threads, Concept};
+    use crate::Alpha;
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
@@ -437,8 +400,9 @@ mod tests {
             let g = generators::random_connected(5, 0.4, &mut rng);
             for alpha in ["1/2", "1", "2", "4"] {
                 let alpha = a(alpha);
-                let by_target = find_violation(&g, alpha).unwrap().is_some();
-                let by_coalition = crate::concepts::kbse::find_violation(&g, alpha, 5)
+                let by_target = Concept::Bse.find_violation(&g, alpha).unwrap().is_some();
+                let by_coalition = Concept::KBse(5)
+                    .find_violation(&g, alpha)
                     .unwrap()
                     .is_some();
                 assert_eq!(by_target, by_coalition, "engines disagree at α = {alpha}");
@@ -450,7 +414,7 @@ mod tests {
     fn proposition_3_16_clique_only_bse_below_one() {
         let alpha = a("1/2");
         for g in bncg_graph::enumerate::connected_graphs(5).unwrap() {
-            let stable = is_stable(&g, alpha).unwrap();
+            let stable = Concept::Bse.is_stable(&g, alpha).unwrap();
             let is_clique = g.m() == 5 * 4 / 2;
             assert_eq!(stable, is_clique, "only the clique is BSE for α < 1");
         }
@@ -460,7 +424,7 @@ mod tests {
     fn proposition_3_16_diameter_two_at_alpha_one() {
         let alpha = a("1");
         for g in bncg_graph::enumerate::connected_graphs(5).unwrap() {
-            let stable = is_stable(&g, alpha).unwrap();
+            let stable = Concept::Bse.is_stable(&g, alpha).unwrap();
             let diam = bncg_graph::diameter(&g).unwrap();
             assert_eq!(
                 stable,
@@ -472,11 +436,17 @@ mod tests {
 
     #[test]
     fn proposition_3_16_star_and_p4_above_one() {
-        assert!(is_stable(&generators::star(6), a("2")).unwrap());
+        assert!(Concept::Bse
+            .is_stable(&generators::star(6), a("2"))
+            .unwrap());
         // A path of 4 nodes is in BSE for α = 100 (Prop. 3.16).
-        assert!(is_stable(&generators::path(4), a("100")).unwrap());
+        assert!(Concept::Bse
+            .is_stable(&generators::path(4), a("100"))
+            .unwrap());
         // …but not for small α (ends would link up).
-        assert!(!is_stable(&generators::path(4), a("1")).unwrap());
+        assert!(!Concept::Bse
+            .is_stable(&generators::path(4), a("1"))
+            .unwrap());
     }
 
     #[test]
@@ -494,11 +464,11 @@ mod tests {
         ] {
             let g = generators::cycle(n);
             assert!(
-                is_stable(&g, a(inside)).unwrap(),
+                Concept::Bse.is_stable(&g, a(inside)).unwrap(),
                 "C{n} must be BSE at α = {inside}"
             );
             assert!(
-                !is_stable(&g, a(outside)).unwrap(),
+                !Concept::Bse.is_stable(&g, a(outside)).unwrap(),
                 "C{n} must not be BSE at α = {outside}"
             );
         }
@@ -507,7 +477,6 @@ mod tests {
     /// Pruned and reference scans return identical witnesses (filters are
     /// order-preserving and only ever skip non-violations).
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrapper
     fn pruned_scan_matches_reference_witness_exactly() {
         let mut rng = bncg_graph::test_rng(0xB5E);
         for case in 0..10 {
@@ -519,8 +488,7 @@ mod tests {
             for alpha in ["1/2", "1", "2", "8"] {
                 let state = GameState::new(g.clone(), a(alpha));
                 let budget = CheckBudget::default();
-                let pruned =
-                    crate::compat::bse::find_violation_in_with_budget(&state, budget).unwrap();
+                let pruned = solve_with_threads(Concept::Bse, &state, 1);
                 let reference = find_violation_in_reference(&state, budget).unwrap();
                 assert_eq!(pruned, reference, "witness mismatch at α = {alpha}");
             }
@@ -528,20 +496,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrappers
     fn parallel_scan_matches_sequential_witness_exactly() {
         let mut rng = bncg_graph::test_rng(0xB5F);
         for _ in 0..6 {
             let g = generators::random_connected(6, 0.35, &mut rng);
             for alpha in ["1/2", "2"] {
                 let state = GameState::new(g.clone(), a(alpha));
-                let budget = CheckBudget::default();
-                let seq =
-                    crate::compat::bse::find_violation_in_with_budget(&state, budget).unwrap();
+                let seq = solve_with_threads(Concept::Bse, &state, 1);
                 for threads in [2usize, 4] {
-                    let par =
-                        crate::compat::bse::find_violation_in_parallel(&state, budget, threads)
-                            .unwrap();
+                    let par = solve_with_threads(Concept::Bse, &state, threads);
                     assert_eq!(seq, par, "threads = {threads}");
                 }
             }
@@ -550,9 +513,11 @@ mod tests {
 
     #[test]
     fn guard_fires_for_large_instances() {
-        let g = generators::path(8);
+        // The direct measurement scan keeps the raw-space pre-guard
+        // (2²⁸ target graphs at n = 8).
+        let state = GameState::new(generators::path(8), a("1"));
         assert!(matches!(
-            find_violation(&g, a("1")),
+            find_violation_in_with_stats(&state, CheckBudget::default()),
             Err(GameError::CheckTooLarge { .. })
         ));
     }
@@ -563,7 +528,7 @@ mod tests {
         for _ in 0..10 {
             let g = generators::random_connected(5, 0.4, &mut rng);
             for alpha in ["1/2", "1", "3"] {
-                if let Some(mv) = find_violation(&g, a(alpha)).unwrap() {
+                if let Some(mv) = Concept::Bse.find_violation(&g, a(alpha)).unwrap() {
                     assert!(
                         crate::delta::move_improves_all(&g, a(alpha), &mv).unwrap(),
                         "witness {mv} must replay"

@@ -7,7 +7,7 @@ use crate::alpha::Alpha;
 use crate::delta::tree_swap_costs;
 use crate::moves::Move;
 use crate::state::GameState;
-use bncg_graph::{DistanceMatrix, Graph};
+use bncg_graph::Graph;
 
 /// Finds a mutually profitable swap, or `None` if `g` is in BSwE.
 ///
@@ -83,13 +83,6 @@ pub fn find_violation_in(state: &GameState) -> Option<Move> {
         }
     }
     None
-}
-
-/// [`find_violation`] with a caller-supplied distance matrix (pre-engine
-/// entry point, kept for callers that own a bare matrix).
-#[must_use]
-pub fn find_violation_with_matrix(g: &Graph, alpha: Alpha, d: &DistanceMatrix) -> Option<Move> {
-    find_violation_in(&GameState::with_matrix(g.clone(), alpha, d.clone()))
 }
 
 /// Whether `g` is in Bilateral Swap Equilibrium.

@@ -2,9 +2,9 @@
 //! has a joint move — deleting any edges that touch `Γ` and creating any
 //! edges inside `Γ` — from which *every* member strictly benefits.
 //!
-//! The exact checker enumerates coalitions and their full move spaces and
-//! therefore carries a [`CheckBudget`] guard: a coalition touching
-//! high-degree nodes owns `2^{|E_Γ|}` removal subsets. The restricted
+//! The exact checker enumerates coalitions and their full move spaces —
+//! a coalition touching high-degree nodes owns `2^{|E_Γ|}` removal
+//! subsets — so it runs under an evaluation budget. The restricted
 //! checker bounds the number of simultaneous removals instead, trading
 //! completeness for scale (a `None` from it is evidence, not proof).
 //!
@@ -36,54 +36,22 @@ use crate::candidates::{
     CandidateStats, EditSetPruner, EndpointRequirement,
 };
 use crate::combinatorics::{bounded_subsets, combinations};
-use crate::concepts::{CheckBudget, Concept};
+use crate::concepts::CheckBudget;
 use crate::cost::{agent_cost_from_matrix, AgentCost};
 use crate::cost_model::{CostModel, CostModelSpec};
 use crate::error::GameError;
 use crate::generator::{BranchScan, IncidentInterval, RemovalIntervalOracle, Step};
 use crate::moves::Move;
 use crate::scan::{CtlLocal, ScanCtl, UnitOutcome, UnitScanner};
-use crate::solver::solve_to_completion;
 use crate::state::GameState;
 use bncg_graph::{DistanceMatrix, Graph};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Exact k-BSE check under the default [`CheckBudget`].
-///
-/// # Errors
-///
-/// Returns [`GameError::CheckTooLarge`] when the summed move space of all
-/// coalitions exceeds the budget.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_core::{concepts::kbse, Alpha};
-/// use bncg_graph::generators;
-///
-/// let alpha = Alpha::integer(2)?;
-/// // 3-BSE: the star survives, the long path does not.
-/// assert!(kbse::find_violation(&generators::star(7), alpha, 3)?.is_none());
-/// assert!(kbse::find_violation(&generators::path(7), alpha, 3)?.is_some());
-/// # Ok::<(), bncg_core::GameError>(())
-/// ```
-pub fn find_violation(g: &Graph, alpha: Alpha, k: usize) -> Result<Option<Move>, GameError> {
-    if g.n() <= 1 || k == 0 {
-        return Ok(None);
-    }
-    check_budget(g, k, CheckBudget::default())?;
-    solve_to_completion(
-        Concept::KBse(k.min(u32::MAX as usize) as u32),
-        &GameState::new(g.clone(), alpha),
-    )
-}
-
-/// The legacy size guard: sizes the summed move space of all coalitions
-/// against the budget before any cost evaluation starts (the raw space —
-/// pruning and dedup only ever shrink the work below this bound). The
-/// solver path has no such guard; it scans anytime-style and exhausts.
+/// [`CheckBudget::admit`] for the summed raw move space of all
+/// coalitions (pruning and dedup only ever shrink the work below this
+/// bound).
 pub(crate) fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(), GameError> {
     let n = g.n();
     let k = k.min(n);
@@ -98,14 +66,9 @@ pub(crate) fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(
                 });
             }
             total_work += 1u128 << bits;
-            if total_work > u128::from(budget.max_evals) {
-                return Err(GameError::CheckTooLarge {
-                    reason: format!(
-                        "k-BSE move space exceeds budget {} (n = {n}, k = {k})",
-                        budget.max_evals
-                    ),
-                });
-            }
+            budget.admit(total_work, || {
+                format!("k-BSE move space for n = {n}, k = {k}")
+            })?;
         }
     }
     Ok(())
@@ -118,7 +81,7 @@ pub(crate) fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget`.
+/// The raw-space pre-guard against `budget`.
 pub fn find_violation_in_with_stats(
     state: &GameState,
     k: usize,
@@ -894,7 +857,7 @@ fn cover_removals(
 ///
 /// # Errors
 ///
-/// The legacy raw-space pre-guard against `budget`.
+/// The raw-space pre-guard against `budget`.
 pub fn find_violation_in_reference(
     state: &GameState,
     k: usize,
@@ -1032,22 +995,20 @@ fn eval_coalition_move(
     }
 }
 
-/// Whether `g` is in Bilateral k-Strong Equilibrium (exact).
-///
-/// # Errors
-///
-/// Same guard as [`find_violation`].
-pub fn is_stable(g: &Graph, alpha: Alpha, k: usize) -> Result<bool, GameError> {
-    Ok(find_violation(g, alpha, k)?.is_none())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concepts::solve_with_threads;
+    use crate::concepts::Concept;
+    use crate::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
         s.parse().unwrap()
+    }
+
+    fn kbse(k: usize) -> Concept {
+        Concept::KBse(k as u32)
     }
 
     #[test]
@@ -1061,7 +1022,7 @@ mod tests {
             for alpha in ["1/2", "1", "3"] {
                 let alpha = a(alpha);
                 assert_eq!(
-                    find_violation(&g, alpha, 1).unwrap().is_none(),
+                    kbse(1).find_violation(&g, alpha).unwrap().is_none(),
                     crate::concepts::re::is_stable(&g, alpha),
                     "1-BSE must coincide with RE (Prop. A.2 argument)"
                 );
@@ -1079,7 +1040,7 @@ mod tests {
                 let alpha = a(alpha);
                 let mut prev_stable = true;
                 for k in 1..=6usize {
-                    let stable = is_stable(&g, alpha, k).unwrap();
+                    let stable = kbse(k).is_stable(&g, alpha).unwrap();
                     if !prev_stable {
                         assert!(!stable, "stability must be antitone in k");
                     }
@@ -1092,7 +1053,7 @@ mod tests {
     #[test]
     fn star_is_3bse_stable() {
         for alpha in ["1", "2", "20"] {
-            assert!(is_stable(&generators::star(7), a(alpha), 3).unwrap());
+            assert!(kbse(3).is_stable(&generators::star(7), a(alpha)).unwrap());
         }
     }
 
@@ -1103,7 +1064,7 @@ mod tests {
             let g = generators::random_connected(6, 0.3, &mut rng);
             for alpha in ["1/2", "2"] {
                 for k in [2usize, 3] {
-                    if let Some(mv) = find_violation(&g, a(alpha), k).unwrap() {
+                    if let Some(mv) = kbse(k).find_violation(&g, a(alpha)).unwrap() {
                         assert!(crate::delta::move_improves_all(&g, a(alpha), &mv).unwrap());
                         if let Move::Coalition { members, .. } = &mv {
                             assert!(members.len() <= k);
@@ -1117,7 +1078,6 @@ mod tests {
     /// The pruned+deduped scan and the raw reference coalition scan agree
     /// on the stability verdict everywhere, and both witnesses replay.
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrapper
     fn pruned_scan_matches_reference_verdict() {
         let mut rng = bncg_graph::test_rng(0xCBE);
         for case in 0..14 {
@@ -1130,9 +1090,7 @@ mod tests {
                 let state = GameState::new(g.clone(), a(alpha));
                 for k in [1usize, 2, 3] {
                     let budget = CheckBudget::default();
-                    let pruned =
-                        crate::compat::kbse::find_violation_in_with_budget(&state, k, budget)
-                            .unwrap();
+                    let pruned = solve_with_threads(kbse(k), &state, 1);
                     let reference = find_violation_in_reference(&state, k, budget).unwrap();
                     assert_eq!(
                         pruned.is_some(),
@@ -1154,7 +1112,7 @@ mod tests {
             let g = generators::random_connected(6, 0.3, &mut rng);
             for alpha in ["1", "3"] {
                 let alpha = a(alpha);
-                let exact = find_violation(&g, alpha, 2).unwrap().is_some();
+                let exact = kbse(2).find_violation(&g, alpha).unwrap().is_some();
                 let restricted = find_violation_restricted(&g, alpha, 2, g.m()).is_some();
                 assert_eq!(exact, restricted);
             }
@@ -1183,20 +1141,15 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // reference test for the compat wrappers
     fn parallel_exact_matches_sequential_witness() {
         let mut rng = bncg_graph::test_rng(74);
         for _ in 0..6 {
             let g = generators::random_connected(6, 0.35, &mut rng);
             for alpha in ["1", "4"] {
                 let state = GameState::new(g.clone(), a(alpha));
-                let budget = CheckBudget::default();
-                let seq =
-                    crate::compat::kbse::find_violation_in_with_budget(&state, 3, budget).unwrap();
+                let seq = solve_with_threads(kbse(3), &state, 1);
                 for threads in [2usize, 4] {
-                    let par =
-                        crate::compat::kbse::find_violation_in_parallel(&state, 3, budget, threads)
-                            .unwrap();
+                    let par = solve_with_threads(kbse(3), &state, threads);
                     assert_eq!(seq, par);
                 }
             }
@@ -1232,14 +1185,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the compat wrapper must keep the legacy guard
     fn budget_guard_fires() {
-        // A dense graph with a huge coalition move space.
-        let g = generators::clique(16);
+        // A dense graph with a huge coalition move space: the direct
+        // measurement scan refuses it before any work …
+        let state = GameState::new(generators::clique(16), a("1"));
+        let tiny = CheckBudget::new(1000);
         assert!(matches!(
-            crate::compat::kbse::find_violation_with_budget(&g, a("1"), 3, CheckBudget::new(1000)),
+            find_violation_in_with_stats(&state, 3, tiny),
             Err(GameError::CheckTooLarge { .. })
         ));
+        // … while the solver, capped at the same budget, certifies the
+        // clique without pricing a single candidate: the budget meters
+        // work done, not the raw space.
+        let verdict = Solver::new(ExecPolicy::default().with_eval_budget(tiny.max_evals))
+            .check(&StabilityQuery::on(kbse(3), &state))
+            .unwrap();
+        assert!(
+            matches!(verdict, Verdict::Stable { evals: 0, .. }),
+            "{verdict:?}"
+        );
     }
 
     #[test]
@@ -1250,7 +1214,7 @@ mod tests {
         let g = generators::cycle(6);
         let alpha = a("1");
         assert_eq!(
-            find_violation(&g, alpha, 2).unwrap().is_some(),
+            kbse(2).find_violation(&g, alpha).unwrap().is_some(),
             crate::concepts::bge::find_violation(&g, alpha).is_some()
                 || find_violation_restricted(&g, alpha, 2, 6).is_some()
         );

@@ -9,8 +9,8 @@
 //! | [`bswe`] Bilateral Swap Equilibrium | consensual edge swap | exact, polynomial |
 //! | [`bge`] Bilateral Greedy Equilibrium | PS ∩ BSwE | exact, polynomial |
 //! | [`bne`] Bilateral Neighborhood Equilibrium | one-agent neighborhood rewiring | exact to `n ≤ 64` (branch-and-bound generator, evaluation-budgeted) + sampled refuter |
-//! | [`kbse`] Bilateral k-Strong Equilibrium | coalitions of size ≤ k | exact with budget guard + restricted refuter |
-//! | [`bse`] Bilateral Strong Equilibrium | arbitrary coalitions | exact for tiny n + sampled refuter |
+//! | [`kbse`] Bilateral k-Strong Equilibrium | coalitions of size ≤ k | exact + restricted refuter |
+//! | [`bse`] Bilateral Strong Equilibrium | arbitrary coalitions | exact to `n ≤ 11` |
 //!
 //! Every checker returns the *witness move* on instability, so callers can
 //! replay and re-verify it with the generic engine.
@@ -27,30 +27,30 @@ pub mod re;
 use crate::alpha::Alpha;
 use crate::error::GameError;
 use crate::moves::Move;
-use crate::solver::{legacy_guard, solve_to_completion};
+use crate::solver::{ExecPolicy, Solver, StabilityQuery};
 use crate::state::GameState;
 use bncg_graph::Graph;
 use std::fmt;
 use std::str::FromStr;
 
 /// Work budget for the exponential checkers (BNE, k-BSE, BSE). One unit is
-/// one **raw** candidate-move evaluation.
+/// one candidate-move evaluation.
 ///
-/// The legacy entry points use it as a pre-scan *size guard*: an instance
-/// whose raw move space exceeds the budget is refused with
-/// [`GameError::CheckTooLarge`] before any work starts. The
-/// [`crate::solver`] surface instead treats
-/// [`ExecPolicy::eval_budget`](crate::solver::ExecPolicy) as an anytime
-/// cap — work up to the budget, then return a resumable
-/// `Verdict::Exhausted`.
+/// [`Concept::find_violation`] spends [`CheckBudget::DEFAULT_MAX_EVALS`]
+/// as an anytime evaluation cap on the [`crate::solver`] path. The
+/// direct measurement and reference scans (`*_in_with_stats`,
+/// `*_in_reference`, `bne::find_violation_in_dense`,
+/// [`crate::best_response_in`]) take an explicit budget and size their
+/// **raw** move space against it before any work starts, refusing an
+/// oversized instance with [`GameError::CheckTooLarge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckBudget {
-    /// Maximum number of raw candidate-move evaluations the guard admits.
+    /// Maximum number of candidate-move evaluations admitted.
     pub max_evals: u64,
 }
 
 impl CheckBudget {
-    /// The default guard: 4·10⁷ raw candidate evaluations.
+    /// The default budget: 4·10⁷ candidate evaluations.
     ///
     /// What that means in wall-clock terms is *measured*, not assumed:
     /// the perf gate (`crates/bench/src/bin/ci_gate.rs`) derives the
@@ -58,18 +58,29 @@ impl CheckBudget {
     /// `budget_default_seconds` in `BENCH_ci.json` — on the baseline
     /// host a raw reference scan prices roughly 2–3 million candidates
     /// per second, so the default admits **on the order of 10–20 s of
-    /// raw scanning**, not "around a second" as previously documented.
-    /// Since PR 2 the default checkers route through the candidate
-    /// pruning layer, which skips ≳ 99.9% of a guarded space on the
-    /// pinned n = 16 instances, so admitted scans typically finish in
-    /// milliseconds: the guard is an enumeration-size cap (exact BNE up
-    /// to n = 21), not a wall-clock promise.
+    /// raw scanning**. The pruning layer skips ≳ 99.9% of the raw space
+    /// on the pinned n = 16 instances, so most checks finish in
+    /// milliseconds, far below the cap.
     pub const DEFAULT_MAX_EVALS: u64 = 40_000_000;
 
     /// A budget of `max_evals` candidate evaluations.
     #[must_use]
     pub fn new(max_evals: u64) -> Self {
         CheckBudget { max_evals }
+    }
+
+    /// The raw-space pre-guard of the direct scans: refuses a raw move
+    /// space of `work` candidates past the budget with
+    /// [`GameError::CheckTooLarge`] before any work starts (the solver
+    /// path has no such guard — it exhausts instead). `space` names the
+    /// space in the refusal.
+    pub(crate) fn admit(self, work: u128, space: impl FnOnce() -> String) -> Result<(), GameError> {
+        if work > u128::from(self.max_evals) {
+            return Err(GameError::CheckTooLarge {
+                reason: format!("{}, budget is {}", space(), self.max_evals),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -137,9 +148,34 @@ impl Concept {
     /// # Errors
     ///
     /// The exponential checkers (BNE, k-BSE, BSE) return
-    /// [`GameError::CheckTooLarge`] when the instance exceeds the default
-    /// [`CheckBudget`]; route through [`crate::solver::Solver`] with an
-    /// [`crate::solver::ExecPolicy`] eval budget for explicit control.
+    /// [`GameError::CheckTooLarge`] when the scan needs more than
+    /// [`CheckBudget::DEFAULT_MAX_EVALS`] candidate evaluations — the
+    /// work actually done, not the size of the raw move space — and
+    /// [`GameError::Unsupported`] past a structural limit (`n ≤ 64` for
+    /// BNE, `n ≤ 11` for BSE). Route through [`crate::solver::Solver`]
+    /// for explicit budgets and a resumable `Verdict::Exhausted`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bncg_core::{Alpha, Concept};
+    /// use bncg_graph::generators;
+    ///
+    /// let alpha = Alpha::integer(2)?;
+    /// assert!(Concept::Bne.find_violation(&generators::star(7), alpha)?.is_none());
+    /// assert!(Concept::Bne.find_violation(&generators::path(7), alpha)?.is_some());
+    /// // A 40·2³⁹ raw move space, solved exactly: the branch-and-bound
+    /// // generator skips the pruned subtrees instead of iterating them.
+    /// assert!(Concept::Bne.find_violation(&generators::star(40), alpha)?.is_none());
+    /// // 3-BSE: the star survives, the long path does not.
+    /// assert!(Concept::KBse(3).is_stable(&generators::star(7), alpha)?);
+    /// assert!(!Concept::KBse(3).is_stable(&generators::path(7), alpha)?);
+    /// // Proposition 3.16: for α < 1 the clique is the only BSE.
+    /// let half: Alpha = "1/2".parse()?;
+    /// assert!(Concept::Bse.is_stable(&generators::clique(5), half)?);
+    /// assert!(!Concept::Bse.is_stable(&generators::star(5), half)?);
+    /// # Ok::<(), bncg_core::GameError>(())
+    /// ```
     pub fn find_violation(&self, g: &Graph, alpha: Alpha) -> Result<Option<Move>, GameError> {
         // Cheap structural shortcut: trees are in RE unconditionally, so
         // the RE checker never needs the engine's caches built.
@@ -152,32 +188,18 @@ impl Concept {
     /// [`Concept::find_violation`] against a caller-maintained
     /// [`GameState`]: every checker reuses the state's cached distance
     /// matrix and pre-move costs, and no checker rebuilds a full
-    /// [`bncg_graph::DistanceMatrix`] per candidate move. Routes through
-    /// the [`crate::solver`] engine (sequential, unbounded) after
-    /// applying the legacy default-budget size guard.
+    /// [`bncg_graph::DistanceMatrix`] per candidate move. One sequential
+    /// [`Solver`] call capped at [`CheckBudget::DEFAULT_MAX_EVALS`]
+    /// evaluations; an `Exhausted` verdict maps to
+    /// [`GameError::CheckTooLarge`] via [`crate::Verdict::into_violation`].
     ///
     /// # Errors
     ///
     /// Same as [`Concept::find_violation`].
     pub fn find_violation_in(&self, state: &GameState) -> Result<Option<Move>, GameError> {
-        match *self {
-            Concept::Re => Ok(re::find_violation_in(state)),
-            Concept::Bae => Ok(bae::find_violation_in(state)),
-            Concept::Ps => Ok(ps::find_violation_in(state)),
-            Concept::Bswe => Ok(bswe::find_violation_in(state)),
-            Concept::Bge => Ok(bge::find_violation_in(state)),
-            // BNE is evaluation-bound since the branch-and-bound
-            // generator: no raw-space pre-guard — the default budget is
-            // spent as an anytime evaluation cap up to the structural
-            // n ≤ 64 mask limit.
-            Concept::Bne => bne::find_violation_in(state),
-            _ => {
-                if legacy_guard(*self, state, CheckBudget::default())? {
-                    return Ok(None);
-                }
-                solve_to_completion(*self, state)
-            }
-        }
+        Solver::new(ExecPolicy::default().with_eval_budget(CheckBudget::DEFAULT_MAX_EVALS))
+            .check(&StabilityQuery::on(*self, state))?
+            .into_violation()
     }
 
     /// Whether `g` is stable for this concept at price `alpha`.
@@ -280,6 +302,21 @@ impl fmt::Display for Concept {
             Concept::Bse => write!(f, "BSE"),
         }
     }
+}
+
+/// The unbounded solver verdict of `concept` on `state`, collapsed to a
+/// witness, under `threads` scan workers — the exact path the
+/// differential unit tests compare against the reference scans.
+#[cfg(test)]
+pub(crate) fn solve_with_threads(
+    concept: Concept,
+    state: &GameState,
+    threads: usize,
+) -> Option<Move> {
+    Solver::new(ExecPolicy::default().with_threads(threads))
+        .check(&StabilityQuery::on(concept, state))
+        .and_then(crate::solver::Verdict::into_violation)
+        .expect("unbounded solver checks complete")
 }
 
 #[cfg(test)]

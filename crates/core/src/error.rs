@@ -20,12 +20,13 @@ pub enum GameError {
     /// A move tried to add an edge that exists or remove one that does not,
     /// or was otherwise structurally invalid.
     InvalidMove(String),
-    /// An exact checker was asked for an instance beyond its documented
-    /// guard (the check would be super-polynomially large). The legacy
-    /// refusal path — [`crate::solver::Solver`] queries degrade to
+    /// An exact check ran past its budget: a `Concept` shorthand spent
+    /// the default evaluation cap, or a direct reference scan's raw move
+    /// space exceeded its explicit [`crate::CheckBudget`].
+    /// [`crate::solver::Solver`] queries never raise it — they return
     /// [`crate::solver::Verdict::Exhausted`] instead.
     CheckTooLarge {
-        /// Human-readable description of the exceeded guard.
+        /// Human-readable description of the exceeded budget.
         reason: String,
     },
     /// The request itself cannot be executed: a malformed or mismatched
@@ -53,7 +54,7 @@ impl fmt::Display for GameError {
             }
             GameError::InvalidMove(why) => write!(f, "invalid move: {why}"),
             GameError::CheckTooLarge { reason } => {
-                write!(f, "exact check exceeds its size guard: {reason}")
+                write!(f, "exact check exceeds its budget: {reason}")
             }
             GameError::Unsupported { reason } => {
                 write!(f, "unsupported request: {reason}")

@@ -94,7 +94,6 @@ mod scan;
 pub mod bounds;
 pub mod candidates;
 pub mod combinatorics;
-pub mod compat;
 pub mod concepts;
 pub mod cost_model;
 pub mod delta;

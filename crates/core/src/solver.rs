@@ -9,10 +9,10 @@
 //! executes queries under its [`ExecPolicy`]:
 //!
 //! * **Budgeted** — `eval_budget` caps the number of candidate-move
-//!   evaluations (the same unit the legacy [`CheckBudget`] counted);
+//!   evaluations (the unit [`CheckBudget`](crate::CheckBudget) counts);
 //! * **anytime** — a query stopped by budget, deadline, or cancellation
-//!   returns [`Verdict::Exhausted`] with the work done so far instead of
-//!   the old hard [`GameError::CheckTooLarge`] refusal;
+//!   returns [`Verdict::Exhausted`] with the work done so far, never a
+//!   [`GameError::CheckTooLarge`] refusal;
 //! * **resumable** — the exhausted verdict carries a serializable
 //!   [`Frontier`]; a follow-up query built with
 //!   [`StabilityQuery::resume`] continues the scan exactly where it
@@ -77,7 +77,7 @@
 
 use crate::alpha::Alpha;
 use crate::candidates::CandidateStats;
-use crate::concepts::{bae, bge, bne, bse, bswe, kbse, ps, re, CheckBudget, Concept};
+use crate::concepts::{bae, bge, bne, bse, bswe, kbse, ps, re, Concept};
 use crate::cost_model::CostModelSpec;
 use crate::error::GameError;
 use crate::jsonio;
@@ -95,7 +95,7 @@ use std::time::{Duration, Instant};
 /// How a [`Solver`] executes queries: thread count and stop conditions.
 ///
 /// The default policy is sequential and unbounded — semantically the
-/// exhaustive scan, minus the legacy size guards (an oversized query
+/// exhaustive scan with no size guard (an oversized query
 /// simply runs until a stop condition fires, so pair unbounded policies
 /// with instances you know terminate, or set a budget or deadline).
 #[derive(Debug, Clone)]
@@ -104,13 +104,13 @@ pub struct ExecPolicy {
     /// [`Solver::check_many`] batches. `0` is treated as `1`.
     pub threads: usize,
     /// Maximum candidate-move evaluations per query (the unit
-    /// [`CheckBudget`] counted). Enforced within a poll quantum of at
-    /// most 1024 evaluations per thread.
+    /// [`CheckBudget`](crate::CheckBudget) counts). Enforced within a
+    /// poll quantum of at most 1024 evaluations per thread.
     pub eval_budget: Option<u64>,
     /// Wall-clock allowance per query, measured from the start of each
     /// [`Solver::check`] call (batch sweeps therefore grant it per
-    /// instance). Run-level consumers — `dynamics::run_with_policy`,
-    /// `round_robin::run_with_policy` — anchor it once per run and pass
+    /// instance). Run-level consumers — `dynamics::run_with_policy_under`,
+    /// `round_robin::run_with_policy_under` — anchor it once per run and pass
     /// the remainder down, so there it bounds the whole run.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation: raise the flag and every running query
@@ -376,10 +376,9 @@ impl Verdict {
         }
     }
 
-    /// Collapses to the legacy `find_violation` signature: `Unstable`
+    /// Collapses to the [`Concept::find_violation`] signature: `Unstable`
     /// yields the witness, `Stable` yields `None`, and `Exhausted` maps
-    /// to the legacy [`GameError::CheckTooLarge`] (the deprecated
-    /// wrappers use this for drop-in compatibility).
+    /// to [`GameError::CheckTooLarge`].
     ///
     /// # Errors
     ///
@@ -859,7 +858,7 @@ fn drive_or_shed<S: UnitScanner>(
 }
 
 /// Rejects resume frontiers whose unit cursor lies outside the scan —
-/// the stability-query analogue of `round_robin::resume`'s forged-cursor
+/// the stability-query analogue of `round_robin::resume_under`'s forged-cursor
 /// rejection. A genuine frontier always names a unit strictly inside
 /// the scan (the drive only records stops there); a forged or
 /// bit-rotted one past the end would otherwise make the drive loop
@@ -913,57 +912,4 @@ fn unsupported_size(what: &str, n: usize, max: usize) -> GameError {
              refuters for larger instances)"
         ),
     }
-}
-
-/// Runs `concept` to completion on `state` through the solver, with the
-/// default sequential unbounded policy. Shared by the deprecated
-/// per-concept wrappers (which apply their legacy size guards first).
-pub(crate) fn solve_to_completion(
-    concept: Concept,
-    state: &GameState,
-) -> Result<Option<Move>, GameError> {
-    Solver::default()
-        .check(&StabilityQuery::on(concept, state))?
-        .into_violation()
-}
-
-/// The one shared implementation of the legacy pre-scan size guards,
-/// used by every guarded `Concept` entry point and deprecated wrapper
-/// so the refusal semantics cannot drift between call sites. `Ok(true)`
-/// means the instance is trivially stable (`n ≤ 1`, or `k = 0` for
-/// k-BSE) and needs no scan at all; polynomial concepts are never
-/// guarded.
-///
-/// # Errors
-///
-/// [`GameError::CheckTooLarge`] when the concept's raw move space
-/// exceeds `budget` — the refusal the solver path replaces with
-/// [`Verdict::Exhausted`].
-pub(crate) fn legacy_guard(
-    concept: Concept,
-    state: &GameState,
-    budget: CheckBudget,
-) -> Result<bool, GameError> {
-    match concept {
-        Concept::Bne => {
-            if state.n() <= 1 {
-                return Ok(true);
-            }
-            bne::check_budget(state.n(), budget)?;
-        }
-        Concept::KBse(k) => {
-            if state.n() <= 1 || k == 0 {
-                return Ok(true);
-            }
-            kbse::check_budget(state.graph(), k as usize, budget)?;
-        }
-        Concept::Bse => {
-            if state.n() <= 1 {
-                return Ok(true);
-            }
-            bse::check_budget(state.n(), budget)?;
-        }
-        _ => {}
-    }
-    Ok(false)
 }

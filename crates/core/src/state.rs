@@ -152,30 +152,6 @@ impl GameState {
         }
     }
 
-    /// Builds the state around a distance matrix the caller already paid
-    /// for (the backing for the `find_violation_with_matrix` entry points).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix dimension does not match the graph.
-    #[must_use]
-    pub fn with_matrix(g: Graph, alpha: Alpha, dist: DistanceMatrix) -> Self {
-        assert_eq!(g.n(), dist.n(), "graph/matrix dimension mismatch");
-        let model = CostModelSpec::SumDistances;
-        let costs = (0..g.n() as u32)
-            .map(|u| model.cost_matrix(&g, &dist, u))
-            .collect();
-        let is_tree = g.is_tree();
-        GameState {
-            g,
-            alpha,
-            model,
-            dist,
-            costs,
-            is_tree,
-        }
-    }
-
     /// The current graph.
     #[must_use]
     pub fn graph(&self) -> &Graph {

@@ -17,16 +17,16 @@
 //! Two policy-driven runners give the dynamics the solver's anytime
 //! contract:
 //!
-//! * [`run_with_policy`] drives the improving-move loop through the
-//!   [`Solver`] under an [`ExecPolicy`]; a budget, deadline, or cancel
-//!   stop ends the run with the partial trajectory intact and a
+//! * [`run_with_policy_under`] drives the improving-move loop through
+//!   the [`Solver`] under an [`ExecPolicy`]; a budget, deadline, or
+//!   cancel stop ends the run with the partial trajectory intact and a
 //!   [`DynamicsCheckpoint`] carrying the interrupted check's scan
-//!   frontier. [`resume_with_policy`] continues from it, and a chain of
-//!   budgeted slices replays the **identical trajectory** an
+//!   frontier. [`resume_with_policy_under`] continues from it, and a
+//!   chain of budgeted slices replays the **identical trajectory** an
 //!   uninterrupted run produces (the per-step checks are deterministic
 //!   first-violation scans, and a resumed frontier provably returns the
 //!   same witness).
-//! * [`round_robin::run_with_policy`] does the same for round-robin
+//! * [`round_robin::run_with_policy_under`] does the same for round-robin
 //!   best-response dynamics, with a run-level eval pool and
 //!   mid-activation [`round_robin::Checkpoint`]s.
 //!
@@ -84,7 +84,7 @@ pub enum SelectionRule {
 const CHECKPOINT_LAYOUT: u64 = 1;
 
 /// A resumable snapshot of an interrupted improving-move trajectory —
-/// the [`run_with_policy`] analogue of [`round_robin::Checkpoint`].
+/// the [`run_with_policy_under`] analogue of [`round_robin::Checkpoint`].
 ///
 /// Carries the **instance fingerprint** of the graph at interruption
 /// (the caller re-supplies the graph itself — typically
@@ -201,12 +201,12 @@ pub struct Trajectory {
     pub converged: bool,
     /// Whether a stability check exhausted its [`ExecPolicy`] (budget,
     /// deadline, or cancellation) before the run could converge — only
-    /// reachable through [`run_with_policy`]/[`resume_with_policy`].
-    /// Mutually exclusive with `converged`.
+    /// reachable through the policy runners. Mutually exclusive with
+    /// `converged`.
     pub exhausted: bool,
     /// The resume token — present exactly when `exhausted` is set. Pass
-    /// it with `final_graph` to [`resume_with_policy`] to continue the
-    /// trajectory.
+    /// it with `final_graph` to [`resume_with_policy_under`] to continue
+    /// the trajectory.
     pub checkpoint: Option<DynamicsCheckpoint>,
     /// Candidate evaluations metered by the per-step stability checks
     /// across the whole trajectory chain so far (0 on the non-policy
@@ -279,56 +279,30 @@ pub fn run_with_rng<R: Rng + ?Sized>(
     )
 }
 
-/// [`run`] under an explicit [`ExecPolicy`]: every per-step
-/// exponential-concept stability check goes through one [`Solver`]
-/// (threads shard the scans, and this holds for **all** selection rules
-/// — for BNE/k-BSE/BSE the enumerating rules degrade to the checker's
-/// single deterministic violation, exactly as [`enumerate_violations`]
-/// does). The policy's deadline is anchored once and bounds the **whole
-/// run** (each step's check receives the remaining slice, matching
-/// [`round_robin::run_with_policy`]); the eval budget applies per step.
-/// A step stopped by the policy ends the run with `exhausted = true`
-/// and a [`DynamicsCheckpoint`] carrying the interrupted check's scan
-/// frontier — the anytime contract of the solver surface, lifted to
-/// dynamics. Continue with [`resume_with_policy`]; a chain of budgeted
-/// slices replays the identical trajectory an uninterrupted run
-/// produces.
+/// [`run`] under an explicit [`ExecPolicy`] and [`CostModelSpec`]:
+/// every per-step exponential-concept stability check goes through one
+/// [`Solver`] (threads shard the scans, and this holds for **all**
+/// selection rules — for BNE/k-BSE/BSE the enumerating rules degrade to
+/// the checker's single deterministic violation, exactly as
+/// [`enumerate_violations`] does). The policy's deadline is anchored
+/// once and bounds the **whole run** (each step's check receives the
+/// remaining slice, matching [`round_robin::run_with_policy_under`]);
+/// the eval budget applies per step. A step stopped by the policy ends
+/// the run with `exhausted = true` and a [`DynamicsCheckpoint`]
+/// carrying the interrupted check's scan frontier — the anytime
+/// contract of the solver surface, lifted to dynamics. Continue with
+/// [`resume_with_policy_under`]; a chain of budgeted slices replays the
+/// identical trajectory an uninterrupted run produces.
 /// Polynomial-concept steps complete eagerly (the solver does not meter
 /// them), so those runs are bounded by `max_steps`, not the policy.
+/// Checkpoints are model-bound: a token issued under one model cannot
+/// resume a run under another.
 ///
 /// # Errors
 ///
 /// Forwards [`GameError::InvalidMove`] if a checker emits a
 /// non-applicable move; unlike [`run`], oversized instances do not error
 /// with [`GameError::CheckTooLarge`] — bound them via the policy.
-pub fn run_with_policy(
-    start: &Graph,
-    alpha: Alpha,
-    concept: Concept,
-    rule: SelectionRule,
-    max_steps: usize,
-    policy: &ExecPolicy,
-) -> Result<Trajectory, GameError> {
-    run_with_policy_under(
-        start,
-        alpha,
-        CostModelSpec::SumDistances,
-        concept,
-        rule,
-        max_steps,
-        policy,
-    )
-}
-
-/// [`run_with_policy`] pricing every step under an explicit
-/// [`CostModelSpec`] — the default model reproduces [`run_with_policy`]
-/// exactly. Checkpoints are model-bound: the instance fingerprint folds
-/// a non-default model's tag, so a token issued under one model cannot
-/// resume a run under another.
-///
-/// # Errors
-///
-/// Same as [`run_with_policy`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_policy_under(
     start: &Graph,
@@ -355,46 +329,18 @@ pub fn run_with_policy_under(
 
 /// Continues an interrupted trajectory: `start` must be the interrupted
 /// run's `final_graph` (the checkpoint's instance fingerprint is
-/// validated against it) and `max_steps` the same cap — the
-/// checkpoint's step counter keeps counting against it. The policy's
-/// budget and deadline are granted afresh to this slice, and the
-/// checkpoint's scan frontier (if any) resumes the interrupted
-/// stability check exactly where it stopped, so no certified work is
-/// repeated.
+/// validated against it), `model` the interrupted run's cost model, and
+/// `max_steps` the same cap — the checkpoint's step counter keeps
+/// counting against it. The policy's budget and deadline are granted
+/// afresh to this slice, and the checkpoint's scan frontier (if any)
+/// resumes the interrupted stability check exactly where it stopped, so
+/// no certified work is repeated.
 ///
 /// # Errors
 ///
 /// [`GameError::Unsupported`] when the checkpoint does not match
-/// `(start, alpha, concept)` or its cursor is out of range for this
-/// run; otherwise as [`run_with_policy`].
-pub fn resume_with_policy(
-    start: &Graph,
-    alpha: Alpha,
-    concept: Concept,
-    rule: SelectionRule,
-    max_steps: usize,
-    policy: &ExecPolicy,
-    checkpoint: &DynamicsCheckpoint,
-) -> Result<Trajectory, GameError> {
-    resume_with_policy_under(
-        start,
-        alpha,
-        CostModelSpec::SumDistances,
-        concept,
-        rule,
-        max_steps,
-        policy,
-        checkpoint,
-    )
-}
-
-/// [`resume_with_policy`] under an explicit [`CostModelSpec`]; the model
-/// must be the interrupted run's (the checkpoint's fingerprint check
-/// enforces this).
-///
-/// # Errors
-///
-/// Same as [`resume_with_policy`].
+/// `(start, alpha, model, concept)` or its cursor is out of range for
+/// this run; otherwise as [`run_with_policy_under`].
 #[allow(clippy::too_many_arguments)]
 pub fn resume_with_policy_under(
     start: &Graph,
@@ -492,9 +438,9 @@ fn run_impl<R: Rng + ?Sized>(
     // advances the frontier by at least one scan quantum per slice and
     // terminates.
     let mut attempted = false;
-    // Resolves the next deterministic first-violation move: through the
-    // solver when a policy is given (anytime semantics), through the
-    // guarded legacy entry point otherwise. `resume` carries the
+    // Resolves the next deterministic first-violation move: under the
+    // caller's policy when one is given (anytime semantics), through
+    // `Concept::find_violation_in` otherwise. `resume` carries the
     // interrupted scan frontier on the first check of a resumed slice.
     let mut next_first = |state: &GameState,
                           resume: Option<Frontier>,
@@ -546,10 +492,9 @@ fn run_impl<R: Rng + ?Sized>(
     // For exponential concepts every rule reduces to the checker's
     // single deterministic violation (enumerate_violations_in falls back
     // to it), so the solver-routed path covers Random/MostImproving too
-    // — without it they would hit the legacy guard the policy is meant
-    // to replace. (This also means every checkpointable check is
-    // deterministic, which is what makes resumed chains replay the
-    // identical trajectory.)
+    // — without it they would bypass the policy. (This also means every
+    // checkpointable check is deterministic, which is what makes resumed
+    // chains replay the identical trajectory.)
     let effective_rule = if concept.is_exponential() {
         SelectionRule::First
     } else {
@@ -787,6 +732,7 @@ pub fn convergence_experiment<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bncg_core::CostModelSpec::SumDistances;
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
@@ -854,13 +800,14 @@ mod tests {
     #[test]
     fn policy_runs_match_default_runs() {
         // The solver-routed policy path replays the exact trajectory of
-        // the legacy path, threads notwithstanding (witness determinism).
+        // the non-policy path, threads notwithstanding (witness determinism).
         let start = generators::path(9);
         let t1 = run(&start, a("2"), Concept::Bge, SelectionRule::First, 5_000).unwrap();
         let policy = ExecPolicy::default().with_threads(2);
-        let t2 = run_with_policy(
+        let t2 = run_with_policy_under(
             &start,
             a("2"),
+            SumDistances,
             Concept::Bge,
             SelectionRule::First,
             5_000,
@@ -879,9 +826,10 @@ mod tests {
         // (the star's BNE space is large, so the scan cannot finish
         // before the first poll) instead of erroring.
         let policy = ExecPolicy::default().with_deadline(std::time::Duration::ZERO);
-        let t = run_with_policy(
+        let t = run_with_policy_under(
             &generators::star(16),
             a("2"),
+            SumDistances,
             Concept::Bne,
             SelectionRule::First,
             100,
@@ -901,9 +849,10 @@ mod tests {
         // uninterrupted run produces.
         let start = generators::path(9);
         let alpha = a("2");
-        let full = run_with_policy(
+        let full = run_with_policy_under(
             &start,
             alpha,
+            SumDistances,
             Concept::Bne,
             SelectionRule::First,
             2_000,
@@ -914,9 +863,10 @@ mod tests {
         assert!(full.evals > 0, "exponential checks are metered");
 
         let tight = ExecPolicy::default().with_eval_budget(40);
-        let mut t = run_with_policy(
+        let mut t = run_with_policy_under(
             &start,
             alpha,
+            SumDistances,
             Concept::Bne,
             SelectionRule::First,
             2_000,
@@ -929,9 +879,10 @@ mod tests {
             // Round-trip the token through JSON every slice.
             let parsed: DynamicsCheckpoint = ckpt.to_json().parse().unwrap();
             assert_eq!(parsed, ckpt);
-            t = resume_with_policy(
+            t = resume_with_policy_under(
                 &t.final_graph,
                 alpha,
+                SumDistances,
                 Concept::Bne,
                 SelectionRule::First,
                 2_000,
@@ -957,9 +908,10 @@ mod tests {
         // stops at its first poll with an advanced frontier.
         let policy = ExecPolicy::default().with_deadline(std::time::Duration::ZERO);
         let alpha = a("2");
-        let mut t = run_with_policy(
+        let mut t = run_with_policy_under(
             &generators::star(12),
             alpha,
+            SumDistances,
             Concept::Bne,
             SelectionRule::First,
             100,
@@ -968,9 +920,10 @@ mod tests {
         .unwrap();
         let mut slices = 1u32;
         while let Some(ckpt) = t.checkpoint.take() {
-            t = resume_with_policy(
+            t = resume_with_policy_under(
                 &t.final_graph,
                 alpha,
+                SumDistances,
                 Concept::Bne,
                 SelectionRule::First,
                 100,
@@ -987,9 +940,10 @@ mod tests {
     #[test]
     fn mismatched_dynamics_checkpoints_are_rejected() {
         let tight = ExecPolicy::default().with_eval_budget(5);
-        let t = run_with_policy(
+        let t = run_with_policy_under(
             &generators::path(9),
             a("2"),
+            SumDistances,
             Concept::Bne,
             SelectionRule::First,
             2_000,
@@ -1004,7 +958,16 @@ mod tests {
             (generators::path(9), a("2"), Concept::Bse, 2_000),
         ] {
             assert!(matches!(
-                resume_with_policy(&g, alpha, concept, SelectionRule::First, cap, &tight, &ckpt),
+                resume_with_policy_under(
+                    &g,
+                    alpha,
+                    SumDistances,
+                    concept,
+                    SelectionRule::First,
+                    cap,
+                    &tight,
+                    &ckpt
+                ),
                 Err(GameError::Unsupported { .. })
             ));
         }

@@ -17,14 +17,14 @@
 //!
 //! # Anytime runs and trajectory checkpoints
 //!
-//! [`run_with_policy`] executes the same dynamics under a solver
+//! [`run_with_policy_under`] executes the same dynamics under a solver
 //! [`ExecPolicy`] with **true anytime semantics**: every activation runs
 //! through the metered [`best_response_with_policy`] scan, the policy's
 //! eval budget is a **run-level pool** every activation drains, and a
 //! stop condition firing *mid-activation* ends the run with the partial
 //! work intact — applied moves stay applied, and the interrupted scan's
 //! exact position is preserved. An exhausted outcome carries a
-//! [`Checkpoint`]; [`resume`] continues the trajectory from it and a
+//! [`Checkpoint`]; [`resume_under`] continues the trajectory from it and a
 //! chain of budgeted slices reaches the **identical final state** (same
 //! move sequence, same fingerprints, same converged/cycled verdict) an
 //! uninterrupted run reaches (property-tested in `tests/solver.rs`).
@@ -49,7 +49,7 @@ const CHECKPOINT_LAYOUT: u64 = 1;
 
 /// A resumable snapshot of an interrupted round-robin trajectory.
 ///
-/// Carries everything [`resume`] needs to continue to the exact state an
+/// Carries everything [`resume_under`] needs to continue to the exact state an
 /// uninterrupted run reaches: the **instance fingerprint** of the graph
 /// at interruption (the caller re-supplies the graph itself — typically
 /// [`RoundRobinOutcome::final_graph`] — and a mismatch is rejected), the
@@ -207,7 +207,7 @@ pub struct RoundRobinOutcome {
     pub cycled: bool,
     /// `true` iff the run stopped because the [`ExecPolicy`] eval-budget
     /// pool drained, its deadline passed, or its cancel token was raised
-    /// (only reachable through [`run_with_policy`]/[`resume`]).
+    /// (only reachable through [`run_with_policy_under`]/[`resume_under`]).
     pub exhausted: bool,
     /// The resume token — present exactly when `exhausted` is set.
     pub checkpoint: Option<Checkpoint>,
@@ -221,7 +221,7 @@ pub struct RoundRobinOutcome {
     /// yields the visited fraction of the scanned move space. The
     /// legacy (non-policy) path reports 0.
     pub skipped: u64,
-    /// The final state (of this slice; pass it back to [`resume`]).
+    /// The final state (of this slice; pass it back to [`resume_under`]).
     pub final_graph: Graph,
 }
 
@@ -250,21 +250,7 @@ pub fn run(
     alpha: bncg_core::Alpha,
     max_rounds: usize,
 ) -> Result<RoundRobinOutcome, GameError> {
-    run_with_budget(start, alpha, max_rounds, CheckBudget::default())
-}
-
-/// [`run`] with an explicit per-activation budget.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_with_budget(
-    start: &Graph,
-    alpha: bncg_core::Alpha,
-    max_rounds: usize,
-    budget: CheckBudget,
-) -> Result<RoundRobinOutcome, GameError> {
-    run_legacy(start, alpha, max_rounds, budget)
+    run_legacy(start, alpha, max_rounds, CheckBudget::default())
 }
 
 /// [`run`] under a solver [`ExecPolicy`] with **true anytime
@@ -279,39 +265,19 @@ pub fn run_with_budget(
 /// ignored: activations are inherently sequential (each move changes the
 /// state the next agent sees).
 ///
-/// Pass the outcome's `final_graph` and `checkpoint` to [`resume`] to
-/// continue; each slice's policy grants a fresh budget/deadline
-/// allowance, and the chain reaches the identical final state an
-/// uninterrupted run reaches.
+/// Every activation is priced under `model`
+/// ([`CostModelSpec::SumDistances`] is the paper's objective);
+/// checkpoints are model-bound through the instance fingerprint.
+///
+/// Pass the outcome's `final_graph` and `checkpoint` to
+/// [`resume_under`] to continue; each slice's policy grants a fresh
+/// budget/deadline allowance, and the chain reaches the identical final
+/// state an uninterrupted run reaches.
 ///
 /// # Errors
 ///
 /// Forwards engine errors ([`GameError::InvalidMove`] from a corrupt
 /// move application); never [`GameError::CheckTooLarge`].
-pub fn run_with_policy(
-    start: &Graph,
-    alpha: bncg_core::Alpha,
-    max_rounds: usize,
-    policy: &ExecPolicy,
-) -> Result<RoundRobinOutcome, GameError> {
-    run_metered(
-        start,
-        alpha,
-        CostModelSpec::SumDistances,
-        max_rounds,
-        policy,
-        None,
-    )
-}
-
-/// [`run_with_policy`] pricing every activation under an explicit
-/// [`CostModelSpec`] — the default model reproduces [`run_with_policy`]
-/// exactly. Checkpoints are model-bound through the instance
-/// fingerprint.
-///
-/// # Errors
-///
-/// Same as [`run_with_policy`].
 pub fn run_with_policy_under(
     start: &Graph,
     alpha: bncg_core::Alpha,
@@ -324,39 +290,16 @@ pub fn run_with_policy_under(
 
 /// Continues an interrupted trajectory: `start` must be the interrupted
 /// run's `final_graph` (the checkpoint's instance fingerprint is
-/// validated against it) and `max_rounds` the same cap — the
-/// checkpoint's round counter keeps counting against it. The policy's
-/// budget and deadline are granted afresh to this slice.
+/// validated against it), `model` the interrupted run's cost model, and
+/// `max_rounds` the same cap — the checkpoint's round counter keeps
+/// counting against it. The policy's budget and deadline are granted
+/// afresh to this slice.
 ///
 /// # Errors
 ///
 /// [`GameError::Unsupported`] when the checkpoint does not match
-/// `(start, alpha)` or carries a stale scan frontier; otherwise as
-/// [`run_with_policy`].
-pub fn resume(
-    start: &Graph,
-    alpha: bncg_core::Alpha,
-    max_rounds: usize,
-    policy: &ExecPolicy,
-    checkpoint: &Checkpoint,
-) -> Result<RoundRobinOutcome, GameError> {
-    run_metered(
-        start,
-        alpha,
-        CostModelSpec::SumDistances,
-        max_rounds,
-        policy,
-        Some(checkpoint),
-    )
-}
-
-/// [`resume`] under an explicit [`CostModelSpec`]; the model must be
-/// the interrupted run's (the checkpoint's fingerprint check enforces
-/// this).
-///
-/// # Errors
-///
-/// Same as [`resume`].
+/// `(start, alpha, model)` or carries a stale scan frontier; otherwise
+/// as [`run_with_policy_under`].
 pub fn resume_under(
     start: &Graph,
     alpha: bncg_core::Alpha,
@@ -368,10 +311,10 @@ pub fn resume_under(
     run_metered(start, alpha, model, max_rounds, policy, Some(checkpoint))
 }
 
-/// The legacy guarded loop: unmetered scans under the per-activation
-/// [`CheckBudget`] size guard, which refuses oversized instances with
-/// [`GameError::CheckTooLarge`] before any work (preserved for the
-/// non-policy entry points; the policy path has no guard at all).
+/// The guarded loop behind [`run`]: unmetered scans under the
+/// per-activation [`CheckBudget`] size guard, which refuses oversized
+/// instances with [`GameError::CheckTooLarge`] before any work (the
+/// policy path has no guard at all).
 fn run_legacy(
     start: &Graph,
     alpha: bncg_core::Alpha,
@@ -423,7 +366,7 @@ fn run_legacy(
     })
 }
 
-/// The anytime loop behind [`run_with_policy`] and [`resume`].
+/// The anytime loop behind [`run_with_policy_under`] and [`resume_under`].
 fn run_metered(
     start: &Graph,
     alpha: bncg_core::Alpha,
@@ -644,6 +587,7 @@ fn run_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bncg_core::CostModelSpec::SumDistances;
     use bncg_core::{Alpha, Concept};
     use bncg_graph::generators;
 
@@ -717,7 +661,8 @@ mod tests {
     #[test]
     fn policy_deadline_marks_exhausted() {
         let policy = ExecPolicy::default().with_deadline(std::time::Duration::ZERO);
-        let out = run_with_policy(&generators::path(12), a("2"), 100, &policy).unwrap();
+        let out = run_with_policy_under(&generators::path(12), a("2"), SumDistances, 100, &policy)
+            .unwrap();
         assert!(out.exhausted);
         assert!(!out.converged && !out.cycled);
         assert_eq!(out.moves, 0);
@@ -732,18 +677,25 @@ mod tests {
         // guard: a 30-eval pool does real work (possibly applying early
         // moves) before draining, instead of refusing the whole run.
         let tight = ExecPolicy::default().with_eval_budget(30);
-        let out = run_with_policy(&generators::path(12), a("2"), 50, &tight).unwrap();
+        let out =
+            run_with_policy_under(&generators::path(12), a("2"), SumDistances, 50, &tight).unwrap();
         assert!(out.exhausted, "anytime contract: exhaust, not fail");
         assert!(out.evals >= 1, "the pool must have been drained by work");
         assert!(out.checkpoint.is_some());
         // The legacy path still errors on a sub-guard budget.
-        assert!(run_with_budget(&generators::path(12), a("2"), 50, CheckBudget::new(10)).is_err());
+        assert!(run_legacy(&generators::path(12), a("2"), 50, CheckBudget::new(10)).is_err());
     }
 
     #[test]
     fn metered_runs_report_pruned_work() {
-        let out =
-            run_with_policy(&generators::path(10), a("2"), 100, &ExecPolicy::default()).unwrap();
+        let out = run_with_policy_under(
+            &generators::path(10),
+            a("2"),
+            SumDistances,
+            100,
+            &ExecPolicy::default(),
+        )
+        .unwrap();
         assert!(out.converged);
         assert!(out.evals > 0);
         assert!(
@@ -760,7 +712,8 @@ mod tests {
         use std::sync::Arc;
         let token = Arc::new(AtomicBool::new(true));
         let policy = ExecPolicy::default().with_cancel(token);
-        let out = run_with_policy(&generators::path(12), a("2"), 100, &policy).unwrap();
+        let out = run_with_policy_under(&generators::path(12), a("2"), SumDistances, 100, &policy)
+            .unwrap();
         assert!(out.exhausted);
         assert_eq!(out.moves, 0);
         assert!(out.checkpoint.is_some());
@@ -770,18 +723,29 @@ mod tests {
     fn resume_chain_reaches_the_uninterrupted_final_state() {
         let start = generators::path(10);
         let alpha = a("2");
-        let uninterrupted = run_with_policy(&start, alpha, 100, &ExecPolicy::default()).unwrap();
+        let uninterrupted =
+            run_with_policy_under(&start, alpha, SumDistances, 100, &ExecPolicy::default())
+                .unwrap();
         assert!(uninterrupted.converged);
 
         let slice_policy = ExecPolicy::default().with_eval_budget(40);
-        let mut out = run_with_policy(&start, alpha, 100, &slice_policy).unwrap();
+        let mut out =
+            run_with_policy_under(&start, alpha, SumDistances, 100, &slice_policy).unwrap();
         let mut full_history = out.history.clone();
         let mut slices = 1u32;
         while let Some(ckpt) = out.checkpoint.take() {
             // Round-trip the token through JSON every slice.
             let parsed: Checkpoint = ckpt.to_json().parse().unwrap();
             assert_eq!(parsed, ckpt);
-            out = resume(&out.final_graph, alpha, 100, &slice_policy, &parsed).unwrap();
+            out = resume_under(
+                &out.final_graph,
+                alpha,
+                SumDistances,
+                100,
+                &slice_policy,
+                &parsed,
+            )
+            .unwrap();
             full_history.extend(out.history.iter().cloned());
             slices += 1;
             assert!(slices < 10_000, "resume chain failed to terminate");
@@ -804,10 +768,13 @@ mod tests {
         // the uninterrupted run's verdict instead of spinning on an
         // identical checkpoint forever.
         let policy = ExecPolicy::default().with_eval_budget(0);
-        let mut out = run_with_policy(&generators::path(10), a("2"), 100, &policy).unwrap();
+        let mut out =
+            run_with_policy_under(&generators::path(10), a("2"), SumDistances, 100, &policy)
+                .unwrap();
         let mut slices = 1u32;
         while let Some(ckpt) = out.checkpoint.take() {
-            out = resume(&out.final_graph, a("2"), 100, &policy, &ckpt).unwrap();
+            out =
+                resume_under(&out.final_graph, a("2"), SumDistances, 100, &policy, &ckpt).unwrap();
             slices += 1;
             assert!(slices < 100_000, "zero-budget chain must advance");
         }
@@ -822,10 +789,12 @@ mod tests {
         // so even the degenerate all-zero-deadline chain converges.
         let policy = ExecPolicy::default().with_deadline(std::time::Duration::ZERO);
         let alpha = a("2");
-        let mut out = run_with_policy(&generators::path(10), alpha, 100, &policy).unwrap();
+        let mut out =
+            run_with_policy_under(&generators::path(10), alpha, SumDistances, 100, &policy)
+                .unwrap();
         let mut slices = 1u32;
         while let Some(ckpt) = out.checkpoint.take() {
-            out = resume(&out.final_graph, alpha, 100, &policy, &ckpt).unwrap();
+            out = resume_under(&out.final_graph, alpha, SumDistances, 100, &policy, &ckpt).unwrap();
             slices += 1;
             assert!(slices < 100_000, "zero-deadline chain must advance");
         }
@@ -848,7 +817,7 @@ mod tests {
         .parse()
         .unwrap();
         assert!(matches!(
-            resume(&g, alpha, 100, &policy, &forged),
+            resume_under(&g, alpha, SumDistances, 100, &policy, &forged),
             Err(GameError::Unsupported { .. })
         ));
         let forged: Checkpoint = format!(
@@ -858,7 +827,7 @@ mod tests {
         .parse()
         .unwrap();
         assert!(matches!(
-            resume(&g, alpha, 100, &policy, &forged),
+            resume_under(&g, alpha, SumDistances, 100, &policy, &forged),
             Err(GameError::Unsupported { .. })
         ));
     }
@@ -866,15 +835,30 @@ mod tests {
     #[test]
     fn mismatched_checkpoints_are_rejected() {
         let tight = ExecPolicy::default().with_eval_budget(5);
-        let out = run_with_policy(&generators::path(10), a("2"), 100, &tight).unwrap();
+        let out = run_with_policy_under(&generators::path(10), a("2"), SumDistances, 100, &tight)
+            .unwrap();
         let ckpt = out.checkpoint.expect("tight pool exhausts");
         // Resuming against a different graph (or α) is rejected.
         assert!(matches!(
-            resume(&generators::path(10), a("3"), 100, &tight, &ckpt),
+            resume_under(
+                &generators::path(10),
+                a("3"),
+                SumDistances,
+                100,
+                &tight,
+                &ckpt
+            ),
             Err(GameError::Unsupported { .. })
         ));
         assert!(matches!(
-            resume(&generators::star(10), a("2"), 100, &tight, &ckpt),
+            resume_under(
+                &generators::star(10),
+                a("2"),
+                SumDistances,
+                100,
+                &tight,
+                &ckpt
+            ),
             Err(GameError::Unsupported { .. })
         ));
         // Malformed and version-bumped tokens fail to parse.

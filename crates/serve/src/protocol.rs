@@ -752,4 +752,40 @@ mod tests {
             Some(vec![pack_edge(0, 1)])
         );
     }
+
+    /// The move block of `docs/PROTOCOL.md` shows one rendered move of
+    /// each kind; every line must be exactly what the wire emits.
+    #[test]
+    fn protocol_doc_move_block_matches_the_renderer() {
+        let doc = include_str!("../../../docs/PROTOCOL.md");
+        let moves = [
+            Move::BilateralAdd { u: 0, v: 4 },
+            Move::Remove {
+                agent: 0,
+                target: 1,
+            },
+            Move::Swap {
+                agent: 2,
+                old: 1,
+                new: 5,
+            },
+            Move::Neighborhood {
+                center: 0,
+                remove: vec![1],
+                add: vec![4, 7],
+            },
+            Move::Coalition {
+                members: vec![0, 3],
+                remove_edges: vec![(0, 1)],
+                add_edges: vec![(0, 3)],
+            },
+        ];
+        for mv in &moves {
+            let line = render_move(mv);
+            assert!(
+                doc.lines().any(|l| l == line),
+                "docs/PROTOCOL.md lacks the rendered move line {line}"
+            );
+        }
+    }
 }

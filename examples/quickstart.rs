@@ -38,8 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The social optimum for α ≥ 1 is the star (paper, Section 3.1). The
-    // exact BSE checker is exponential and guarded to tiny n, so the
-    // ladder here stops at 3-BSE; footnote 6 of the paper covers the rest.
+    // exact BSE checker encodes target graphs as 64-bit masks (n ≤ 11),
+    // so the ladder here stops at 3-BSE; footnote 6 of the paper covers
+    // the rest.
     let star = Game::new(generators::star(15), alpha);
     let ladder = [
         Concept::Re,

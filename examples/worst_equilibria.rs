@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example worst_equilibria`.
 
 use bncg::constructions::stretched::theorem_3_10_instance;
-use bncg::core::{bounds, concepts, social_cost_ratio, Alpha};
+use bncg::core::{bounds, concepts, social_cost_ratio, Alpha, Concept};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Theorem 3.10: stretched tree stars are bad BGE equilibria\n");
@@ -36,8 +36,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     use bncg::graph::generators;
     let spider = generators::spider(3, 3);
     let alpha9 = Alpha::integer(9)?;
-    let in_2bse = concepts::kbse::find_violation(&spider, alpha9, 2)?.is_none();
-    let escape = concepts::kbse::find_violation(&spider, alpha9, 3)?
+    let in_2bse = Concept::KBse(2).find_violation(&spider, alpha9)?.is_none();
+    let escape = Concept::KBse(3)
+        .find_violation(&spider, alpha9)?
         .expect("three-agent coalition escapes the spider");
     println!("\nspider(3 legs × 3) at α = 9: in 2-BSE = {in_2bse}; 3-coalition escape:");
     println!("  {escape}");

@@ -25,9 +25,10 @@
 //! engine underneath is [`core::GameState`]: cached all-pairs distances
 //! and per-agent costs, exact per-move deltas
 //! ([`core::GameState::evaluate_move`]), and per-toggle delta-BFS
-//! application ([`core::GameState::apply_move`]). The legacy
-//! `find_violation_in` entry points ([`core::Concept::find_violation_in`])
-//! remain as thin wrappers over the solver.
+//! application ([`core::GameState::apply_move`]). The `Concept`
+//! shorthands ([`core::Concept::find_violation`],
+//! [`core::Concept::is_stable_in`], …) are one sequential solver call
+//! each, capped at [`core::CheckBudget::DEFAULT_MAX_EVALS`] evaluations.
 //!
 //! ```
 //! use bncg::core::{Alpha, Concept, GameState, Move, Solver, StabilityQuery};

@@ -62,7 +62,7 @@ fn best_response_dynamics_never_hurt_the_mover() {
 fn complete_bipartite_and_wheel_have_expected_stability() {
     // K_{a,b} has diameter 2, so by Prop. 3.16 it is a BSE at α = 1.
     let k23 = generators::complete_bipartite(2, 3);
-    assert!(concepts::bse::is_stable(&k23, a("1")).unwrap());
+    assert!(Concept::Bse.is_stable(&k23, a("1")).unwrap());
     // At α > 1 a same-side pair is at distance 2 and edges are redundant:
     // removal reasoning belongs to RE — the wheel sheds rim edges at high α.
     let w6 = generators::wheel(6);

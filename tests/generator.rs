@@ -216,7 +216,9 @@ fn exact_bne_completes_on_pinned_n24_instances_under_a_finite_budget() {
     }
     // The convenience entry point (previously hard-refused past n = 21)
     // carries the same result.
-    assert!(concepts::bne::is_stable(&generators::star(24), alpha2).unwrap());
+    assert!(Concept::Bne
+        .is_stable(&generators::star(24), alpha2)
+        .unwrap());
 }
 
 /// The enumeration-boundedness fix, measured: on the pinned star16

@@ -10,12 +10,8 @@
 //! Seeded-case harness as in `proptests.rs` (the container is offline, so
 //! no `proptest` crate): failures reproduce from the printed seed.
 
-// These are the retained reference tests for the deprecated per-concept
-// wrappers: they must keep exercising the legacy entry points (now thin
-// shims over `bncg_core::solver`) against the raw reference scans.
-#![allow(deprecated)]
-
-use bncg::core::{concepts, delta, Alpha, CheckBudget, GameState, Move};
+use bncg::core::solver::{ExecPolicy, Solver, StabilityQuery};
+use bncg::core::{concepts, delta, Alpha, CheckBudget, Concept, GameState, Move};
 use bncg::graph::generators;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,7 +26,17 @@ fn prop(name: &str, mut f: impl FnMut(&mut SmallRng)) {
     }
 }
 
-/// The ISSUE's α grid: below 1, above 1, and at the scale of n.
+/// The unbounded solver's witness for `concept` on `state` under
+/// `threads` scan workers — the pruned path every reference scan is
+/// compared against.
+fn solve(concept: Concept, state: &GameState, threads: usize) -> Option<Move> {
+    Solver::new(ExecPolicy::default().with_threads(threads))
+        .check(&StabilityQuery::on(concept, state))
+        .and_then(|verdict| verdict.into_violation())
+        .expect("unbounded solver checks complete")
+}
+
+/// The α grid: below 1, above 1, and at the scale of n.
 fn alpha_grid(n: usize) -> Vec<Alpha> {
     vec![
         Alpha::from_ratio(1, 2).unwrap(),
@@ -55,8 +61,7 @@ fn bne_pruned_equals_unpruned_with_identical_witness() {
         let g = random_instance(14, rng);
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
-            let pruned =
-                bncg::core::compat::bne::find_violation_in_with_budget(&state, budget).unwrap();
+            let pruned = solve(Concept::Bne, &state, 1);
             let raw = concepts::bne::find_violation_in_reference(&state, budget).unwrap();
             // Shared enumeration order + sound filters ⇒ identical first
             // violation, hence identical first-violation cost delta.
@@ -75,8 +80,7 @@ fn bse_pruned_equals_unpruned_with_identical_witness() {
         let g = random_instance(6, rng);
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
-            let pruned =
-                bncg::core::compat::bse::find_violation_in_with_budget(&state, budget).unwrap();
+            let pruned = solve(Concept::Bse, &state, 1);
             let raw = concepts::bse::find_violation_in_reference(&state, budget).unwrap();
             assert_eq!(pruned, raw, "BSE witness diverged at α = {alpha}");
             if let Some(mv) = pruned {
@@ -94,9 +98,7 @@ fn kbse_pruned_equals_unpruned_verdict_and_both_witnesses_replay() {
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
             for k in [2usize, 3] {
-                let pruned =
-                    bncg::core::compat::kbse::find_violation_in_with_budget(&state, k, budget)
-                        .unwrap();
+                let pruned = solve(Concept::KBse(k as u32), &state, 1);
                 let raw = concepts::kbse::find_violation_in_reference(&state, k, budget).unwrap();
                 assert_eq!(
                     pruned.is_some(),
@@ -119,33 +121,19 @@ fn kbse_pruned_equals_unpruned_verdict_and_both_witnesses_replay() {
 
 #[test]
 fn parallel_scans_match_sequential_witnesses() {
-    let budget = CheckBudget::default();
     prop("parallel == sequential", |rng| {
         let g = random_instance(8, rng);
         let alpha = Alpha::integer(2).unwrap();
         let state = GameState::new(g.clone(), alpha);
-        let bne = bncg::core::compat::bne::find_violation_in_with_budget(&state, budget).unwrap();
-        let kbse =
-            bncg::core::compat::kbse::find_violation_in_with_budget(&state, 3, budget).unwrap();
+        let bne = solve(Concept::Bne, &state, 1);
+        let kbse = solve(Concept::KBse(3), &state, 1);
         for threads in [2usize, 3] {
-            assert_eq!(
-                bne,
-                bncg::core::compat::bne::find_violation_in_parallel(&state, budget, threads)
-                    .unwrap()
-            );
-            assert_eq!(
-                kbse,
-                bncg::core::compat::kbse::find_violation_in_parallel(&state, 3, budget, threads)
-                    .unwrap()
-            );
+            assert_eq!(bne, solve(Concept::Bne, &state, threads));
+            assert_eq!(kbse, solve(Concept::KBse(3), &state, threads));
         }
         if g.n() <= 6 {
-            let bse =
-                bncg::core::compat::bse::find_violation_in_with_budget(&state, budget).unwrap();
-            assert_eq!(
-                bse,
-                bncg::core::compat::bse::find_violation_in_parallel(&state, budget, 4).unwrap()
-            );
+            let bse = solve(Concept::Bse, &state, 1);
+            assert_eq!(bse, solve(Concept::Bse, &state, 4));
         }
     });
 }
@@ -181,7 +169,7 @@ fn restricted_caps_agree_with_the_unrestricted_path_where_both_apply() {
         let g = random_instance(7, rng);
         for alpha in alpha_grid(g.n()) {
             for k in [2usize, 3] {
-                let exact = concepts::kbse::find_violation(&g, alpha, k).unwrap();
+                let exact = Concept::KBse(k as u32).find_violation(&g, alpha).unwrap();
                 // Non-binding cap: the restricted space is the full
                 // space, so the verdicts must coincide.
                 let unrestricted = concepts::kbse::find_violation_restricted(&g, alpha, k, g.m());

@@ -70,7 +70,7 @@ fn figure_witnesses_hold_through_the_facade() {
     assert!(delta::move_improves_all(&f5.graph, f5.alpha, f5.violation.as_ref().unwrap()).unwrap());
 
     let f6 = figure6();
-    assert!(concepts::bne::is_stable(&f6.graph, f6.alpha).unwrap());
+    assert!(Concept::Bne.is_stable(&f6.graph, f6.alpha).unwrap());
     assert!(delta::move_improves_all(&f6.graph, f6.alpha, f6.violation.as_ref().unwrap()).unwrap());
 
     let f7 = figure7(8);
@@ -146,7 +146,9 @@ fn experiments_quick_suite_is_reproducible() {
     // solver policy threads the enumeration sweeps without changing any
     // verdict (witness determinism).
     let policy = bncg::core::solver::ExecPolicy::default().with_threads(2);
-    let report = bncg::analysis::run_all(true, &policy).unwrap().render();
+    let report = bncg::analysis::run_all(true, &policy, None)
+        .unwrap()
+        .render();
     for needle in [
         "Table 1 / PS",
         "Table 1 / BSwE",

@@ -16,7 +16,9 @@
 //! Seeded-case harness as in `proptests.rs` (the container is offline,
 //! so no `proptest` crate): failures reproduce from the printed seed.
 
+use bncg::core::delta;
 use bncg::core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
+use bncg::core::CostModelSpec::SumDistances;
 use bncg::core::{
     best_response_in, best_response_resume, best_response_with_policy, Alpha, BestResponseFrontier,
     BestResponseVerdict, CheckBudget, Concept, GameError, GameState, Move,
@@ -156,13 +158,30 @@ fn check_too_large_is_unreachable_from_the_solver_path() {
     // default budget now meters evaluations, not the raw space).
     let cycle = generators::cycle(40);
     let alpha = Alpha::integer(370).unwrap();
-    assert!(bncg::core::concepts::bne::find_violation(&cycle, alpha)
+    assert!(Concept::Bne
+        .find_violation(&cycle, alpha)
         .unwrap()
         .is_none());
     let v = Solver::default()
         .check(&StabilityQuery::new(Concept::Bne, &cycle, alpha))
         .unwrap();
     assert_eq!(v.is_stable(), Some(true), "C40 is BNE-stable in its window");
+    // The coalition concepts' raw spaces are no longer sized either:
+    // 3-BSE on a 20-star and on a dense random graph, and BSE on a
+    // 9-path (2³⁶ raw target graphs), get exact answers.
+    let two = Alpha::integer(2).unwrap();
+    let star = generators::star(20);
+    assert_eq!(Concept::KBse(3).find_violation(&star, two).unwrap(), None);
+    let g = generators::gnp(16, 0.3, &mut bncg::graph::test_rng(7));
+    let witness = Concept::KBse(3).find_violation(&g, two).unwrap();
+    let v = Solver::default()
+        .check(&StabilityQuery::new(Concept::KBse(3), &g, two))
+        .unwrap();
+    assert_eq!(v.witness(), witness.as_ref());
+    assert!(delta::move_improves_all(&g, two, &witness.expect("not 3-BSE")).unwrap());
+    let path = generators::path(9);
+    let witness = Concept::Bse.find_violation(&path, two).unwrap();
+    assert!(delta::move_improves_all(&path, two, &witness.expect("not BSE")).unwrap());
 
     // (b) The same oversized instance under a 1-eval budget: the cycle's
     // pure-removal candidates are genuinely evaluated (α > 1, not a
@@ -327,6 +346,14 @@ fn structural_limits_error_as_unsupported_not_too_large() {
         Solver::default().check(&q),
         Err(GameError::Unsupported { .. })
     ));
+    // The `Concept` shorthands hit the same limits (BNE needs n ≤ 64).
+    let two = Alpha::integer(2).unwrap();
+    for (concept, n) in [(Concept::Bse, 12), (Concept::Bne, 70)] {
+        assert!(matches!(
+            concept.find_violation(&generators::path(n), two),
+            Err(GameError::Unsupported { .. })
+        ));
+    }
 }
 
 /// The best-response resume law: any chain of budgeted slices returns
@@ -382,18 +409,33 @@ fn checkpointed_round_robin_resumes_the_identical_trajectory() {
     prop("round-robin checkpoint determinism", |rng| {
         let g = random_instance(9, rng);
         for alpha in alpha_grid(g.n()) {
-            let uninterrupted =
-                round_robin::run_with_policy(&g, alpha, 60, &ExecPolicy::default()).unwrap();
+            let uninterrupted = round_robin::run_with_policy_under(
+                &g,
+                alpha,
+                SumDistances,
+                60,
+                &ExecPolicy::default(),
+            )
+            .unwrap();
             for budget in [25u64, 150] {
                 let policy = ExecPolicy::default().with_eval_budget(budget);
-                let mut out = round_robin::run_with_policy(&g, alpha, 60, &policy).unwrap();
+                let mut out =
+                    round_robin::run_with_policy_under(&g, alpha, SumDistances, 60, &policy)
+                        .unwrap();
                 let mut history = out.history.clone();
                 let mut slices = 1u32;
                 while let Some(checkpoint) = out.checkpoint.take() {
                     let parsed: round_robin::Checkpoint = checkpoint.to_json().parse().unwrap();
                     assert_eq!(parsed, checkpoint, "checkpoint JSON round trip");
-                    out =
-                        round_robin::resume(&out.final_graph, alpha, 60, &policy, &parsed).unwrap();
+                    out = round_robin::resume_under(
+                        &out.final_graph,
+                        alpha,
+                        SumDistances,
+                        60,
+                        &policy,
+                        &parsed,
+                    )
+                    .unwrap();
                     history.extend(out.history.iter().cloned());
                     slices += 1;
                     assert!(slices < 100_000, "resume chain failed to terminate");

@@ -371,7 +371,7 @@ pub fn pruning(report: &mut Report, quick: bool) -> Result<(), GameError> {
         ]);
         // k-BSE row (k = 2 keeps the raw reference tractable here).
         let t2 = Instant::now();
-        let (kp, kstats) = concepts::kbse::find_violation_in_with_stats(&state, 2, budget)?;
+        let (kp, kstats) = concepts::kbse::find_violation_in_with_stats(&state, 2);
         let kp_ms = t2.elapsed().as_secs_f64() * 1e3;
         let t3 = Instant::now();
         let kr = concepts::kbse::find_violation_in_reference(&state, 2, budget)?;

@@ -67,8 +67,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
         // as a pruned-only extra measurement below).
         let k = if name == "star16" { 3 } else { 2 };
         let state = GameState::new(g.clone(), alpha);
-        let (pruned, stats) =
-            concepts::kbse::find_violation_in_with_stats(&state, k, budget()).unwrap();
+        let (pruned, stats) = concepts::kbse::find_violation_in_with_stats(&state, k);
         let reference = concepts::kbse::find_violation_in_reference(&state, k, budget()).unwrap();
         assert_eq!(
             pruned.is_some(),
@@ -85,9 +84,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
             BenchmarkId::new(format!("pruned_k{k}"), name),
             &state,
             |b, s| {
-                b.iter(|| {
-                    concepts::kbse::find_violation_in_with_stats(black_box(s), k, budget()).unwrap()
-                });
+                b.iter(|| concepts::kbse::find_violation_in_with_stats(black_box(s), k));
             },
         );
         group.bench_with_input(
@@ -104,7 +101,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
     // raw space no unpruned checker can touch.
     let (name, g, alpha) = instances().pop().expect("two instances");
     let state = GameState::new(g, alpha);
-    let (mv, stats) = concepts::kbse::find_violation_in_with_stats(&state, 3, budget()).unwrap();
+    let (mv, stats) = concepts::kbse::find_violation_in_with_stats(&state, 3);
     assert!(mv.is_none());
     println!(
         "pruning/kbse_full_scan/{name} (k=3, pruned only): {} raw candidates, {:.4}% skipped",
@@ -112,7 +109,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
         100.0 * stats.skipped_fraction()
     );
     group.bench_with_input(BenchmarkId::new("pruned_k3", name), &state, |b, s| {
-        b.iter(|| concepts::kbse::find_violation_in_with_stats(black_box(s), 3, budget()).unwrap());
+        b.iter(|| concepts::kbse::find_violation_in_with_stats(black_box(s), 3));
     });
     group.finish();
 }

@@ -52,7 +52,7 @@ use std::sync::Mutex;
 /// [`CheckBudget::admit`] for the summed raw move space of all
 /// coalitions (pruning and dedup only ever shrink the work below this
 /// bound).
-pub(crate) fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(), GameError> {
+fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(), GameError> {
     let n = g.n();
     let k = k.min(n);
     let mut total_work: u128 = 0;
@@ -76,24 +76,17 @@ pub(crate) fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(
 
 /// The direct engine-path full scan, reporting how much of the raw
 /// candidate space was pruned or deduplicated away. This is the
-/// sequential scan the solver drives; the perf gate measures it as the
-/// facade-overhead reference.
-///
-/// # Errors
-///
-/// The raw-space pre-guard against `budget`.
-pub fn find_violation_in_with_stats(
-    state: &GameState,
-    k: usize,
-    budget: CheckBudget,
-) -> Result<(Option<Move>, CandidateStats), GameError> {
+/// sequential scan the solver drives, unmetered and with no raw-space
+/// pre-guard — the perf gate measures it as the facade-overhead
+/// reference, so both sides run the same coalition scanner.
+#[must_use]
+pub fn find_violation_in_with_stats(state: &GameState, k: usize) -> (Option<Move>, CandidateStats) {
     let g = state.graph();
     let n = g.n();
     let mut stats = CandidateStats::default();
     if n <= 1 || k == 0 {
-        return Ok((None, stats));
+        return (None, stats);
     }
-    check_budget(g, k, budget)?;
     let k = k.min(n);
     let mut scan = CoalitionScan::new(
         g,
@@ -109,13 +102,13 @@ pub fn find_violation_in_with_stats(
     for size in 1..=k {
         for coalition in combinations(n, size) {
             match scan.scan_coalition(&coalition, usize::MAX, &mut stats, &ctl, &mut cl, 0) {
-                UnitOutcome::Found(mv) => return Ok((Some(mv), stats)),
+                UnitOutcome::Found(mv) => return (Some(mv), stats),
                 UnitOutcome::Done => {}
                 UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
             }
         }
     }
-    Ok((None, stats))
+    (None, stats)
 }
 
 /// The solver's k-BSE unit scanner: one unit per coalition in the
@@ -1164,7 +1157,7 @@ mod tests {
         // not a tree), and neighboring coalitions share those edges.
         let g = generators::cycle(8);
         let state = GameState::new(g, a("10"));
-        let (mv, stats) = find_violation_in_with_stats(&state, 3, CheckBudget::default()).unwrap();
+        let (mv, stats) = find_violation_in_with_stats(&state, 3);
         assert!(mv.is_none(), "C8 is in its BSE window at α = 10");
         assert!(stats.deduped > 0, "cycle coalitions must overlap");
         assert!(
@@ -1179,19 +1172,19 @@ mod tests {
         // star at α ≥ 1 and the tree rule kills every pure removal: the
         // exact 3-BSE scan prices nothing at all.
         let state = GameState::new(generators::star(8), a("2"));
-        let (mv, stats) = find_violation_in_with_stats(&state, 3, CheckBudget::default()).unwrap();
+        let (mv, stats) = find_violation_in_with_stats(&state, 3);
         assert!(mv.is_none());
         assert_eq!(stats.evaluated, 0, "star scan should be fully pruned");
     }
 
     #[test]
     fn budget_guard_fires() {
-        // A dense graph with a huge coalition move space: the direct
-        // measurement scan refuses it before any work …
+        // A dense graph with a huge coalition move space: the raw
+        // reference scan refuses it before any work …
         let state = GameState::new(generators::clique(16), a("1"));
         let tiny = CheckBudget::new(1000);
         assert!(matches!(
-            find_violation_in_with_stats(&state, 3, tiny),
+            find_violation_in_reference(&state, 3, tiny),
             Err(GameError::CheckTooLarge { .. })
         ));
         // … while the solver, capped at the same budget, certifies the

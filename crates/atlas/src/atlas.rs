@@ -10,6 +10,7 @@ use crate::backing::MemoryBacking;
 use crate::key;
 use crate::record::{index_key, AtlasRecord, StoredVerdict};
 use bncg_core::{Alpha, Concept, GameError, Move};
+use bncg_graph::enumerate::MAX_GRAPH_CLASS_NODES;
 use bncg_graph::Graph;
 use std::collections::HashMap;
 
@@ -166,8 +167,11 @@ impl<B: MemoryBacking> Atlas<B> {
     /// relabels the stored witness back into `g`'s own vertex labels so
     /// it is directly replayable on the query graph.
     ///
-    /// Returns `Ok(None)` on a miss. An `Exhausted` record is returned
-    /// as a hit (`witness: None`); callers that need a conclusive answer
+    /// Returns `Ok(None)` on a miss. A graph with more than
+    /// [`MAX_GRAPH_CLASS_NODES`] nodes is a miss without keying: no
+    /// build can store its class, and canonicalizing a large symmetric
+    /// graph can take minutes. An `Exhausted` record is returned as a
+    /// hit (`witness: None`); callers that need a conclusive answer
     /// treat it as a miss and fall through to a live check.
     ///
     /// # Errors
@@ -180,6 +184,9 @@ impl<B: MemoryBacking> Atlas<B> {
         concept: Concept,
         alpha: Alpha,
     ) -> Result<Option<Hit>, GameError> {
+        if g.n() > MAX_GRAPH_CLASS_NODES {
+            return Ok(None);
+        }
         let (safe, _canon, to_canon) = key::instance_key(g)?;
         let Some(record) = self.get(&safe, concept, alpha)? else {
             return Ok(None);
@@ -299,6 +306,25 @@ mod tests {
             .lookup(&g, Concept::Bse, alpha("2"))
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn lookups_past_the_class_ceiling_miss_without_keying() {
+        // Canonicalizing cycle(32) runs for minutes; the size guard must
+        // answer first.
+        let mut atlas = Atlas::open(RamBacking::new()).unwrap();
+        crate::build(&mut atlas, &crate::BuildSpec::standard(3), 10_000, None).unwrap();
+        let start = std::time::Instant::now();
+        let c32 = generators::cycle(32);
+        assert!(atlas
+            .lookup(&c32, Concept::Re, alpha("2"))
+            .unwrap()
+            .is_none());
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(5),
+            "the guard did not short-circuit: {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! The build order is a pure function of the [`BuildSpec`]: node counts
 //! ascending, classes in [`bncg_graph::enumerate::connected_graph_classes`]
 //! order (edge count, then canonical key), concepts in spec order, then
-//! the per-instance resolved α grid ascending. Queries run strictly
+//! the per-instance resolved α grid ascending. The classes come from one
+//! lazy walk over the levels ([`bncg_graph::enumerate::graph_class_levels`]),
+//! so each node count is enumerated once, and never past the level an
+//! interrupted build stops in; the walk's own threads never change the
+//! order. Queries run strictly
 //! sequentially (one worker) against a budget pool whose position is
 //! `Σ` of the stored `evals` column — so a build interrupted at *any*
 //! record boundary and resumed (even across process restarts, even
@@ -262,8 +266,11 @@ pub fn build<B: MemoryBacking>(
     let mut appended = 0u64;
     let mut complete = true;
 
-    'walk: for n in 1..=spec.max_n {
-        let classes = enumerate::connected_graph_classes(n as usize)?;
+    // One walk over the class levels: each level is enumerated once and
+    // only as far as the build actually reaches.
+    'walk: for (n, level) in enumerate::graph_class_levels(spec.max_n as usize)? {
+        let n = n as u32;
+        let classes: Vec<_> = level.into_iter().filter(|g| g.is_connected()).collect();
         let items = spec.class_items(n)?;
         let per_class = items.len() as u64;
         for g in &classes {
@@ -400,6 +407,23 @@ mod tests {
             .for_each_line(&mut |_, l| out.push(l.to_string()))
             .unwrap();
         out
+    }
+
+    #[test]
+    fn the_standard_n5_build_matches_its_golden_digest() {
+        // FNV-1a over the record lines of `BuildSpec::standard(5)` under
+        // a 1,000,000-eval budget, recorded before the bit-row class
+        // walk: a changed representative, class order or record byte
+        // fails here.
+        let mut atlas = Atlas::open(RamBacking::new()).unwrap();
+        let report = build(&mut atlas, &BuildSpec::standard(5), 1_000_000, None).unwrap();
+        assert!(report.complete);
+        assert_eq!((atlas.len(), atlas.evals_total()), (1098, 29_748));
+        let lines = atlas_lines(&atlas);
+        assert_eq!(
+            bncg_graph::fnv1a_lines(lines.iter().map(String::as_str)),
+            0x3092_b93e_e65a_c853
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the safe form is what travels in records and requests.
 
 use bncg_core::GameError;
-use bncg_graph::{graph6, iso, Graph};
+use bncg_graph::{graph6, iso, Graph, BITSET_MAX_N};
 
 /// The 64-character target alphabet: index `i` encodes graph6 byte
 /// `63 + i`. Every character is safe inside the escape-free dialect.
@@ -66,9 +66,18 @@ pub fn graph6_of_key(key: &str) -> Result<String, GameError> {
 ///
 /// # Errors
 ///
-/// Returns [`GameError::Unsupported`] if the graph exceeds the graph6
-/// encoder's size limit (far beyond atlas sizes).
+/// Returns [`GameError::Unsupported`] if the graph has more than
+/// [`BITSET_MAX_N`] nodes, the bit-row domain of
+/// [`iso::canonical_form`] (far beyond atlas sizes).
 pub fn instance_key(g: &Graph) -> Result<(String, Graph, Vec<u32>), GameError> {
+    if g.n() > BITSET_MAX_N {
+        return Err(GameError::Unsupported {
+            reason: format!(
+                "canonical keys need n ≤ {BITSET_MAX_N}, the graph has {} nodes",
+                g.n()
+            ),
+        });
+    }
     let (canon, perm) = iso::canonical_form(g);
     let g6 = graph6::encode(&canon).map_err(|e| GameError::Unsupported {
         reason: format!("graph does not encode as graph6: {e}"),
@@ -106,6 +115,15 @@ mod tests {
     fn transliteration_rejects_foreign_bytes() {
         assert!(safe_key(" ").is_err());
         assert!(graph6_of_key("*").is_err());
+    }
+
+    #[test]
+    fn instance_keys_refuse_graphs_past_the_bit_row_domain() {
+        assert!(matches!(
+            instance_key(&generators::path(65)),
+            Err(GameError::Unsupported { .. })
+        ));
+        assert!(instance_key(&generators::path(64)).is_ok());
     }
 
     #[test]

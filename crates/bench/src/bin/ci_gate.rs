@@ -37,7 +37,10 @@ use bncg_core::{
     CandidateStats, CheckBudget, Concept, CostModelSpec, GameState, Utility,
 };
 use bncg_dynamics::round_robin;
-use bncg_graph::{bfs_distances, generators, BitsetGraph, DistanceMatrix, Graph, UNREACHABLE};
+use bncg_graph::enumerate::graph_classes;
+use bncg_graph::{
+    bfs_distances, fnv1a_lines, generators, graph6, BitsetGraph, DistanceMatrix, Graph, UNREACHABLE,
+};
 use bncg_serve::protocol::render_edges;
 use bncg_serve::server::{Server, ServerConfig};
 use bncg_serve::{QuerySpec, Scheduler, SchedulerConfig, Work};
@@ -343,6 +346,11 @@ fn kernels() -> Vec<Kernel> {
                 black_box(live_k44_bse(&fx.k44_canon));
             });
             live / earlier(e, "atlas_hit/k44_bse").max(1e-12)
+        }),
+        // The vertex-extension class walk to n = 8 (the atlas fixture's
+        // enumeration half), on every available core.
+        kernel("enumerate_classes/n8", WallClock, |_, _| {
+            enumerate_n8_secs()
         }),
     ]);
     table
@@ -855,6 +863,31 @@ fn atlas_hit_secs(fx: &Fixtures) -> f64 {
             .expect("lookup")
             .expect("hit");
         black_box(hit);
+    })
+}
+
+/// FNV-1a digest of the graph6 lines of `connected_graph_classes(8)`,
+/// the golden pin also asserted by the graph crate's enumeration tests.
+const CONNECTED_N8_DIGEST: u64 = 0x8450_4c69_5dc8_3661;
+
+/// The n ≤ 8 class walk. Exactness first: the OEIS class counts and the
+/// golden digest of the connected representatives in atlas order.
+fn enumerate_n8_secs() -> f64 {
+    let classes = graph_classes(8).expect("n = 8 is enumerable");
+    assert_eq!(classes.len(), 12_346, "graph classes on 8 nodes");
+    let connected: Vec<String> = classes
+        .iter()
+        .filter(|g| g.is_connected())
+        .map(|g| graph6::encode(g).expect("n = 8 encodes"))
+        .collect();
+    assert_eq!(connected.len(), 11_117, "connected classes on 8 nodes");
+    assert_eq!(
+        fnv1a_lines(connected.iter().map(String::as_str)),
+        CONNECTED_N8_DIGEST,
+        "connected class representatives or their order changed"
+    );
+    median_secs(3, || {
+        black_box(graph_classes(black_box(8)).expect("n = 8 is enumerable"));
     })
 }
 

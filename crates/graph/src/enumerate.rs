@@ -5,7 +5,12 @@
 //! generated as canonical level sequences with the Beyer–Hedetniemi
 //! successor algorithm; free trees are obtained by centroid-canonical
 //! filtering; small connected graphs by edge-subset iteration with
-//! isomorphism deduplication.
+//! isomorphism deduplication ([`connected_graphs`], `n ≤ 7`) or, up to
+//! `n = 10`, by one vertex-extension walk over canonical forms
+//! ([`graph_class_levels`], [`graph_classes`],
+//! [`connected_graph_classes`]). The walk extends each level's classes
+//! on scoped threads, one per available core, and sorts every level, so
+//! its output does not depend on the thread count.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -245,56 +250,164 @@ pub fn connected_graphs_with_edges(n: usize, m: usize) -> Result<Vec<Graph>, Gra
 /// past this point (12 005 168 classes at n = 10).
 pub const MAX_GRAPH_CLASS_NODES: usize = 10;
 
+/// The vertex-extension walk over all graph classes, one level per
+/// step: yields `(n, classes)` for `n = 1, 2, …, max_n`, each level the
+/// canonical representatives ([`crate::iso::canonical_form`]) of every
+/// graph on `n` nodes — connected or not — sorted by
+/// `(m, canonical graph6 key)`.
+///
+/// Every graph on `k + 1` nodes arises from a graph on `k` nodes by
+/// adding one vertex with some neighbor subset, so each level extends
+/// the previous level's classes. The walk runs on `u64` bit rows: each
+/// candidate is canonicalized without building a [`Graph`], classes are
+/// deduplicated on their packed column-major upper triangle (the graph6
+/// bit string as one integer, ≤ 45 bits at `n ≤ 10`, which orders like
+/// graph6 for a fixed `n`), and only the survivors become graphs. A
+/// level's parents are split into contiguous chunks over scoped
+/// threads, one per available core; the merged level is sorted, so the
+/// output does not depend on the thread count.
+///
+/// Levels are produced lazily, so a consumer that stops early never
+/// pays for the larger levels.
+#[derive(Debug)]
+pub struct GraphClassLevels {
+    max_n: usize,
+    n: usize,
+    /// The packed keys of level `n`, sorted by `(m, key)`.
+    keys: Vec<u64>,
+}
+
+/// Starts the level walk of [`GraphClassLevels`] up to `max_n` nodes.
+///
+/// # Errors
+///
+/// Returns [`GraphError::TooLarge`] if `max_n > MAX_GRAPH_CLASS_NODES`.
+///
+/// # Examples
+///
+/// ```
+/// use bncg_graph::enumerate::graph_class_levels;
+///
+/// let counts: Vec<(usize, usize)> = graph_class_levels(5)?
+///     .map(|(n, classes)| (n, classes.len()))
+///     .collect();
+/// assert_eq!(counts, [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]);
+/// # Ok::<(), bncg_graph::GraphError>(())
+/// ```
+pub fn graph_class_levels(max_n: usize) -> Result<GraphClassLevels, GraphError> {
+    if max_n > MAX_GRAPH_CLASS_NODES {
+        return Err(GraphError::TooLarge {
+            requested: max_n,
+            max: MAX_GRAPH_CLASS_NODES,
+        });
+    }
+    Ok(GraphClassLevels {
+        max_n,
+        n: 0,
+        keys: Vec::new(),
+    })
+}
+
+impl Iterator for GraphClassLevels {
+    type Item = (usize, Vec<Graph>);
+
+    fn next(&mut self) -> Option<(usize, Vec<Graph>)> {
+        if self.n == self.max_n {
+            return None;
+        }
+        self.keys = if self.n == 0 {
+            vec![0]
+        } else {
+            let threads = std::thread::available_parallelism().map_or(1, usize::from);
+            extend_level(&self.keys, self.n, threads)
+        };
+        self.n += 1;
+        let n = self.n;
+        Some((
+            n,
+            self.keys.iter().map(|&key| graph_of_key(n, key)).collect(),
+        ))
+    }
+}
+
+/// The bit rows of the `k`-node graph whose packed key is `key` (bit
+/// `k(k−1)/2 − 1` is the pair `(0, 1)`, then column by column).
+fn rows_of_key(k: usize, key: u64) -> Vec<u64> {
+    let mut rows = vec![0u64; k];
+    let mut pos = k * k.saturating_sub(1) / 2;
+    for v in 1..k {
+        for u in 0..v {
+            pos -= 1;
+            if key >> pos & 1 == 1 {
+                rows[u] |= 1 << v;
+                rows[v] |= 1 << u;
+            }
+        }
+    }
+    rows
+}
+
+/// The graph on `k` nodes whose packed key is `key`.
+fn graph_of_key(k: usize, key: u64) -> Graph {
+    let rows = &rows_of_key(k, key);
+    let edges = (0..k as u32).flat_map(|u| {
+        (u + 1..k as u32)
+            .filter(move |&v| rows[u as usize] >> v & 1 == 1)
+            .map(move |v| (u, v))
+    });
+    Graph::from_edges(k, edges).expect("packed keys encode simple graphs")
+}
+
+/// Extends the sorted level of `k`-node classes to the sorted, deduped
+/// level of `k + 1`-node classes, on `threads` scoped threads.
+fn extend_level(parents: &[u64], k: usize, threads: usize) -> Vec<u64> {
+    let chunk = parents.len().div_ceil(threads.max(1)).max(1);
+    let mut next: Vec<u64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = parents
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || extend_parents(part, k)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a level-extension worker panicked"))
+            .collect()
+    });
+    next.sort_unstable_by_key(|&key| (key.count_ones(), key));
+    next.dedup();
+    next
+}
+
+/// The distinct canonical keys of every one-vertex extension of
+/// `parents` (each a `k`-node class).
+fn extend_parents(parents: &[u64], k: usize) -> Vec<u64> {
+    let mut seen = std::collections::HashSet::new();
+    let mut rows = vec![0u64; k + 1];
+    for &parent in parents {
+        let parent_rows = rows_of_key(k, parent);
+        for mask in 0u64..1 << k {
+            for (u, (row, &p)) in rows.iter_mut().zip(&parent_rows).enumerate() {
+                *row = p | (mask >> u & 1) << k;
+            }
+            rows[k] = mask;
+            seen.insert(crate::iso::canonical_labeling(&rows).packed_key());
+        }
+    }
+    seen.into_iter().collect()
+}
+
 /// All graphs on `n` nodes up to isomorphism — connected or not — as
 /// **canonical representatives** ([`crate::iso::canonical_form`]), sorted
-/// by `(m, canonical graph6 key)`.
-///
-/// Built by vertex extension: every graph on `k + 1` nodes arises from a
-/// graph on `k` nodes by adding one vertex with some neighbor subset, so
-/// each level is generated from the previous level's classes and
-/// deduplicated by canonical key. Unlike [`connected_graphs`]' mask scan
-/// (capped at `n = 7`), this reaches `n = 10`.
+/// by `(m, canonical graph6 key)`: the last level of
+/// [`graph_class_levels`]. Unlike [`connected_graphs`]' mask scan (capped
+/// at `n = 7`), this reaches `n = 10`.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::TooLarge`] if `n > MAX_GRAPH_CLASS_NODES`.
 pub fn graph_classes(n: usize) -> Result<Vec<Graph>, GraphError> {
-    if n > MAX_GRAPH_CLASS_NODES {
-        return Err(GraphError::TooLarge {
-            requested: n,
-            max: MAX_GRAPH_CLASS_NODES,
-        });
-    }
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let mut level = vec![Graph::new(1)];
-    for k in 1..n {
-        let mut seen = std::collections::HashSet::new();
-        let mut next = Vec::new();
-        for parent in &level {
-            for mask in 0u32..1u32 << k {
-                let mut g = Graph::new(k + 1);
-                for (u, v) in parent.edges() {
-                    g.add_edge(u, v).expect("parent edges are simple");
-                }
-                for u in 0..k as u32 {
-                    if mask >> u & 1 == 1 {
-                        g.add_edge(u, k as u32)
-                            .expect("new-vertex edges are simple");
-                    }
-                }
-                let (canon, _) = crate::iso::canonical_form(&g);
-                let key = crate::graph6::encode(&canon).expect("n ≤ 10 encodes");
-                if seen.insert(key) {
-                    next.push(canon);
-                }
-            }
-        }
-        level = next;
-    }
-    level.sort_by_key(|g| (g.m(), crate::graph6::encode(g).expect("n ≤ 10 encodes")));
-    Ok(level)
+    Ok(graph_class_levels(n)?
+        .last()
+        .map_or_else(Vec::new, |(_, classes)| classes))
 }
 
 /// All **connected** graphs on `n` nodes up to isomorphism, as canonical
@@ -434,32 +547,82 @@ mod tests {
     /// OEIS A001349: connected graphs on n nodes (n = 0..8).
     const CONNECTED_CLASS_COUNTS: [usize; 9] = [1, 1, 1, 2, 6, 21, 112, 853, 11117];
 
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn graph_class_counts_match_oeis() {
-        for n in 1..=7 {
-            assert_eq!(
-                graph_classes(n).unwrap().len(),
-                ALL_GRAPH_COUNTS[n],
-                "all-graph class count mismatch at n = {n}"
-            );
-            assert_eq!(
-                connected_graph_classes(n).unwrap().len(),
-                CONNECTED_CLASS_COUNTS[n],
-                "connected class count mismatch at n = {n}"
-            );
-        }
+    /// FNV-1a digests ([`crate::fnv1a_lines`]) of the graph6 lines of
+    /// `graph_classes(n)` and `connected_graph_classes(n)` (n = 0..8),
+    /// recorded from the adjacency-list implementation that preceded the
+    /// bit-row walk: any change to a representative or to the order
+    /// changes a digest.
+    const ALL_CLASS_DIGESTS: [u64; 9] = [
+        0xcbf2_9ce4_8422_2325,
+        0x7d71_5818_939e_59ef,
+        0x3744_e22a_987d_29c5,
+        0x598f_673a_0f56_95fd,
+        0xe424_208a_90e4_0329,
+        0x7533_69b3_f4f1_e7a1,
+        0x72d8_4966_29ee_54b7,
+        0x657e_3964_a7e1_8a53,
+        0xb76a_346b_7978_38c9,
+    ];
+    const CONNECTED_CLASS_DIGESTS: [u64; 9] = [
+        0xcbf2_9ce4_8422_2325,
+        0x7d71_5818_939e_59ef,
+        0x2897_a225_2193_0931,
+        0x3e40_a926_bae9_30e5,
+        0x62f2_c35b_fac2_cf7c,
+        0x2590_15a4_531e_b90d,
+        0x7b15_890b_9d62_5149,
+        0xf2fa_e9f8_fcb4_c981,
+        0x8450_4c69_5dc8_3661,
+    ];
+
+    fn digest(classes: &[Graph]) -> u64 {
+        let lines: Vec<String> = classes
+            .iter()
+            .map(|g| crate::graph6::encode(g).unwrap())
+            .collect();
+        crate::fnv1a_lines(lines.iter().map(String::as_str))
     }
 
     #[test]
-    fn graph_class_counts_match_oeis_at_n8() {
-        // The extension level 7 → 8 canonicalizes ~134k graphs; kept as
-        // its own test so the cheap counts above stay fast.
-        assert_eq!(graph_classes(8).unwrap().len(), ALL_GRAPH_COUNTS[8]);
-        assert_eq!(
-            connected_graph_classes(8).unwrap().len(),
-            CONNECTED_CLASS_COUNTS[8]
-        );
+    fn class_levels_match_oeis_counts_and_golden_digests() {
+        let mut seen = 0;
+        for (n, classes) in graph_class_levels(8).unwrap() {
+            seen += 1;
+            assert_eq!(n, seen);
+            assert_eq!(classes.len(), ALL_GRAPH_COUNTS[n], "class count at n = {n}");
+            assert_eq!(digest(&classes), ALL_CLASS_DIGESTS[n], "classes at n = {n}");
+            let connected: Vec<Graph> = classes.into_iter().filter(Graph::is_connected).collect();
+            assert_eq!(connected.len(), CONNECTED_CLASS_COUNTS[n]);
+            assert_eq!(digest(&connected), CONNECTED_CLASS_DIGESTS[n]);
+        }
+        assert_eq!(seen, 8);
+    }
+
+    #[test]
+    fn connected_graph_classes_match_golden_digests() {
+        for n in 0..=8 {
+            let classes = connected_graph_classes(n).unwrap();
+            // The walk has no level 0: n = 0 yields no classes.
+            let expected = if n == 0 { 0 } else { CONNECTED_CLASS_COUNTS[n] };
+            assert_eq!(classes.len(), expected, "connected class count at n = {n}");
+            assert_eq!(
+                digest(&classes),
+                CONNECTED_CLASS_DIGESTS[n],
+                "connected classes at n = {n}"
+            );
+        }
+        assert_eq!(digest(&graph_classes(8).unwrap()), ALL_CLASS_DIGESTS[8]);
+    }
+
+    #[test]
+    fn level_extension_does_not_depend_on_the_thread_count() {
+        let mut level = vec![0u64];
+        for k in 1..7 {
+            let one = extend_level(&level, k, 1);
+            assert_eq!(extend_level(&level, k, 3), one, "level {} differs", k + 1);
+            level = one;
+        }
+        assert_eq!(level.len(), ALL_GRAPH_COUNTS[7]);
     }
 
     #[test]

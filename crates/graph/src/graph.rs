@@ -44,6 +44,29 @@ pub fn fnv1a_u64(mut h: u64, v: u64) -> u64 {
     h
 }
 
+/// The FNV-1a digest of a sequence of newline-terminated text lines:
+/// [`fnv1a_u64`] over each byte, from the offset basis. A stable pin
+/// for ordered string lists — the graph6 lines of a class enumeration,
+/// the record lines of an atlas — that changes if any byte or the order
+/// does.
+///
+/// # Examples
+///
+/// ```
+/// use bncg_graph::fnv1a_lines;
+///
+/// assert_ne!(fnv1a_lines(["A", "B"]), fnv1a_lines(["B", "A"]));
+/// assert_ne!(fnv1a_lines(["AB"]), fnv1a_lines(["A", "B"]));
+/// ```
+#[must_use]
+pub fn fnv1a_lines<'a>(lines: impl IntoIterator<Item = &'a str>) -> u64 {
+    lines.into_iter().fold(FNV_OFFSET, |h, line| {
+        line.bytes()
+            .chain([b'\n'])
+            .fold(h, |h, b| fnv1a_u64(h, u64::from(b)))
+    })
+}
+
 impl Graph {
     /// Creates an edgeless graph on `n` nodes.
     ///

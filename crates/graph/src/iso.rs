@@ -1,11 +1,22 @@
-//! Graph isomorphism, invariant fingerprints, and canonical tree encodings.
+//! Graph isomorphism, invariant fingerprints, canonical forms, and
+//! canonical tree encodings.
 //!
 //! The enumeration experiments need to deduplicate isomorphic graphs and the
 //! witness searches need to report *one* representative per isomorphism
 //! class. For trees we use the linear-time AHU encoding rooted at the
 //! centroid; for general (small) graphs a distance-profile fingerprint
 //! prefilter plus a backtracking isomorphism test.
+//!
+//! [`canonical_form`] — the atlas key and the class walk's dedup key —
+//! runs on `u64` adjacency rows, so it is defined for `n ≤ 64`: bitset
+//! BFS distance profiles, 1-WL color refinement over one flat byte
+//! buffer, and a branch-and-bound over columns extended one bit per
+//! placed vertex. Its representatives and permutations are exactly
+//! those of the adjacency-list implementation it replaced, which the
+//! tests keep as a differential reference. Large vertex-transitive
+//! graphs remain exponentially expensive (see [`canonical_form`]).
 
+use crate::bitset::BITSET_MAX_N;
 use crate::graph::Graph;
 use crate::traversal::DistanceMatrix;
 use std::collections::hash_map::DefaultHasher;
@@ -292,75 +303,268 @@ impl CanonicalSet {
     }
 }
 
-/// Iteratively refined, isomorphism-invariant node colors: initial colors
-/// are the sorted distance-frequency profiles (the [`invariant_fingerprint`]
-/// ingredient), then 1-WL refinement — a node's new color is its old color
-/// plus the sorted multiset of neighbor colors — runs to a fixpoint. Color
-/// *ids* are assigned by sorting the underlying signatures, so two
-/// isomorphic graphs end with the identical id-per-orbit assignment.
-fn refined_colors(g: &Graph) -> Vec<u32> {
-    let n = g.n();
-    if n == 0 {
-        return Vec::new();
-    }
-    let d = DistanceMatrix::new(g);
-    let mut profiles: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for u in 0..n as u32 {
-        let mut freq = vec![0u32; n + 1];
-        for &dist in d.row(u) {
-            let idx = if dist == crate::traversal::UNREACHABLE {
-                n
-            } else {
-                dist as usize
-            };
-            freq[idx] += 1;
+/// `1 << i` as a row bit.
+const fn bit(i: usize) -> u64 {
+    1 << i
+}
+
+/// The adjacency rows of `g`: bit `v` of `rows[u]` is set iff `{u, v}`
+/// is an edge.
+///
+/// # Panics
+///
+/// Panics if `g.n() > 64`.
+fn bit_rows(g: &Graph) -> Vec<u64> {
+    assert!(
+        g.n() <= BITSET_MAX_N,
+        "canonical forms work on u64 bit rows: n = {} exceeds {BITSET_MAX_N}",
+        g.n()
+    );
+    (0..g.n() as u32)
+        .map(|u| {
+            g.neighbors(u)
+                .iter()
+                .fold(0, |row, &v| row | bit(v as usize))
+        })
+        .collect()
+}
+
+/// Ranks `ids.len()` fixed-width byte keys (key `u` is
+/// `keys[u * stride..][..stride]`) by sorting: a key's id is the number
+/// of distinct keys below it. Returns the number of distinct keys.
+fn rank_keys(keys: &[u8], stride: usize, ids: &mut [u8]) -> u8 {
+    let key = |u: u8| &keys[usize::from(u) * stride..][..stride];
+    let mut order: Vec<u8> = (0..ids.len() as u8).collect();
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    let mut id = 0u8;
+    ids[usize::from(order[0])] = 0;
+    for pair in order.windows(2) {
+        if key(pair[1]) != key(pair[0]) {
+            id += 1;
         }
-        profiles.push(freq);
+        ids[usize::from(pair[1])] = id;
     }
-    let assign = |keys: &[Vec<u32>]| -> Vec<u32> {
-        let mut sorted: Vec<&Vec<u32>> = keys.iter().collect();
-        sorted.sort();
-        sorted.dedup();
-        keys.iter()
-            .map(|k| sorted.binary_search(&k).expect("key present") as u32)
-            .collect()
-    };
-    let mut colors = assign(&profiles);
+    id + 1
+}
+
+/// Iteratively refined, isomorphism-invariant node colors on bit rows.
+/// Initial colors rank the distance profiles (`key[d]` = popcount of
+/// BFS level `d`, the last slot the unreachable count — the
+/// [`invariant_fingerprint`] ingredient); then 1-WL refinement — a
+/// node's new color is its old color plus the sorted multiset of
+/// neighbor colors — runs to a fixpoint. Every key lives in one flat
+/// buffer of `n + 1` bytes per node; neighbor colors are stored `+ 1`
+/// and padded with 0, so a shorter multiset sorts first exactly as a
+/// shorter `Vec` does. Color ids rank the keys, so two isomorphic
+/// graphs end with the identical id-per-orbit assignment.
+fn refined_colors(rows: &[u64]) -> Vec<u8> {
+    let n = rows.len();
+    let stride = n + 1;
+    let mut keys = vec![0u8; n * stride];
+    for (u, key) in keys.chunks_exact_mut(stride).enumerate() {
+        let (mut reached, mut frontier) = (bit(u), bit(u));
+        key[0] = 1;
+        for level in key[1..n].iter_mut() {
+            let mut next = 0;
+            let mut f = frontier;
+            while f != 0 {
+                next |= rows[f.trailing_zeros() as usize];
+                f &= f - 1;
+            }
+            next &= !reached;
+            if next == 0 {
+                break;
+            }
+            *level = next.count_ones() as u8;
+            reached |= next;
+            frontier = next;
+        }
+        key[n] = (n - reached.count_ones() as usize) as u8;
+    }
+    let mut colors = vec![0u8; n];
+    let mut classes = rank_keys(&keys, stride, &mut colors);
+    let mut next = vec![0u8; n];
     loop {
-        let signatures: Vec<Vec<u32>> = (0..n as u32)
-            .map(|u| {
-                let mut sig = vec![colors[u as usize]];
-                let mut nb: Vec<u32> = g.neighbors(u).iter().map(|&v| colors[v as usize]).collect();
-                nb.sort_unstable();
-                sig.extend(nb);
-                sig
-            })
-            .collect();
-        let next = assign(&signatures);
-        let classes = |c: &[u32]| c.iter().copied().max().map_or(0, |m| m + 1);
-        if classes(&next) == classes(&colors) {
-            return next;
+        for (u, key) in keys.chunks_exact_mut(stride).enumerate() {
+            key[0] = colors[u];
+            let mut len = 1;
+            let mut nb = rows[u];
+            while nb != 0 {
+                key[len] = colors[nb.trailing_zeros() as usize] + 1;
+                len += 1;
+                nb &= nb - 1;
+            }
+            key[1..len].sort_unstable();
+            key[len..].fill(0);
         }
-        colors = next;
+        let refined = rank_keys(&keys, stride, &mut next);
+        std::mem::swap(&mut colors, &mut next);
+        if refined == classes {
+            return colors;
+        }
+        classes = refined;
     }
 }
 
-/// Whether unplaced vertices `u` and `v` are interchangeable by the
-/// transposition `(u v)`: their neighborhoods agree once each other is
-/// excluded (true twins share an edge, false twins do not — both make the
-/// swap an automorphism, so branching on one of them suffices).
-fn are_twins(g: &Graph, u: u32, v: u32) -> bool {
-    let strip = |w: u32, other: u32| -> Vec<u32> {
-        let mut nb: Vec<u32> = g
-            .neighbors(w)
+/// The canonical labeling of a graph given as bit rows: the best
+/// placement found by the search and its adjacency columns.
+pub(crate) struct Labeling {
+    /// `placement[k]` is the vertex placed at canonical position `k`.
+    placement: Vec<u8>,
+    /// Column `k` of the canonical adjacency: bit `k − 1 − i` is set iff
+    /// positions `i < k` and `k` are adjacent (row 0 most significant,
+    /// the graph6 bit order).
+    cols: Vec<u64>,
+}
+
+impl Labeling {
+    /// `perm[u]` is the canonical label of node `u`.
+    pub(crate) fn perm(&self) -> Vec<u32> {
+        let mut perm = vec![0u32; self.placement.len()];
+        for (pos, &w) in self.placement.iter().enumerate() {
+            perm[usize::from(w)] = pos as u32;
+        }
+        perm
+    }
+
+    /// The canonical graph6 bit string (the columns concatenated) packed
+    /// most significant first, so for a fixed `n` packed keys order like
+    /// graph6 strings. Fits a `u64` for `n ≤ 11`.
+    pub(crate) fn packed_key(&self) -> u64 {
+        debug_assert!(self.cols.len() <= 11, "n(n − 1)/2 bits must fit a u64");
+        self.cols
             .iter()
-            .copied()
-            .filter(|&x| x != other)
-            .collect();
-        nb.sort_unstable();
-        nb
+            .enumerate()
+            .skip(1)
+            .fold(0, |key, (k, &col)| key << k | col)
+    }
+}
+
+/// The class-blocked branch-and-bound behind [`canonical_form`], on bit
+/// rows. Positions are filled class by class; only the unplaced class
+/// members with the minimum column are branched (in ascending vertex
+/// order), and a tie that is a twin of an already branched vertex is
+/// skipped.
+struct Search<'a> {
+    rows: &'a [u64],
+    /// Vertex bitmask of each color class.
+    class_members: Vec<u64>,
+    /// `schedule[k]`: the color class that fills position `k`.
+    schedule: Vec<u8>,
+    placed: u64,
+    placement: Vec<u8>,
+    cols: Vec<u64>,
+    /// `next_cols[k * n + w]`: the column `w` would get at position `k`,
+    /// extended one bit per placed vertex.
+    next_cols: Vec<u64>,
+    best: Option<(Vec<u64>, Vec<u8>)>, // (columns, placement)
+}
+
+impl Search<'_> {
+    fn run(&mut self, k: usize) {
+        let n = self.rows.len();
+        if k == n {
+            let better = match &self.best {
+                None => true,
+                Some((cols, _)) => self.cols < *cols,
+            };
+            if better {
+                self.best = Some((self.cols.clone(), self.placement.clone()));
+            }
+            return;
+        }
+        let here = &self.next_cols[k * n..][..n];
+        let mut ties = 0u64;
+        let mut min_col = u64::MAX;
+        let mut candidates = self.class_members[usize::from(self.schedule[k])] & !self.placed;
+        while candidates != 0 {
+            let w = candidates.trailing_zeros() as usize;
+            candidates &= candidates - 1;
+            match here[w].cmp(&min_col) {
+                std::cmp::Ordering::Less => {
+                    min_col = here[w];
+                    ties = bit(w);
+                }
+                std::cmp::Ordering::Equal => ties |= bit(w),
+                std::cmp::Ordering::Greater => {}
+            }
+        }
+        // Prefix-equal against the incumbent: a worse column can never
+        // recover, an equal one must keep searching.
+        if let Some((best_cols, _)) = &self.best {
+            if self.cols[..k] == best_cols[..k] && min_col > best_cols[k] {
+                return;
+            }
+        }
+        let mut branched = 0u64;
+        while ties != 0 {
+            let w = ties.trailing_zeros() as usize;
+            ties &= ties - 1;
+            if self.twin_of_any(w, branched) {
+                continue;
+            }
+            branched |= bit(w);
+            if k + 1 < n {
+                // Position k + 1 sees every column one bit longer.
+                let row = self.rows[w];
+                let (here, next) = self.next_cols[k * n..].split_at_mut(n);
+                for (x, (col, &prev)) in next[..n].iter_mut().zip(here.iter()).enumerate() {
+                    *col = prev << 1 | (row >> x & 1);
+                }
+            }
+            self.placed |= bit(w);
+            self.placement.push(w as u8);
+            self.cols.push(min_col);
+            self.run(k + 1);
+            self.cols.pop();
+            self.placement.pop();
+            self.placed &= !bit(w);
+        }
+    }
+
+    /// Whether `w` is a twin of some vertex in `branched`: the
+    /// transposition `(u w)` is an automorphism iff their rows agree
+    /// once each other is excluded (true twins share an edge, false
+    /// twins do not), so branching on one of them suffices.
+    fn twin_of_any(&self, w: usize, mut branched: u64) -> bool {
+        while branched != 0 {
+            let u = branched.trailing_zeros() as usize;
+            branched &= branched - 1;
+            if self.rows[u] & !bit(w) == self.rows[w] & !bit(u) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Runs the canonical labeling search on the bit rows of a graph with
+/// `1 ≤ n ≤ 64` nodes.
+pub(crate) fn canonical_labeling(rows: &[u64]) -> Labeling {
+    let n = rows.len();
+    debug_assert!((1..=BITSET_MAX_N).contains(&n));
+    let colors = refined_colors(rows);
+    // Position k is filled from the k-th color class in color-id order
+    // (sizes and ids are isomorphism-invariant, so this schedule is too).
+    let mut schedule = colors.clone();
+    schedule.sort_unstable();
+    let mut class_members = vec![0u64; n];
+    for (w, &c) in colors.iter().enumerate() {
+        class_members[usize::from(c)] |= bit(w);
+    }
+    let mut search = Search {
+        rows,
+        class_members,
+        schedule,
+        placed: 0,
+        placement: Vec::with_capacity(n),
+        cols: Vec::with_capacity(n),
+        next_cols: vec![0; n * n],
+        best: None,
     };
-    strip(u, v) == strip(v, u)
+    search.run(0);
+    let (cols, placement) = search.best.expect("every class schedule completes");
+    Labeling { placement, cols }
 }
 
 /// A canonical labeling of `g`: returns the canonical representative of
@@ -374,10 +578,28 @@ fn are_twins(g: &Graph, u: u32, v: u32) -> bool {
 /// graphs always map to the *same* representative, which is what makes
 /// [`canonical_key`] usable as an exact atlas/dedup key. The search is a
 /// class-blocked branch-and-bound: positions are filled class by class,
-/// only minimum-column candidates are branched (ties only), and unplaced
-/// twins are pruned (swapping them is an automorphism). Intended for the
-/// enumeration sizes (`n ≲ 11`); highly symmetric graphs branch along
-/// their automorphism orbits, which stays small at these sizes.
+/// only minimum-column candidates are branched (ties only, in ascending
+/// vertex order), and unplaced twins are pruned (swapping them is an
+/// automorphism).
+///
+/// Everything runs on `u64` bit rows: bitset-BFS distance profiles,
+/// 1-WL refinement over one flat byte-key buffer, columns extended one
+/// bit per placed vertex, and placed/tie/twin sets as bitmasks. The
+/// representatives and permutations are exactly those of the earlier
+/// adjacency-list implementation (kept as the test-only reference).
+///
+/// The cost is small for the enumeration sizes (`n ≲ 11`) and for
+/// graphs with little symmetry, but the search branches along the
+/// automorphism orbits that twin pruning cannot see, so large
+/// vertex-transitive graphs are exponentially expensive: the cost grows
+/// about tenfold per two nodes along the cycles, `cycle(16)` already
+/// takes tens of milliseconds, and `cycle(32)` does not finish in
+/// minutes. Callers keying arbitrary input should
+/// bound `n` first, as the atlas lookup does.
+///
+/// # Panics
+///
+/// Panics if `g.n() > 64`, the bit-row domain.
 ///
 /// # Examples
 ///
@@ -390,110 +612,10 @@ fn are_twins(g: &Graph, u: u32, v: u32) -> bool {
 /// ```
 #[must_use]
 pub fn canonical_form(g: &Graph) -> (Graph, Vec<u32>) {
-    let n = g.n();
-    if n == 0 {
+    if g.n() == 0 {
         return (Graph::new(0), Vec::new());
     }
-    let colors = refined_colors(g);
-    // Position k is filled from the k-th color class in color-id order
-    // (sizes and ids are isomorphism-invariant, so this schedule is too).
-    let mut schedule: Vec<u32> = Vec::with_capacity(n);
-    let classes = colors.iter().copied().max().expect("n > 0") + 1;
-    for c in 0..classes {
-        for _ in colors.iter().filter(|&&x| x == c) {
-            schedule.push(c);
-        }
-    }
-
-    struct Search<'a> {
-        g: &'a Graph,
-        colors: &'a [u32],
-        schedule: &'a [u32],
-        placed: Vec<u32>,
-        cols: Vec<u32>,
-        best: Option<(Vec<u32>, Vec<u32>)>, // (columns, placement)
-    }
-
-    impl Search<'_> {
-        /// The column-`k` bits of placing `w` next: adjacency to the
-        /// placed prefix, row 0 most significant (graph6 bit order).
-        fn column(&self, w: u32) -> u32 {
-            let k = self.placed.len();
-            let mut col = 0u32;
-            for (i, &p) in self.placed.iter().enumerate() {
-                if self.g.has_edge(p, w) {
-                    col |= 1 << (k - 1 - i);
-                }
-            }
-            col
-        }
-
-        fn run(&mut self) {
-            let k = self.placed.len();
-            if k == self.schedule.len() {
-                let better = match &self.best {
-                    None => true,
-                    Some((cols, _)) => self.cols < *cols,
-                };
-                if better {
-                    self.best = Some((self.cols.clone(), self.placed.clone()));
-                }
-                return;
-            }
-            let class = self.schedule[k];
-            let mut ties: Vec<u32> = Vec::new();
-            let mut min_col = u32::MAX;
-            for w in 0..self.g.n() as u32 {
-                if self.colors[w as usize] != class || self.placed.contains(&w) {
-                    continue;
-                }
-                let col = self.column(w);
-                match col.cmp(&min_col) {
-                    std::cmp::Ordering::Less => {
-                        min_col = col;
-                        ties.clear();
-                        ties.push(w);
-                    }
-                    std::cmp::Ordering::Equal => ties.push(w),
-                    std::cmp::Ordering::Greater => {}
-                }
-            }
-            // Prefix-equal against the incumbent: a worse column can never
-            // recover, an equal one must keep searching.
-            if let Some((best_cols, _)) = &self.best {
-                if self.cols[..k] == best_cols[..k] && min_col > best_cols[k] {
-                    return;
-                }
-            }
-            let mut branched: Vec<u32> = Vec::new();
-            for w in ties {
-                if branched.iter().any(|&u| are_twins(self.g, u, w)) {
-                    continue;
-                }
-                branched.push(w);
-                self.placed.push(w);
-                self.cols.push(min_col);
-                self.run();
-                self.cols.pop();
-                self.placed.pop();
-            }
-        }
-    }
-
-    let mut search = Search {
-        g,
-        colors: &colors,
-        schedule: &schedule,
-        placed: Vec::with_capacity(n),
-        cols: Vec::with_capacity(n),
-        best: None,
-    };
-    search.run();
-    let (_, placement) = search.best.expect("every class schedule completes");
-    let mut perm = vec![0u32; n];
-    for (pos, &w) in placement.iter().enumerate() {
-        perm[w as usize] = pos as u32;
-    }
+    let perm = canonical_labeling(&bit_rows(g)).perm();
     (g.relabeled(&perm), perm)
 }
 
@@ -507,6 +629,223 @@ pub fn canonical_form(g: &Graph) -> (Graph, Vec<u32>) {
 #[must_use]
 pub fn canonical_key(g: &Graph) -> String {
     crate::graph6::encode(&canonical_form(g).0).expect("enumeration-sized graph encodes")
+}
+
+/// The adjacency-list canonical form this module shipped before the
+/// bit-row rewrite, kept verbatim as the differential spec: the bit-row
+/// [`canonical_form`] must return its `(graph, perm)` exactly. Its
+/// `1u32 << (k - 1 - i)` columns overflow past `n = 32`, so comparisons
+/// stop there.
+#[cfg(test)]
+mod reference {
+    use crate::graph::Graph;
+    use crate::traversal::DistanceMatrix;
+
+    /// Iteratively refined, isomorphism-invariant node colors: initial colors
+    /// are the sorted distance-frequency profiles (the [`invariant_fingerprint`]
+    /// ingredient), then 1-WL refinement — a node's new color is its old color
+    /// plus the sorted multiset of neighbor colors — runs to a fixpoint. Color
+    /// *ids* are assigned by sorting the underlying signatures, so two
+    /// isomorphic graphs end with the identical id-per-orbit assignment.
+    fn refined_colors(g: &Graph) -> Vec<u32> {
+        let n = g.n();
+        if n == 0 {
+            return Vec::new();
+        }
+        let d = DistanceMatrix::new(g);
+        let mut profiles: Vec<Vec<u32>> = Vec::with_capacity(n);
+        for u in 0..n as u32 {
+            let mut freq = vec![0u32; n + 1];
+            for &dist in d.row(u) {
+                let idx = if dist == crate::traversal::UNREACHABLE {
+                    n
+                } else {
+                    dist as usize
+                };
+                freq[idx] += 1;
+            }
+            profiles.push(freq);
+        }
+        let assign = |keys: &[Vec<u32>]| -> Vec<u32> {
+            let mut sorted: Vec<&Vec<u32>> = keys.iter().collect();
+            sorted.sort();
+            sorted.dedup();
+            keys.iter()
+                .map(|k| sorted.binary_search(&k).expect("key present") as u32)
+                .collect()
+        };
+        let mut colors = assign(&profiles);
+        loop {
+            let signatures: Vec<Vec<u32>> = (0..n as u32)
+                .map(|u| {
+                    let mut sig = vec![colors[u as usize]];
+                    let mut nb: Vec<u32> =
+                        g.neighbors(u).iter().map(|&v| colors[v as usize]).collect();
+                    nb.sort_unstable();
+                    sig.extend(nb);
+                    sig
+                })
+                .collect();
+            let next = assign(&signatures);
+            let classes = |c: &[u32]| c.iter().copied().max().map_or(0, |m| m + 1);
+            if classes(&next) == classes(&colors) {
+                return next;
+            }
+            colors = next;
+        }
+    }
+
+    /// Whether unplaced vertices `u` and `v` are interchangeable by the
+    /// transposition `(u v)`: their neighborhoods agree once each other is
+    /// excluded (true twins share an edge, false twins do not — both make the
+    /// swap an automorphism, so branching on one of them suffices).
+    fn are_twins(g: &Graph, u: u32, v: u32) -> bool {
+        let strip = |w: u32, other: u32| -> Vec<u32> {
+            let mut nb: Vec<u32> = g
+                .neighbors(w)
+                .iter()
+                .copied()
+                .filter(|&x| x != other)
+                .collect();
+            nb.sort_unstable();
+            nb
+        };
+        strip(u, v) == strip(v, u)
+    }
+
+    /// A canonical labeling of `g`: returns the canonical representative of
+    /// `g`'s isomorphism class together with the permutation that produces it
+    /// (`perm[u]` is the canonical label of node `u`, i.e.
+    /// `g.relabeled(&perm)` equals the returned graph).
+    ///
+    /// The representative minimizes the graph6 bit order (the column-major
+    /// upper triangle) over all labelings consistent with the refined color
+    /// classes — an isomorphism-invariant restriction, so two isomorphic
+    /// graphs always map to the *same* representative, which is what makes
+    /// [`canonical_key`] usable as an exact atlas/dedup key. The search is a
+    /// class-blocked branch-and-bound: positions are filled class by class,
+    /// only minimum-column candidates are branched (ties only), and unplaced
+    /// twins are pruned (swapping them is an automorphism). Intended for the
+    /// enumeration sizes (`n ≲ 11`); highly symmetric graphs branch along
+    /// their automorphism orbits, which stays small at these sizes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bncg_graph::{generators, iso::canonical_form};
+    ///
+    /// let g = generators::cycle(6);
+    /// let h = g.relabeled(&[3, 1, 5, 0, 4, 2]);
+    /// assert_eq!(canonical_form(&g).0, canonical_form(&h).0);
+    /// ```
+    #[must_use]
+    pub fn canonical_form(g: &Graph) -> (Graph, Vec<u32>) {
+        let n = g.n();
+        if n == 0 {
+            return (Graph::new(0), Vec::new());
+        }
+        let colors = refined_colors(g);
+        // Position k is filled from the k-th color class in color-id order
+        // (sizes and ids are isomorphism-invariant, so this schedule is too).
+        let mut schedule: Vec<u32> = Vec::with_capacity(n);
+        let classes = colors.iter().copied().max().expect("n > 0") + 1;
+        for c in 0..classes {
+            for _ in colors.iter().filter(|&&x| x == c) {
+                schedule.push(c);
+            }
+        }
+
+        struct Search<'a> {
+            g: &'a Graph,
+            colors: &'a [u32],
+            schedule: &'a [u32],
+            placed: Vec<u32>,
+            cols: Vec<u32>,
+            best: Option<(Vec<u32>, Vec<u32>)>, // (columns, placement)
+        }
+
+        impl Search<'_> {
+            /// The column-`k` bits of placing `w` next: adjacency to the
+            /// placed prefix, row 0 most significant (graph6 bit order).
+            fn column(&self, w: u32) -> u32 {
+                let k = self.placed.len();
+                let mut col = 0u32;
+                for (i, &p) in self.placed.iter().enumerate() {
+                    if self.g.has_edge(p, w) {
+                        col |= 1 << (k - 1 - i);
+                    }
+                }
+                col
+            }
+
+            fn run(&mut self) {
+                let k = self.placed.len();
+                if k == self.schedule.len() {
+                    let better = match &self.best {
+                        None => true,
+                        Some((cols, _)) => self.cols < *cols,
+                    };
+                    if better {
+                        self.best = Some((self.cols.clone(), self.placed.clone()));
+                    }
+                    return;
+                }
+                let class = self.schedule[k];
+                let mut ties: Vec<u32> = Vec::new();
+                let mut min_col = u32::MAX;
+                for w in 0..self.g.n() as u32 {
+                    if self.colors[w as usize] != class || self.placed.contains(&w) {
+                        continue;
+                    }
+                    let col = self.column(w);
+                    match col.cmp(&min_col) {
+                        std::cmp::Ordering::Less => {
+                            min_col = col;
+                            ties.clear();
+                            ties.push(w);
+                        }
+                        std::cmp::Ordering::Equal => ties.push(w),
+                        std::cmp::Ordering::Greater => {}
+                    }
+                }
+                // Prefix-equal against the incumbent: a worse column can never
+                // recover, an equal one must keep searching.
+                if let Some((best_cols, _)) = &self.best {
+                    if self.cols[..k] == best_cols[..k] && min_col > best_cols[k] {
+                        return;
+                    }
+                }
+                let mut branched: Vec<u32> = Vec::new();
+                for w in ties {
+                    if branched.iter().any(|&u| are_twins(self.g, u, w)) {
+                        continue;
+                    }
+                    branched.push(w);
+                    self.placed.push(w);
+                    self.cols.push(min_col);
+                    self.run();
+                    self.cols.pop();
+                    self.placed.pop();
+                }
+            }
+        }
+
+        let mut search = Search {
+            g,
+            colors: &colors,
+            schedule: &schedule,
+            placed: Vec::with_capacity(n),
+            cols: Vec::with_capacity(n),
+            best: None,
+        };
+        search.run();
+        let (_, placement) = search.best.expect("every class schedule completes");
+        let mut perm = vec![0u32; n];
+        for (pos, &w) in placement.iter().enumerate() {
+            perm[w as usize] = pos as u32;
+        }
+        (g.relabeled(&perm), perm)
+    }
 }
 
 #[cfg(test)]
@@ -694,5 +1033,85 @@ mod tests {
         let keys: std::collections::HashSet<String> = classes.iter().map(canonical_key).collect();
         assert_eq!(keys.len(), classes.len());
         assert_eq!(keys.len(), 112);
+    }
+
+    /// Asserts the bit-row canonical form returns the reference's
+    /// `(graph, perm)` on `g`.
+    fn assert_matches_reference(g: &Graph) {
+        assert_eq!(
+            canonical_form(g),
+            reference::canonical_form(g),
+            "bit-row and reference canonical forms differ on {:?}",
+            crate::graph6::encode(g)
+        );
+    }
+
+    #[test]
+    fn bit_rows_match_the_reference_on_every_walk_candidate_up_to_n7() {
+        let mut candidates = 0;
+        for (k, parents) in crate::enumerate::graph_class_levels(6).unwrap() {
+            for parent in &parents {
+                for mask in 0u32..1 << k {
+                    let mut g = Graph::new(k + 1);
+                    for (u, v) in parent.edges() {
+                        g.add_edge(u, v).unwrap();
+                    }
+                    for u in (0..k as u32).filter(|&u| mask >> u & 1 == 1) {
+                        g.add_edge(u, k as u32).unwrap();
+                    }
+                    assert_matches_reference(&g);
+                    candidates += 1;
+                }
+            }
+        }
+        // Σ_k (classes on k nodes) · 2^k for k = 1..6.
+        assert_eq!(candidates, 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 + 156 * 64);
+    }
+
+    #[test]
+    fn bit_rows_match_the_reference_on_seeded_relabelings_up_to_n32() {
+        let mut rng = crate::test_rng(0xB175);
+        for n in [9usize, 10, 12, 16, 24, 32] {
+            for p in [0.05, 0.2, 0.5] {
+                let g = generators::random_connected(n, p, &mut rng);
+                assert_matches_reference(&g);
+                for _ in 0..4 {
+                    let perm = generators::random_permutation(n, &mut rng);
+                    assert_matches_reference(&g.relabeled(&perm));
+                }
+            }
+        }
+        // Symmetric shapes exercise twin pruning and orbit branching.
+        for g in [
+            generators::cycle(9),
+            generators::clique(12),
+            generators::star(16),
+            generators::path(24),
+            Graph::new(10),
+        ] {
+            assert_matches_reference(&g);
+        }
+    }
+
+    #[test]
+    fn canonical_form_is_relabeling_invariant_past_the_reference_range() {
+        let mut rng = crate::test_rng(0xB176);
+        for n in [33usize, 48, 64] {
+            let g = generators::random_connected(n, 0.15, &mut rng);
+            let (canon, perm) = canonical_form(&g);
+            assert_eq!(g.relabeled(&perm), canon);
+            for _ in 0..3 {
+                let h = g.relabeled(&generators::random_permutation(n, &mut rng));
+                let (canon_h, perm_h) = canonical_form(&h);
+                assert_eq!(canon_h, canon, "n = {n}");
+                assert_eq!(h.relabeled(&perm_h), canon_h);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit rows")]
+    fn canonical_form_refuses_graphs_past_64_nodes() {
+        let _ = canonical_form(&generators::path(65));
     }
 }

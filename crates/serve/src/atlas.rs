@@ -17,7 +17,6 @@
 use crate::protocol::render_move;
 use bncg_atlas::DynAtlas;
 use bncg_core::{Alpha, Concept, CostModelSpec};
-use bncg_graph::enumerate::MAX_GRAPH_CLASS_NODES;
 use bncg_graph::Graph;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,12 +120,6 @@ impl AtlasService {
 
     fn probe(&self, id: u64, concept: Concept, graph: &Graph, alpha: Alpha) -> Option<String> {
         let atlas = self.atlas.as_ref()?;
-        // Canonicalization cost grows with n!-shaped search; above the
-        // enumeration ceiling the corpus cannot contain the class
-        // anyway, so don't even canonicalize.
-        if graph.n() > MAX_GRAPH_CLASS_NODES {
-            return None;
-        }
         // A lookup error (unkeyable graph, torn index) degrades to a
         // miss: the live path still produces a correct answer.
         let hit = atlas.lookup(graph, concept, alpha).ok().flatten()?;
@@ -225,7 +218,7 @@ mod tests {
                 CostModelSpec::SumDistances,
             )
             .is_none());
-        // n far beyond the enumeration ceiling short-circuits.
+        // n far beyond the enumeration ceiling misses without keying.
         assert!(svc
             .try_answer(
                 3,

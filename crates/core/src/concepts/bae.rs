@@ -33,10 +33,22 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`], reusing
-/// its cached matrix and pre-move costs (no recomputation at all).
+/// its cached matrix and pre-move costs (no recomputation at all). The
+/// matrix pricing is a sum-of-distances identity, so a state under
+/// another cost model prices each candidate through its evaluator.
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
     let (g, alpha, d) = (state.graph(), state.alpha(), state.distances());
+    if !state.cost_model().is_default() {
+        let mut ev = state.evaluator();
+        return g
+            .non_edges()
+            .map(|(u, v)| Move::BilateralAdd { u, v })
+            .find(|mv| {
+                ev.improves_all(mv)
+                    .expect("addition of a non-edge is valid")
+            });
+    }
     let old = state.costs();
     for (u, v) in g.non_edges() {
         let cu = cost_after_add(g, d, u, v);

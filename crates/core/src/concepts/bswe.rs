@@ -4,17 +4,19 @@
 //! pays for one new edge, `v` is not asked (Section 1.1).
 
 use crate::alpha::Alpha;
-use crate::delta::tree_swap_costs;
+use crate::delta::TreeSwapPricer;
 use crate::moves::Move;
 use crate::state::GameState;
 use bncg_graph::Graph;
 
 /// Finds a mutually profitable swap, or `None` if `g` is in BSwE.
 ///
-/// On trees the post-swap costs come from component sums over the
-/// pre-move distance matrix (`O(n)` per candidate, `O(n³)` total); on
-/// general graphs the checker falls back to applying each candidate and
-/// re-running BFS for the two consenting agents.
+/// Candidates are scanned agent by agent, dropped neighbor by dropped
+/// neighbor, new partner by new partner; there are `O(n·m)` of them. On
+/// trees under the default cost model each is priced in `O(1)` by a
+/// [`TreeSwapPricer`] over the pre-move distance matrix (`O(n²)` total);
+/// every other state applies each candidate and re-runs BFS for the two
+/// consenting agents through the state's evaluator.
 ///
 /// # Examples
 ///
@@ -37,47 +39,45 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`]: the tree
-/// fast path reads the cached matrix; the general fallback BFS-es only the
-/// two consenting agents through the state's evaluator.
+/// fast path reads the cached matrix; every other state BFS-es only the
+/// two consenting agents through the state's evaluator, priced under the
+/// state's cost model.
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
-    let (g, alpha) = (state.graph(), state.alpha());
-    let n = g.n() as u32;
-    let old = state.costs();
-    let mut ev = state.evaluator();
-    for agent in 0..n {
-        let neighbors: Vec<u32> = g.neighbors(agent).to_vec();
-        for &dropped in &neighbors {
-            for new in 0..n {
-                if new == agent || g.has_edge(agent, new) {
-                    continue;
-                }
-                if state.is_tree() {
-                    // `O(n)` component sums; `None` marks a disconnecting
-                    // swap, which is never improving from a tree.
-                    let Some((c_agent, c_new)) =
-                        tree_swap_costs(g, state.distances(), agent, dropped, new)
-                    else {
-                        continue;
-                    };
-                    if c_agent.better_than(&old[agent as usize], alpha)
+    let g = state.graph();
+    // The `O(1)` pricing is a sum-of-distances identity on trees.
+    if state.is_tree() && state.cost_model().is_default() {
+        let (alpha, old) = (state.alpha(), state.costs());
+        let pricer = TreeSwapPricer::new(g, state.distances());
+        // `None` marks a disconnecting swap, never improving from a tree.
+        return first_improving_swap(g, |agent, dropped, new| {
+            pricer
+                .swap_costs(agent, dropped, new)
+                .is_some_and(|(c_agent, c_new)| {
+                    c_agent.better_than(&old[agent as usize], alpha)
                         && c_new.better_than(&old[new as usize], alpha)
-                    {
-                        return Some(Move::Swap {
-                            agent,
-                            old: dropped,
-                            new,
-                        });
-                    }
-                } else {
-                    let mv = Move::Swap {
-                        agent,
-                        old: dropped,
-                        new,
-                    };
-                    if ev.improves_all(&mv).expect("swap candidate is valid") {
-                        return Some(mv);
-                    }
+                })
+        });
+    }
+    let mut ev = state.evaluator();
+    first_improving_swap(g, |agent, old, new| {
+        ev.improves_all(&Move::Swap { agent, old, new })
+            .expect("swap candidate is valid")
+    })
+}
+
+/// The first swap `agent: old → new` in scan order that `improves`
+/// accepts.
+fn first_improving_swap(
+    g: &Graph,
+    mut improves: impl FnMut(u32, u32, u32) -> bool,
+) -> Option<Move> {
+    let n = g.n() as u32;
+    for agent in 0..n {
+        for &old in g.neighbors(agent) {
+            for new in 0..n {
+                if new != agent && !g.has_edge(agent, new) && improves(agent, old, new) {
+                    return Some(Move::Swap { agent, old, new });
                 }
             }
         }

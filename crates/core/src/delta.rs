@@ -4,7 +4,11 @@
 //! recomputes BFS costs — correct on any graph, used as ground truth. The
 //! **fast engine** evaluates single-edge additions from a precomputed
 //! distance matrix and edge swaps on trees from component sums, avoiding
-//! the post-move BFS; property tests assert both engines agree.
+//! the post-move BFS; property tests assert both engines agree. Tree
+//! swaps have two fast forms: [`tree_swap_costs`] sums the components
+//! in one `O(n)` pass and serves as the reference, and
+//! [`TreeSwapPricer`] derives the same sums in `O(1)` from per-node
+//! totals computed once per tree.
 //!
 //! The batched exponential scans price surviving leaves through a third
 //! path — the word-parallel [`crate::cost::agent_cost_bits`] kernel on a
@@ -16,7 +20,7 @@ use crate::alpha::Alpha;
 use crate::cost::{agent_cost, AgentCost};
 use crate::error::GameError;
 use crate::moves::Move;
-use bncg_graph::{DistanceMatrix, Graph, UNREACHABLE};
+use bncg_graph::{DistanceMatrix, Graph, RootedTree, UNREACHABLE};
 
 /// Ground truth: applies `mv` and reports whether **all** consenting agents
 /// strictly improve.
@@ -152,6 +156,111 @@ pub fn tree_swap_costs(
     ))
 }
 
+/// Fast engine: post-swap costs on a **tree** in `O(1)` per candidate,
+/// equal to [`tree_swap_costs`] on every input.
+///
+/// Built once per tree in `O(n)`: the tree is rooted at node 0 and the
+/// pricer keeps every node's distance sum `S(x) = Σ_y d(x, y)` and
+/// downward sum `down(v) = Σ_{y ∈ T_v} d(v, y)`. For the swap
+/// `agent: old → new`, let `C` be `old`'s side of `{agent, old}`, with
+/// `c = |C|` and `D = Σ_{y∈C} d(old, y)`:
+///
+/// * if `old` is a child of `agent`, `C = T_old`, so `c = size(old)` and
+///   `D = down(old)`;
+/// * otherwise `old` is `agent`'s parent and `C` is everything outside
+///   `T_agent`, so `c = n − size(agent)` and
+///   `D = S(old) − size(agent) − down(agent)`.
+///
+/// Then `rest = Σ_{x∉C} d(agent, x) = S(agent) − c − D` and
+/// `in = Σ_{y∈C} d(new, y) = S(new) − (n − c)(d(new, old) + 1) − rest`,
+/// and the component sums of [`tree_swap_costs`] follow without a pass
+/// over the matrix. Every subtraction removes a part of the sum it is
+/// taken from, so none underflows.
+///
+/// # Examples
+///
+/// ```
+/// use bncg_core::delta::{tree_swap_costs, TreeSwapPricer};
+/// use bncg_graph::{generators, DistanceMatrix};
+///
+/// let g = generators::path(6);
+/// let d = DistanceMatrix::new(&g);
+/// let pricer = TreeSwapPricer::new(&g, &d);
+/// assert_eq!(pricer.swap_costs(0, 1, 3), tree_swap_costs(&g, &d, 0, 1, 3));
+/// ```
+#[derive(Debug, Clone)]
+pub struct TreeSwapPricer<'a> {
+    g: &'a Graph,
+    d: &'a DistanceMatrix,
+    tree: RootedTree,
+    sums: Vec<u64>,
+    down: Vec<u64>,
+}
+
+impl<'a> TreeSwapPricer<'a> {
+    /// Roots `g` and precomputes the per-node sums, in `O(n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a tree.
+    #[must_use]
+    pub fn new(g: &'a Graph, d: &'a DistanceMatrix) -> Self {
+        let tree = RootedTree::new(g, 0).expect("TreeSwapPricer requires a tree");
+        let sums = tree.dist_sums();
+        let down = tree.subtree_dist_sums();
+        TreeSwapPricer {
+            g,
+            d,
+            tree,
+            sums,
+            down,
+        }
+    }
+
+    /// The post-swap costs of `agent` and `new`, or `None` for a
+    /// disconnecting swap — the same contract as [`tree_swap_costs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `{agent, old}` is not an edge or
+    /// `new` is `agent` or one of its neighbors.
+    #[must_use]
+    pub fn swap_costs(&self, agent: u32, old: u32, new: u32) -> Option<(AgentCost, AgentCost)> {
+        debug_assert!(self.g.has_edge(agent, old), "swap requires the old edge");
+        debug_assert!(
+            !self.g.has_edge(agent, new) && agent != new,
+            "swap target must be a non-neighbor"
+        );
+        let d_old_new = self.d.dist(old, new);
+        // `new` must sit on the `old` side of the split.
+        if d_old_new >= self.d.dist(agent, new) {
+            return None;
+        }
+        let n = self.g.n() as u64;
+        let (a, o, w) = (agent as usize, old as usize, new as usize);
+        let (c, down_c) = if self.tree.parent(old) == agent {
+            (u64::from(self.tree.subtree_size(old)), self.down[o])
+        } else {
+            let size_agent = u64::from(self.tree.subtree_size(agent));
+            (n - size_agent, self.sums[o] - size_agent - self.down[a])
+        };
+        let rest = self.sums[a] - c - down_c;
+        let inside = self.sums[w] - (n - c) * (u64::from(d_old_new) + 1) - rest;
+        Some((
+            AgentCost {
+                unreachable: 0,
+                edges: self.g.degree(agent) as u32,
+                dist: rest + c + inside,
+            },
+            AgentCost {
+                unreachable: 0,
+                edges: self.g.degree(new) as u32 + 1,
+                dist: inside + (n - c) + rest,
+            },
+        ))
+    }
+}
+
 /// The distance-sum gain (old − new, ≥ 0) for `u` when the edge `{u, v}` is
 /// added, for connected graphs; a convenience over [`cost_after_add`].
 #[must_use]
@@ -283,6 +392,33 @@ mod tests {
                                 // report unreachable nodes.
                                 assert!(agent_cost(&g2, u).unreachable > 0);
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_time_swap_pricing_matches_component_sums_past_the_bitset_ceiling() {
+        // Past n = 64 the matrix comes from the tree-row engine, so this
+        // pins the two tree fast paths against each other.
+        let mut rng = bncg_graph::test_rng(0x5A4B);
+        for n in [65usize, 100] {
+            let g = generators::random_tree(n, &mut rng);
+            let perm = generators::random_permutation(n, &mut rng);
+            let g = g.relabeled(&perm);
+            let d = DistanceMatrix::new(&g);
+            let pricer = TreeSwapPricer::new(&g, &d);
+            for agent in 0..n as u32 {
+                for &old in g.neighbors(agent) {
+                    for new in 0..n as u32 {
+                        if new != agent && !g.has_edge(agent, new) {
+                            assert_eq!(
+                                pricer.swap_costs(agent, old, new),
+                                tree_swap_costs(&g, &d, agent, old, new),
+                                "{agent}: {old} → {new}"
+                            );
                         }
                     }
                 }

@@ -6,6 +6,7 @@
 
 use crate::bitset::BitsetGraph;
 use crate::graph::Graph;
+use crate::tree::RootedTree;
 
 /// Sentinel distance for unreachable pairs.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -98,10 +99,18 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes the distance matrix with one BFS per node. For `n ≤ 64`
-    /// the rows come from the word-parallel [`BitsetGraph`] frontier BFS
-    /// (`O(n · diam · n)` word ops for the whole matrix); larger graphs
-    /// fall back to the scalar `O(n·(n + m))` adjacency-list BFS.
+    /// Computes the distance matrix. The input picks one of three exact
+    /// engines, all producing the same matrix:
+    ///
+    /// * `n ≤ 64` ([`crate::BITSET_MAX_N`]): one word-parallel
+    ///   [`BitsetGraph`] frontier BFS per source (`O(n · diam · n)` word
+    ///   ops for the whole matrix).
+    /// * a tree with `n > 64`: the tree is rooted once ([`RootedTree`]);
+    ///   the root's row is its layer vector and every other row is its
+    ///   parent's row plus one, minus two on the child's own subtree —
+    ///   one branch-free `O(n)` pass per row, no per-source BFS.
+    /// * any other graph: one scalar adjacency-list BFS per source,
+    ///   `O(n·(n + m))`.
     #[must_use]
     pub fn new(g: &Graph) -> Self {
         let n = g.n();
@@ -110,6 +119,8 @@ impl DistanceMatrix {
             for u in 0..n {
                 bits.write_distances(u as u32, &mut d[u * n..(u + 1) * n]);
             }
+        } else if let Ok(tree) = RootedTree::new(g, 0) {
+            write_tree_rows(&tree, &mut d);
         } else {
             let mut row = Vec::new();
             for u in 0..n as u32 {
@@ -194,6 +205,38 @@ impl DistanceMatrix {
             sum += self.row_sum(u)?;
         }
         Some(sum)
+    }
+}
+
+/// Fills the `n × n` matrix `d` of the rooted tree `t` row by row in BFS
+/// order, so every parent row is final before its children read it.
+/// Moving the source from `p` to its child `c` brings the subtree `T_c`
+/// one hop closer and pushes everything else one hop away; `T_c` is the
+/// preorder interval `[tin(c), tin(c) + size(c))`, so membership is one
+/// unsigned compare per entry.
+fn write_tree_rows(t: &RootedTree, d: &mut [u32]) {
+    let n = t.n();
+    let tin = t.preorder_positions();
+    let root = t.root() as usize;
+    for (v, out) in d[root * n..(root + 1) * n].iter_mut().enumerate() {
+        *out = t.layer(v as u32);
+    }
+    for &c in &t.bfs_order()[1..] {
+        let (lo, size) = (tin[c as usize], t.subtree_size(c));
+        let (c, p) = (c as usize, t.parent(c) as usize);
+        let (row_p, row_c) = if p < c {
+            let (head, tail) = d.split_at_mut(c * n);
+            (&head[p * n..(p + 1) * n], &mut tail[..n])
+        } else {
+            let (head, tail) = d.split_at_mut(p * n);
+            (&tail[..n], &mut head[c * n..(c + 1) * n])
+        };
+        for ((out, &dp), &pos) in row_c.iter_mut().zip(row_p).zip(tin) {
+            let inside = u32::from(pos.wrapping_sub(lo) < size);
+            // No underflow: inside `T_c` the parent is one hop further
+            // than the child, so `dp = d(c, v) + 1 ≥ 1`.
+            *out = dp + 1 - 2 * inside;
+        }
     }
 }
 
@@ -430,6 +473,26 @@ mod tests {
                 d.total_distance(),
                 Some(2 * (n - 1) + 2 * (n - 1) * (n - 2))
             );
+        }
+    }
+
+    #[test]
+    fn tree_rows_match_per_source_bfs() {
+        let mut rng = crate::test_rng(65);
+        let mut trees = vec![generators::path(300), generators::star(300)];
+        for n in [65, 97, 128, 200, 256] {
+            let g = generators::random_tree(n, &mut rng);
+            let perm = generators::random_permutation(n, &mut rng);
+            trees.push(g.relabeled(&perm));
+            trees.push(g);
+        }
+        let mut row = Vec::new();
+        for g in &trees {
+            let d = DistanceMatrix::new(g);
+            for u in 0..g.n() as u32 {
+                bfs_distances(g, u, &mut row);
+                assert_eq!(d.row(u), &row[..], "row {u} of a {}-node tree", g.n());
+            }
         }
     }
 

@@ -156,6 +156,14 @@ impl RootedTree {
         &self.order
     }
 
+    /// Preorder (Euler entry) positions, indexed by node: the subtree
+    /// `T_u` occupies exactly the positions
+    /// `[tin(u), tin(u) + subtree_size(u))`.
+    #[must_use]
+    pub(crate) fn preorder_positions(&self) -> &[u32] {
+        &self.tin
+    }
+
     /// Depth of the whole tree: `max_u ℓ(u)`.
     #[must_use]
     pub fn depth(&self) -> u32 {
@@ -250,13 +258,19 @@ impl RootedTree {
     /// `dist(u, T_u) = Σ_{v ∈ T_u} dist(u, v)`.
     #[must_use]
     pub fn subtree_dist_sum(&self, u: u32) -> u64 {
+        self.subtree_dist_sums()[u as usize]
+    }
+
+    /// [`RootedTree::subtree_dist_sum`] for every node at once, in `O(n)`.
+    #[must_use]
+    pub fn subtree_dist_sums(&self) -> Vec<u64> {
         let mut sums = vec![0u64; self.n()];
         for &v in self.order.iter().rev() {
             for &c in self.children(v) {
                 sums[v as usize] += sums[c as usize] + u64::from(self.subtree_size(c));
             }
         }
-        sums[u as usize]
+        sums
     }
 }
 
@@ -389,6 +403,20 @@ mod tests {
                 .map(|&v| u64::from(d.dist(u, v)))
                 .sum();
             assert_eq!(t.subtree_dist_sum(u), expected);
+        }
+    }
+
+    #[test]
+    fn preorder_positions_lay_subtrees_out_contiguously() {
+        let g = generators::random_tree(45, &mut crate::test_rng(37));
+        let t = RootedTree::new(&g, 6).unwrap();
+        let tin = t.preorder_positions();
+        for u in 0..45u32 {
+            let (lo, size) = (tin[u as usize], t.subtree_size(u));
+            for v in 0..45u32 {
+                let inside = (lo..lo + size).contains(&tin[v as usize]);
+                assert_eq!(inside, t.is_in_subtree(v, u), "u = {u}, v = {v}");
+            }
         }
     }
 

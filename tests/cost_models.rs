@@ -304,3 +304,69 @@ fn distance_linear_models_keep_the_proven_filters() {
         "distance-linear models must keep pruning: {pruned_counts:?}"
     );
 }
+
+/// The single-edge move space of a polynomial concept in its checker's
+/// scan order: removals (edge order, then both endpoints), bilateral
+/// additions (non-edge order), swaps (agent, dropped neighbor, new
+/// partner).
+fn polynomial_moves(concept: Concept, g: &Graph) -> Vec<Move> {
+    let n = g.n() as u32;
+    let removals = g.edges().flat_map(|(u, v)| {
+        [
+            Move::Remove {
+                agent: u,
+                target: v,
+            },
+            Move::Remove {
+                agent: v,
+                target: u,
+            },
+        ]
+    });
+    let adds = g.non_edges().map(|(u, v)| Move::BilateralAdd { u, v });
+    let swaps = (0..n).flat_map(|agent| {
+        g.neighbors(agent).iter().flat_map(move |&old| {
+            (0..n)
+                .filter(move |&new| new != agent && !g.has_edge(agent, new))
+                .map(move |new| Move::Swap { agent, old, new })
+        })
+    });
+    match concept {
+        Concept::Bae => adds.collect(),
+        Concept::Bswe => swaps.collect(),
+        Concept::Ps => removals.chain(adds).collect(),
+        Concept::Bge => removals.chain(adds).chain(swaps).collect(),
+        other => unreachable!("{other} is not a single-edge concept"),
+    }
+}
+
+#[test]
+fn polynomial_checks_price_moves_under_the_querys_model() {
+    prop("polynomial checks ≡ brute force per model", |rng| {
+        let n = rng.gen_range(5..=9usize);
+        let g = generators::random_tree(n, rng);
+        let alphas = ["1/2", "1", "2", "5"].map(|a| a.parse::<Alpha>().expect("α"));
+        for model in MODELS {
+            for alpha in alphas {
+                let state = GameState::with_cost_model(g.clone(), alpha, model);
+                for concept in [Concept::Bae, Concept::Bswe, Concept::Ps, Concept::Bge] {
+                    // The spec: the first candidate in scan order that
+                    // the generic evaluator finds improving for everyone.
+                    let mut ev = state.evaluator();
+                    let expected = polynomial_moves(concept, &g)
+                        .into_iter()
+                        .find(|mv| ev.improves_all(mv).expect("valid move"));
+                    let got = Solver::new(ExecPolicy::default())
+                        .check(&StabilityQuery::new(concept, &g, alpha).with_cost_model(model))
+                        .expect("polynomial checks always complete")
+                        .into_violation()
+                        .expect("unbudgeted");
+                    assert_eq!(
+                        got, expected,
+                        "{concept} under {model} (α = {alpha}) on {g:?}"
+                    );
+                }
+            }
+        }
+    });
+}

@@ -226,6 +226,7 @@ fn tree_swap_engine_matches_generic() {
     prop("tree_swap_engine_matches_generic", |rng| {
         let g = random_tree(12, rng);
         let d = DistanceMatrix::new(&g);
+        let pricer = delta::TreeSwapPricer::new(&g, &d);
         for agent in 0..g.n() as u32 {
             for &old in g.neighbors(agent) {
                 for new in 0..g.n() as u32 {
@@ -234,7 +235,10 @@ fn tree_swap_engine_matches_generic() {
                     }
                     let mv = Move::Swap { agent, old, new };
                     let g2 = mv.apply(&g).unwrap();
-                    match delta::tree_swap_costs(&g, &d, agent, old, new) {
+                    let costs = delta::tree_swap_costs(&g, &d, agent, old, new);
+                    // The `O(1)` pricer is a third side of the same swap.
+                    assert_eq!(pricer.swap_costs(agent, old, new), costs);
+                    match costs {
                         Some((ca, cn)) => {
                             assert_eq!(ca, agent_cost(&g2, agent));
                             assert_eq!(cn, agent_cost(&g2, new));

@@ -6,12 +6,20 @@
 //! exists).
 
 use crate::report::{fnum, Report};
+use bncg_core::solver::{Solver, StabilityQuery};
 use bncg_core::{
-    agent_cost, agent_cost_from_matrix, concepts, delta, Alpha, Concept, CostModelSpec, GameError,
-    GameState, Move,
+    agent_cost, agent_cost_from_matrix, concepts, delta, Alpha, CandidateStats, Concept,
+    CostModelSpec, GameError, GameState, Move,
 };
 use bncg_graph::{generators, DistanceMatrix};
 use std::time::Instant;
+
+/// One unbounded sequential solver check: the witness and this run's
+/// candidate counters.
+fn solve(concept: Concept, state: &GameState) -> Result<(Option<Move>, CandidateStats), GameError> {
+    let verdict = Solver::default().check(&StabilityQuery::on(concept, state))?;
+    Ok((verdict.witness().cloned(), *verdict.stats()))
+}
 
 /// Ablation 1: fast distance-matrix add/swap evaluation vs. the generic
 /// engine — exact agreement on every candidate, with measured speedup.
@@ -353,7 +361,7 @@ pub fn pruning(report: &mut Report, quick: bool) -> Result<(), GameError> {
         let state = GameState::new(g.clone(), alpha);
         // BNE row.
         let t0 = Instant::now();
-        let (pruned, stats) = concepts::bne::find_violation_in_with_stats(&state, budget)?;
+        let (pruned, stats) = solve(Concept::Bne, &state)?;
         let pruned_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         let reference = concepts::bne::find_violation_in_reference(&state, budget)?;
@@ -371,7 +379,7 @@ pub fn pruning(report: &mut Report, quick: bool) -> Result<(), GameError> {
         ]);
         // k-BSE row (k = 2 keeps the raw reference tractable here).
         let t2 = Instant::now();
-        let (kp, kstats) = concepts::kbse::find_violation_in_with_stats(&state, 2);
+        let (kp, kstats) = solve(Concept::KBse(2), &state)?;
         let kp_ms = t2.elapsed().as_secs_f64() * 1e3;
         let t3 = Instant::now();
         let kr = concepts::kbse::find_violation_in_reference(&state, 2, budget)?;
@@ -451,7 +459,7 @@ pub fn generator(report: &mut Report, quick: bool) -> Result<(), GameError> {
     for (name, g, alpha, run_dense) in instances {
         let state = GameState::new(g.clone(), alpha);
         let t0 = Instant::now();
-        let (generated, stats) = concepts::bne::find_violation_in_with_stats(&state, budget)?;
+        let (generated, stats) = solve(Concept::Bne, &state)?;
         let generated_ms = t0.elapsed().as_secs_f64() * 1e3;
         let (dense_cell, speedup_cell) = if run_dense {
             let t1 = Instant::now();
@@ -549,7 +557,7 @@ pub fn trajectory_pruning(report: &mut Report, quick: bool) -> Result<(), GameEr
 ///
 /// Forwards solver errors (none expected on these pinned instances).
 pub fn cost_models(report: &mut Report, quick: bool) -> Result<(), GameError> {
-    use bncg_core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
+    use bncg_core::solver::{ExecPolicy, Verdict};
     let n = if quick { 12 } else { 16 };
     let models: [CostModelSpec; 4] = [
         CostModelSpec::SumDistances,

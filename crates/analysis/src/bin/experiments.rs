@@ -287,6 +287,7 @@ fn run_check(
             evals,
             pruned,
             elapsed,
+            ..
         } => format!(
             "{head}\nverdict: stable\nevals: {evals}\npruned: {pruned}\nelapsed: {elapsed:?}"
         ),
@@ -294,6 +295,7 @@ fn run_check(
             witness,
             evals,
             elapsed,
+            ..
         } => format!(
             "{head}\nverdict: unstable\nwitness: {witness}\nevals: {evals}\nelapsed: {elapsed:?}"
         ),

@@ -6,7 +6,8 @@
 //! Run with `cargo bench -p bncg-bench --bench engine_vs_naive`; the
 //! recorded speedups live in CHANGES.md.
 
-use bncg_core::{agent_cost_from_matrix, concepts, Alpha, CheckBudget, Concept, GameState, Move};
+use bncg_bench::pruning_kernels::solve;
+use bncg_core::{agent_cost_from_matrix, Alpha, Concept, GameState, Move};
 use bncg_graph::{generators, DistanceMatrix, Graph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -168,7 +169,7 @@ fn bench_bne_check(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("engine", name), &g, |b, g| {
             b.iter(|| {
                 let state = GameState::new(black_box(g).clone(), a);
-                concepts::bne::find_violation_in_with_stats(&state, CheckBudget::default()).unwrap()
+                solve(Concept::Bne, &state)
             });
         });
         group.bench_with_input(BenchmarkId::new("naive", name), &g, |b, g| {

@@ -1,8 +1,9 @@
 //! The headline benchmark for the candidate-pruning layer (PR 2) and
 //! the branch-and-bound generator (PR 5): exact BNE and k-BSE **full
-//! scans** at n = 16 — the generated scans vs. the PR 2 dense mask
-//! loop retained as `bne::find_violation_in_dense` vs. the PR 1 engine
-//! path retained as `*_reference`. Instances are chosen so the scans
+//! scans** at n = 16 — the generated scans (one `Solver::check` each)
+//! vs. the PR 2 dense mask loop retained as
+//! `bne::find_violation_in_dense` vs. the PR 1 engine path retained as
+//! `*_reference`. Instances are chosen so the scans
 //! certify stability (no early exit): the star at α = 2, and a
 //! pinned-seed diameter-2 G(n, p) at α = 1, which Proposition 3.16 makes
 //! BSE-stable (hence BNE- and k-BSE-stable).
@@ -11,8 +12,8 @@
 //! timings; the recorded numbers live in CHANGES.md, and the `ci_gate`
 //! binary reruns the same kernels as a regression gate.
 
-use bncg_bench::pruning_kernels::{budget, instances};
-use bncg_core::{concepts, GameState};
+use bncg_bench::pruning_kernels::{budget, instances, solve};
+use bncg_core::{concepts, Concept, GameState};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -21,8 +22,7 @@ fn bench_bne_full_scan(c: &mut Criterion) {
     group.sample_size(10);
     for (name, g, alpha) in instances() {
         let state = GameState::new(g.clone(), alpha);
-        let (pruned, stats) =
-            concepts::bne::find_violation_in_with_stats(&state, budget()).unwrap();
+        let (pruned, stats) = solve(Concept::Bne, &state);
         let reference = concepts::bne::find_violation_in_reference(&state, budget()).unwrap();
         let (dense, dense_stats) =
             concepts::bne::find_violation_in_dense(&state, budget()).unwrap();
@@ -45,7 +45,7 @@ fn bench_bne_full_scan(c: &mut Criterion) {
             100.0 * stats.visited as f64 / stats.generated.max(1) as f64
         );
         group.bench_with_input(BenchmarkId::new("generated", name), &state, |b, s| {
-            b.iter(|| concepts::bne::find_violation_in_with_stats(black_box(s), budget()).unwrap());
+            b.iter(|| solve(Concept::Bne, black_box(s)));
         });
         group.bench_with_input(BenchmarkId::new("dense_pr2", name), &state, |b, s| {
             b.iter(|| concepts::bne::find_violation_in_dense(black_box(s), budget()).unwrap());
@@ -67,8 +67,9 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
         // as a pruned-only extra measurement below).
         let k = if name == "star16" { 3 } else { 2 };
         let state = GameState::new(g.clone(), alpha);
-        let (pruned, stats) = concepts::kbse::find_violation_in_with_stats(&state, k);
-        let reference = concepts::kbse::find_violation_in_reference(&state, k, budget()).unwrap();
+        let (pruned, stats) = solve(Concept::KBse(k), &state);
+        let reference =
+            concepts::kbse::find_violation_in_reference(&state, k as usize, budget()).unwrap();
         assert_eq!(
             pruned.is_some(),
             reference.is_some(),
@@ -84,7 +85,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
             BenchmarkId::new(format!("pruned_k{k}"), name),
             &state,
             |b, s| {
-                b.iter(|| concepts::kbse::find_violation_in_with_stats(black_box(s), k));
+                b.iter(|| solve(Concept::KBse(k), black_box(s)));
             },
         );
         group.bench_with_input(
@@ -92,7 +93,8 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
             &state,
             |b, s| {
                 b.iter(|| {
-                    concepts::kbse::find_violation_in_reference(black_box(s), k, budget()).unwrap()
+                    concepts::kbse::find_violation_in_reference(black_box(s), k as usize, budget())
+                        .unwrap()
                 });
             },
         );
@@ -101,7 +103,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
     // raw space no unpruned checker can touch.
     let (name, g, alpha) = instances().pop().expect("two instances");
     let state = GameState::new(g, alpha);
-    let (mv, stats) = concepts::kbse::find_violation_in_with_stats(&state, 3);
+    let (mv, stats) = solve(Concept::KBse(3), &state);
     assert!(mv.is_none());
     println!(
         "pruning/kbse_full_scan/{name} (k=3, pruned only): {} raw candidates, {:.4}% skipped",
@@ -109,7 +111,7 @@ fn bench_kbse_full_scan(c: &mut Criterion) {
         100.0 * stats.skipped_fraction()
     );
     group.bench_with_input(BenchmarkId::new("pruned_k3", name), &state, |b, s| {
-        b.iter(|| concepts::kbse::find_violation_in_with_stats(black_box(s), 3));
+        b.iter(|| solve(Concept::KBse(3), black_box(s)));
     });
     group.finish();
 }

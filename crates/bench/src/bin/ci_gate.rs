@@ -29,12 +29,12 @@ use bncg_atlas::{
     build as build_atlas, key::instance_key, verify_atlas, AlphaSpec, Atlas, AtlasRecord,
     BuildSpec, RamBacking, StoredVerdict,
 };
-use bncg_bench::pruning_kernels::{budget, instances};
+use bncg_bench::pruning_kernels::{budget, instances, solve};
 use bncg_core::jsonio::{str_field, u64_field};
 use bncg_core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
 use bncg_core::{
-    best_response_in, best_response_with_policy, concepts, Alpha, BestResponseVerdict,
-    CandidateStats, CheckBudget, Concept, CostModelSpec, GameState, Utility,
+    best_response, concepts, Alpha, CandidateStats, CheckBudget, Concept, CostModelSpec, GameState,
+    Utility,
 };
 use bncg_dynamics::round_robin;
 use bncg_graph::enumerate::graph_classes;
@@ -204,7 +204,7 @@ fn kernels() -> Vec<Kernel> {
         // ~1.2·10⁹).
         kernel("kbse3_pruned/gnp16_diam2", WallClock, |fx, _| {
             median_secs(5, || {
-                black_box(concepts::kbse::find_violation_in_with_stats(fx.gnp16(), 3));
+                black_box(solve(Concept::KBse(3), fx.gnp16()));
             })
         }),
         // Generator vs the dense mask loop it replaced: on star16
@@ -216,8 +216,7 @@ fn kernels() -> Vec<Kernel> {
             paired_overhead(
                 256,
                 &|| {
-                    concepts::bne::find_violation_in_with_stats(black_box(star16), budget())
-                        .unwrap();
+                    black_box(solve(Concept::Bne, black_box(star16)));
                 },
                 &|| {
                     concepts::bne::find_violation_in_dense(black_box(star16), budget()).unwrap();
@@ -257,35 +256,6 @@ fn kernels() -> Vec<Kernel> {
             let eval_rate = star16_raw_evals / earlier(e, "bne_reference/star16").max(1e-12);
             CheckBudget::DEFAULT_MAX_EVALS as f64 / eval_rate
         }),
-        // The bitset substrate cut the direct star16 scan to ~4 µs, so
-        // the facade's fixed per-query setup (query validation, policy
-        // plumbing, verdict assembly) is no longer amortizable there
-        // (measured 1.02–1.11×); the ms-scale kbse3 kernel below guards
-        // the amortized regime at the strict 5%.
-        kernel("solver_overhead/bne_star16", Ceiling(1.20), |fx, _| {
-            let star16 = fx.star16();
-            paired_overhead(
-                256,
-                &|| {
-                    concepts::bne::find_violation_in_with_stats(black_box(star16), budget())
-                        .unwrap();
-                },
-                &|| assert_stable(Concept::Bne, black_box(star16)),
-            )
-        }),
-        // The facade may cost at most 5% over the direct coalition scan
-        // it drives; both sides run the same guard-free scanner.
-        kernel("solver_overhead/kbse3_gnp16", Ceiling(1.05), |fx, _| {
-            let gnp16 = fx.gnp16();
-            paired_overhead(
-                16,
-                &|| {
-                    let (mv, _) = concepts::kbse::find_violation_in_with_stats(black_box(gnp16), 3);
-                    assert!(mv.is_none());
-                },
-                &|| assert_stable(Concept::KBse(3), black_box(gnp16)),
-            )
-        }),
         // `generalized:id` routes the paper's objective through the
         // generic `CostModel` arm instead of the default model's
         // monomorphic fast paths; with identical pruning the ratio
@@ -303,12 +273,6 @@ fn kernels() -> Vec<Kernel> {
             median_secs(3, || {
                 round_robin::run(&generators::path(16), alpha2(), 50).unwrap();
             })
-        }),
-        // The metered anytime best-response scan is the activation engine
-        // of every policy-driven round-robin run, so it may cost at most
-        // 5% over the direct unmetered path.
-        kernel("metered_br_overhead/path16", Ceiling(1.05), |_, _| {
-            metered_br_overhead()
         }),
         // Slicing a 50-round run into ~20 checkpoint→resume slices may
         // cost at most 10% over the uninterrupted run: anytime
@@ -502,7 +466,7 @@ fn bitset_speedup() -> Measured {
 /// witness and evaluated stream alike, and `bound` holds on the
 /// generator's counters.
 fn stable_bne_secs(name: &str, state: &GameState, bound: impl Fn(&CandidateStats)) -> f64 {
-    let (pruned_mv, stats) = concepts::bne::find_violation_in_with_stats(state, budget()).unwrap();
+    let (pruned_mv, stats) = solve(Concept::Bne, state);
     let reference_mv = concepts::bne::find_violation_in_reference(state, budget()).unwrap();
     let (dense_mv, dense_stats) = concepts::bne::find_violation_in_dense(state, budget()).unwrap();
     assert_eq!(pruned_mv, reference_mv, "BNE witness diverged on {name}");
@@ -514,14 +478,14 @@ fn stable_bne_secs(name: &str, state: &GameState, bound: impl Fn(&CandidateStats
     assert!(pruned_mv.is_none(), "{name} must scan to completion");
     bound(&stats);
     median_secs(5, || {
-        concepts::bne::find_violation_in_with_stats(state, budget()).unwrap();
+        black_box(solve(Concept::Bne, state));
     })
 }
 
 /// The pruned 2-BSE scan of a pinned instance, verdict-checked against
 /// the raw reference first.
 fn kbse2_pruned_secs(name: &str, state: &GameState) -> f64 {
-    let (kp, _) = concepts::kbse::find_violation_in_with_stats(state, 2);
+    let (kp, _) = solve(Concept::KBse(2), state);
     let kr = concepts::kbse::find_violation_in_reference(state, 2, budget()).unwrap();
     assert_eq!(
         kp.is_some(),
@@ -529,7 +493,7 @@ fn kbse2_pruned_secs(name: &str, state: &GameState) -> f64 {
         "2-BSE verdict diverged on {name}"
     );
     median_secs(5, || {
-        black_box(concepts::kbse::find_violation_in_with_stats(state, 2));
+        black_box(solve(Concept::KBse(2), state));
     })
 }
 
@@ -641,32 +605,6 @@ fn cost_model_generalized_secs() -> f64 {
     median_secs(5, || assert_stable(Concept::Bne, &path12_cap))
 }
 
-/// The metered best response vs the direct `best_response_in` on the
-/// path16 endpoint, whose genuinely evaluated candidate space exercises
-/// the per-candidate poll. The metering is *active* (a finite budget,
-/// never reached) rather than the inert unbounded control. Exactness
-/// first: the metered scan must return the identical response.
-fn metered_br_overhead() -> Measured {
-    let path_state = GameState::new(generators::path(16), alpha2());
-    let metered_policy = ExecPolicy::default().with_eval_budget(1 << 40);
-    let direct_br = best_response_in(&path_state, 0, budget()).unwrap();
-    match best_response_with_policy(&path_state, 0, &metered_policy).unwrap() {
-        BestResponseVerdict::Optimal { response, .. } => {
-            assert_eq!(response, direct_br, "metered best response diverged");
-        }
-        v => panic!("an unreachable budget must complete the scan, got {v:?}"),
-    }
-    paired_overhead(
-        8,
-        &|| {
-            best_response_in(black_box(&path_state), 0, budget()).unwrap();
-        },
-        &|| {
-            best_response_with_policy(black_box(&path_state), 0, &metered_policy).unwrap();
-        },
-    )
-}
-
 /// The 50-round path16 run sliced into ~20 budgeted checkpoint→resume
 /// slices vs the uninterrupted policy run. Exactness first: the chain
 /// must land on the identical final state.
@@ -708,9 +646,12 @@ fn rr_resume_overhead() -> Measured {
 }
 
 /// The pinned batch drained through the 512-eval-slice scheduler vs the
-/// same batch as direct one-shot calls. Exactness first: the 48-eval
-/// scheduler must requeue the check through a multi-slice chain, and
-/// both schedulers' verdicts must match the direct runs.
+/// same batch as in-process one-shot calls. Both sides run the same
+/// metered scans (`round_robin::run` and `best_response` wrap the
+/// policy-driven scans the scheduler slices), so the ratio is the cost
+/// of slicing alone. Exactness first: the 48-eval scheduler must requeue
+/// the check through a multi-slice chain, and both schedulers' verdicts
+/// must match the direct runs.
 fn sched_overhead(fx: &Fixtures) -> Measured {
     let batch = &fx.batch;
     let proof = batch.submit(&fx.fine);
@@ -934,8 +875,7 @@ impl MixedBatch {
         assert!(c40_evals > 64, "cycle40 must out-price one 48-eval slice");
         let direct_rr = round_robin::run(&path9, alpha2(), 50).unwrap();
         assert!(direct_rr.converged, "path9 round robin must converge");
-        let direct_br =
-            best_response_in(&GameState::new(path12.clone(), alpha2()), 0, budget()).unwrap();
+        let direct_br = best_response(&path12, alpha2(), 0).unwrap();
         assert!(
             direct_br.best.is_some(),
             "path12 agent 0 must have an improving response"
@@ -963,9 +903,7 @@ impl MixedBatch {
             Verdict::Stable { .. }
         ));
         black_box(round_robin::run(black_box(&self.path9), alpha2(), 50).unwrap());
-        black_box(
-            best_response_in(&GameState::new(self.path12.clone(), alpha2()), 0, budget()).unwrap(),
-        );
+        black_box(best_response(black_box(&self.path12), alpha2(), 0).unwrap());
     }
 
     /// The batch through `sched`, one blocking submission per query.

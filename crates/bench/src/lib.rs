@@ -28,14 +28,29 @@ pub fn alpha_grid() -> Vec<bncg_core::Alpha> {
 /// perf-regression binary — one definition so the gate always measures
 /// exactly the instances the recorded numbers describe.
 pub mod pruning_kernels {
-    use bncg_core::{Alpha, CheckBudget};
+    use bncg_core::solver::{Solver, StabilityQuery};
+    use bncg_core::{Alpha, CandidateStats, CheckBudget, Concept, GameState, Move};
     use bncg_graph::{generators, Graph};
 
     /// A large explicit budget, so the raw-space guards of the reference
-    /// and guarded direct scans never refuse a pinned instance.
+    /// scans never refuse a pinned instance.
     #[must_use]
     pub fn budget() -> CheckBudget {
         CheckBudget::new(8_000_000_000)
+    }
+
+    /// The pruned scan every kernel times: one unbounded sequential
+    /// [`Solver::check`], returning the witness and the run's counters.
+    ///
+    /// # Panics
+    ///
+    /// When the instance exceeds a structural scan limit.
+    #[must_use]
+    pub fn solve(concept: Concept, state: &GameState) -> (Option<Move>, CandidateStats) {
+        let verdict = Solver::default()
+            .check(&StabilityQuery::on(concept, state))
+            .expect("pinned instances fit the structural limits");
+        (verdict.witness().cloned(), *verdict.stats())
     }
 
     /// `(name, graph, α)` instances whose full scans are stable: the star

@@ -289,13 +289,16 @@ impl BestResponseVerdict {
     }
 }
 
-/// Computes agent `u`'s best feasible neighborhood move by exhaustive
-/// enumeration (`2^{n−1}` candidates), under the default [`CheckBudget`].
+/// Computes agent `u`'s best feasible neighborhood move: the
+/// [`check_enumeration_budget`] guard at the default [`CheckBudget`],
+/// then one [`best_response_with_policy`] scan under
+/// [`ExecPolicy::default()`].
 ///
 /// # Errors
 ///
-/// Returns [`GameError::CheckTooLarge`] when `2^{n−1}` exceeds the budget
-/// and [`GameError::NodeOutOfRange`] for a bad agent id.
+/// Returns [`GameError::CheckTooLarge`] when the agent's `2^{n−1}` raw
+/// candidates exceed the default budget (so `n ≥ 27` is refused before
+/// any work) and [`GameError::NodeOutOfRange`] for a bad agent id.
 ///
 /// # Examples
 ///
@@ -317,13 +320,22 @@ pub fn best_response(g: &Graph, alpha: Alpha, u: u32) -> Result<BestResponse, Ga
         return Err(GameError::NodeOutOfRange { node: u, n });
     }
     check_enumeration_budget(n, CheckBudget::default())?;
-    best_response_in(&GameState::new(g.clone(), alpha), u, CheckBudget::default())
+    let state = GameState::new(g.clone(), alpha);
+    match best_response_with_policy(&state, u, &ExecPolicy::default())? {
+        BestResponseVerdict::Optimal { response, .. } => Ok(response),
+        v => unreachable!("an unbounded policy completes the scan, got {v:?}"),
+    }
 }
 
-/// The raw-space size guard of the direct paths ([`best_response`],
-/// [`best_response_in`]): `2^{n−1}` candidates must fit the budget
-/// before any heavy work starts (the metered path has no such guard).
-pub(crate) fn check_enumeration_budget(n: usize, budget: CheckBudget) -> Result<(), GameError> {
+/// The raw-space size guard of [`best_response`] and
+/// `round_robin::run`: an agent's `2^{n−1}` candidates must fit the
+/// budget before any work starts (the policy-driven paths have no such
+/// guard; they exhaust instead).
+///
+/// # Errors
+///
+/// [`GameError::CheckTooLarge`] when `2^{n−1}` exceeds the budget.
+pub fn check_enumeration_budget(n: usize, budget: CheckBudget) -> Result<(), GameError> {
     if n <= 1 {
         return Ok(());
     }
@@ -340,8 +352,8 @@ pub(crate) fn check_enumeration_budget(n: usize, budget: CheckBudget) -> Result<
     Ok(())
 }
 
-/// The structural representation limit shared by the direct and metered
-/// scans: a position packs the `(addition mask, removal mask)` pair into
+/// The structural representation limit of the metered scan: a position
+/// packs the `(addition mask, removal mask)` pair into
 /// one `u64`, so the `n − 1` mask bits must fit — the same shape as the
 /// solver's BNE limit. Without this check an oversized instance would
 /// overflow the mask shifts instead of erroring.
@@ -358,51 +370,16 @@ fn check_mask_width(n: usize) -> Result<(), GameError> {
     Ok(())
 }
 
-/// Engine-backed best response: the caller's persistent [`GameState`]
-/// supplies the pre-move costs of every agent for free, so one activation
-/// costs only the candidate evaluations themselves. This is the direct
-/// unmetered path the perf gate measures as the metering-overhead
-/// reference; the anytime surface ([`best_response_with_policy`]) drives
-/// the identical scan under an active control.
-///
-/// # Errors
-///
-/// Returns [`GameError::CheckTooLarge`] when `2^{n−1}` exceeds the
-/// budget, [`GameError::Unsupported`] past the structural `n ≤ 64` mask
-/// limit (reachable only with explicit budgets above `2⁶³`), and
-/// [`GameError::NodeOutOfRange`] for a bad agent id.
-pub fn best_response_in(
-    state: &GameState,
-    u: u32,
-    budget: CheckBudget,
-) -> Result<BestResponse, GameError> {
-    let n = state.n();
-    if u as usize >= n {
-        return Err(GameError::NodeOutOfRange { node: u, n });
-    }
-    if n <= 1 {
-        return Ok(BestResponse {
-            best: None,
-            cost: state.cost(u),
-        });
-    }
-    check_enumeration_budget(n, budget)?;
-    check_mask_width(n)?;
-    let ctl = ScanCtl::unbounded();
-    let mut cl = CtlLocal::new(&ctl);
-    let mut best = None;
-    let (stopped, _, _) = scan_best_response(state, u, 0, &mut best, &ctl, &mut cl);
-    debug_assert!(stopped.is_none(), "unbounded controls never stop");
-    Ok(into_response(state, u, best))
-}
-
-/// Metered best response under an [`ExecPolicy`]: the scan runs through
-/// the same poll protocol as the solver's stability checkers, so the
-/// policy's eval budget, deadline (anchored at call time), and cancel
-/// token stop it anytime-style with a resumable
-/// [`BestResponseFrontier`]. `threads` is ignored — the scan is a single
-/// enumeration unit whose argmin tie-break ("first in enumeration order
-/// among equal minima") the dynamics trajectories depend on.
+/// Metered best response under an [`ExecPolicy`]: the caller's
+/// persistent [`GameState`] supplies the pre-move costs of every agent
+/// for free, so one activation costs only the candidate evaluations
+/// themselves. The scan runs through the same poll protocol as the
+/// solver's stability checkers, so the policy's eval budget, deadline
+/// (anchored at call time), and cancel token stop it anytime-style with
+/// a resumable [`BestResponseFrontier`]. `threads` is ignored — the
+/// scan is a single enumeration unit whose argmin tie-break ("first in
+/// enumeration order among equal minima") the dynamics trajectories
+/// depend on.
 ///
 /// There is no *budget* guard on this path: an oversized agent scan
 /// does partial work up to the policy's stop conditions instead of
@@ -514,7 +491,8 @@ fn metered(
     let mut cl = CtlLocal::new(&ctl);
     let mut best = prior_best;
     let (stopped, evals, skipped) = scan_best_response(state, u, start, &mut best, &ctl, &mut cl);
-    let evals = prior_evals + evals;
+    // Saturating: a forged frontier's `evals` must not overflow the sum.
+    let evals = prior_evals.saturating_add(evals);
     let elapsed = started.elapsed();
     Ok(match stopped {
         None => BestResponseVerdict::Optimal {
@@ -805,11 +783,7 @@ mod tests {
             Err(GameError::CheckTooLarge { .. })
         ));
         assert!(matches!(
-            best_response_in(
-                &GameState::new(generators::path(8), a("1")),
-                0,
-                CheckBudget::new(10)
-            ),
+            check_enumeration_budget(8, CheckBudget::new(10)),
             Err(GameError::CheckTooLarge { .. })
         ));
         assert!(matches!(
@@ -827,31 +801,11 @@ mod tests {
     }
 
     #[test]
-    fn metered_unbounded_matches_direct_path() {
-        let mut rng = bncg_graph::test_rng(57);
-        for _ in 0..8 {
-            let g = generators::random_connected(9, 0.3, &mut rng);
-            for alpha in ["1/2", "2", "9"] {
-                let state = GameState::new(g.clone(), a(alpha));
-                for u in 0..9u32 {
-                    let direct = best_response_in(&state, u, CheckBudget::default()).unwrap();
-                    let metered =
-                        best_response_with_policy(&state, u, &ExecPolicy::default()).unwrap();
-                    let BestResponseVerdict::Optimal { response, .. } = metered else {
-                        panic!("an unbounded policy must complete the scan")
-                    };
-                    assert_eq!(response, direct, "u = {u}, α = {alpha}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn budgeted_resume_chain_reaches_the_uninterrupted_move() {
         let g = generators::path(12);
         let alpha = a("2");
+        let uninterrupted = best_response(&g, alpha, 0).unwrap();
         let state = GameState::new(g, alpha);
-        let uninterrupted = best_response_in(&state, 0, CheckBudget::default()).unwrap();
         let tight = ExecPolicy::default().with_eval_budget(1);
         let mut verdict = best_response_with_policy(&state, 0, &tight).unwrap();
         let mut slices = 1u32;
@@ -928,10 +882,10 @@ mod tests {
             best_response_with_policy(&state, 0, &ExecPolicy::default()),
             Err(GameError::Unsupported { .. })
         ));
-        // On the direct path the u128 budget guard already rejects every
-        // n > 64 (2^{n−1} exceeds any u64 budget), even the maximal one.
+        // The u128 raw-space guard rejects every n > 64 (2^{n−1}
+        // exceeds any u64 budget), even the maximal one.
         assert!(matches!(
-            best_response_in(&state, 0, CheckBudget::new(u64::MAX)),
+            check_enumeration_budget(70, CheckBudget::new(u64::MAX)),
             Err(GameError::CheckTooLarge { .. })
         ));
     }

@@ -10,12 +10,12 @@
 //! generated by branching on one endpoint at a time, and whole mask
 //! subtrees the pruning inequalities kill are skipped in `O(1)` instead
 //! of being iterated. The structural limit is the 64-bit position mask
-//! (`n ≤ 64`); within it, [`crate::Concept::find_violation`] runs the
-//! scan under the default [`CheckBudget`] as an *evaluation* budget
-//! (overruns surface as [`GameError::CheckTooLarge`]), and the
-//! [`crate::solver`] surface exposes the same scan anytime-style —
-//! budgets and deadlines exhaust into a resumable frontier (one unit per
-//! center) rather than erroring.
+//! (`n ≤ 64`). The scan has one entry point, the [`crate::solver`]
+//! surface: budgets and deadlines exhaust into a resumable frontier (one
+//! unit per center) rather than erroring, and the verdict carries the
+//! scan's [`CandidateStats`]. [`crate::Concept::find_violation`] is one
+//! solver call under the default [`CheckBudget`] as an *evaluation*
+//! budget (overruns surface as [`GameError::CheckTooLarge`]).
 //!
 //! The checker routes through the [`candidates`](crate::candidates)
 //! pruning layer: partners that provably cannot consent are dropped from
@@ -97,43 +97,6 @@ pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameErro
     budget.admit(work, || {
         format!("exact BNE needs {work} move evaluations for n = {n}")
     })
-}
-
-/// The direct engine-path full scan, reporting how much of the raw
-/// candidate space the pruning layer skipped. This is the sequential
-/// scan the solver drives; the perf gate measures it as the
-/// facade-overhead reference.
-///
-/// # Errors
-///
-/// Unlike [`crate::Concept::find_violation`] (evaluation-bounded),
-/// this measurement path keeps the **raw-space** pre-guard against its
-/// explicit `budget`. Pass a budget sized to the raw space (the bench
-/// kernels use `u64::MAX`-scale budgets) to measure large instances.
-pub fn find_violation_in_with_stats(
-    state: &GameState,
-    budget: CheckBudget,
-) -> Result<(Option<Move>, CandidateStats), GameError> {
-    let n = state.n();
-    let mut stats = CandidateStats::default();
-    if n <= 1 {
-        return Ok((None, stats));
-    }
-    check_budget(n, budget)?;
-    let pruner = NeighborhoodPruner::new(state);
-    let mut ws = CenterScanSpace::new(state.graph());
-    let ctl = ScanCtl::unbounded();
-    let mut cl = CtlLocal::new(&ctl);
-    for center in 0..n as u32 {
-        match scan_center(
-            state, &pruner, center, &mut ws, &mut stats, None, &ctl, &mut cl, 0,
-        ) {
-            UnitOutcome::Found(mv) => return Ok((Some(mv), stats)),
-            UnitOutcome::Done => {}
-            UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-        }
-    }
-    Ok((None, stats))
 }
 
 /// The solver's BNE unit scanner: one unit per center, positions in
@@ -688,6 +651,7 @@ fn eval_candidate_lists(
 mod tests {
     use super::*;
     use crate::concepts::{solve_with_threads, Concept};
+    use crate::solver::{Solver, StabilityQuery};
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
@@ -721,11 +685,11 @@ mod tests {
 
     #[test]
     fn guards_are_evaluation_bound_and_structural() {
-        // The direct measurement scan keeps the raw-space pre-guard.
+        // The raw reference scan keeps the raw-space pre-guard.
         let tiny = CheckBudget::new(10);
         let path8 = GameState::new(generators::path(8), a("1"));
         assert!(matches!(
-            find_violation_in_with_stats(&path8, tiny),
+            find_violation_in_reference(&path8, tiny),
             Err(GameError::CheckTooLarge { .. })
         ));
         // The default entry point is evaluation-bound since the
@@ -799,8 +763,11 @@ mod tests {
         // On a star at α ≥ 1 the partner filter and the tree pure-removal
         // rule eliminate the entire candidate space.
         let state = GameState::new(generators::star(16), a("2"));
-        let (mv, stats) = find_violation_in_with_stats(&state, CheckBudget::default()).unwrap();
-        assert!(mv.is_none());
+        let verdict = Solver::default()
+            .check(&StabilityQuery::on(Concept::Bne, &state))
+            .unwrap();
+        assert!(verdict.is_stable().unwrap());
+        let stats = verdict.stats();
         assert_eq!(stats.evaluated, 0, "star scan should be fully pruned");
         assert_eq!(stats.skipped(), stats.generated);
     }

@@ -46,39 +46,6 @@ pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameErro
     })
 }
 
-/// The direct engine-path full scan, reporting how much of the target
-/// space the pruning layer skipped. This is the sequential scan the
-/// solver drives; the perf gate measures it as the facade-overhead
-/// reference.
-///
-/// # Errors
-///
-/// The raw-space pre-guard against `budget`.
-pub fn find_violation_in_with_stats(
-    state: &GameState,
-    budget: CheckBudget,
-) -> Result<(Option<Move>, CandidateStats), GameError> {
-    let n = state.n();
-    let mut stats = CandidateStats::default();
-    if n <= 1 {
-        return Ok((None, stats));
-    }
-    check_budget(n, budget)?;
-    let pairs = n * (n - 1) / 2;
-    let units = (1u64 << pairs).div_ceil(BSE_CHUNK);
-    let mut ws = TargetScan::new(state);
-    let ctl = ScanCtl::unbounded();
-    let mut cl = CtlLocal::new(&ctl);
-    for unit in 0..units {
-        match ws.scan_chunk(state, unit, 0, &mut stats, &ctl, &mut cl, None) {
-            UnitOutcome::Found(mv) => return Ok((Some(mv), stats)),
-            UnitOutcome::Done => {}
-            UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-        }
-    }
-    Ok((None, stats))
-}
-
 /// Fixed shard size of the target-mask space: frontier positions stay
 /// meaningful across thread counts, and at `n = 7` (2²¹ masks) the scan
 /// still splits into 512 units for parallel drive.
@@ -513,11 +480,11 @@ mod tests {
 
     #[test]
     fn guard_fires_for_large_instances() {
-        // The direct measurement scan keeps the raw-space pre-guard
-        // (2²⁸ target graphs at n = 8).
+        // The raw reference scan keeps the raw-space pre-guard (2²⁸
+        // target graphs at n = 8).
         let state = GameState::new(generators::path(8), a("1"));
         assert!(matches!(
-            find_violation_in_with_stats(&state, CheckBudget::default()),
+            find_violation_in_reference(&state, CheckBudget::default()),
             Err(GameError::CheckTooLarge { .. })
         ));
     }

@@ -26,9 +26,10 @@
 //!    [`EditSetPruner`] inequalities prove non-improving.
 //!
 //! The pre-dedup scan is retained as [`find_violation_in_reference`] for
-//! the property suite and the `pruning` bench. The [`crate::solver`]
-//! surface drives the same shared candidate iterator anytime-style, one
-//! unit per coalition in size-major order.
+//! the property suite and the `pruning` bench. The exact scan's one
+//! entry point is the [`crate::solver`] surface, which drives the shared
+//! candidate iterator anytime-style, one unit per coalition in
+//! size-major order, and reports its counters on the verdict.
 
 use crate::alpha::Alpha;
 use crate::candidates::{
@@ -74,47 +75,12 @@ fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(), GameErro
     Ok(())
 }
 
-/// The direct engine-path full scan, reporting how much of the raw
-/// candidate space was pruned or deduplicated away. This is the
-/// sequential scan the solver drives, unmetered and with no raw-space
-/// pre-guard — the perf gate measures it as the facade-overhead
-/// reference, so both sides run the same coalition scanner.
-#[must_use]
-pub fn find_violation_in_with_stats(state: &GameState, k: usize) -> (Option<Move>, CandidateStats) {
-    let g = state.graph();
-    let n = g.n();
-    let mut stats = CandidateStats::default();
-    if n <= 1 || k == 0 {
-        return (None, stats);
-    }
-    let k = k.min(n);
-    let mut scan = CoalitionScan::new(
-        g,
-        state.alpha(),
-        state.cost_model(),
-        state.costs(),
-        state.is_tree(),
-        k,
-        Some(state.distances()),
-    );
-    let ctl = ScanCtl::unbounded();
-    let mut cl = CtlLocal::new(&ctl);
-    for size in 1..=k {
-        for coalition in combinations(n, size) {
-            match scan.scan_coalition(&coalition, usize::MAX, &mut stats, &ctl, &mut cl, 0) {
-                UnitOutcome::Found(mv) => return (Some(mv), stats),
-                UnitOutcome::Done => {}
-                UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-            }
-        }
-    }
-    (None, stats)
-}
-
-/// The solver's k-BSE unit scanner: one unit per coalition in the
-/// canonical size-major order, positions in each coalition's raw edit
-/// enumeration order (mask-based where the move space fits 63 bits,
-/// size-bounded subset order otherwise). Dedup sets are per workspace,
+/// The exact k-BSE scan, driven only through the solver: one unit per
+/// coalition in the canonical size-major order, positions in each
+/// coalition's raw edit enumeration order (mask-based where the move
+/// space fits 63 bits, size-bounded subset order otherwise). A
+/// sequential one-shot check scans every coalition in one workspace, so
+/// its dedup set spans the whole scan. Dedup sets are per workspace,
 /// so a resumed or parallel scan may re-evaluate edit sets an
 /// uninterrupted run deduplicated — wasted work, never a wrong verdict
 /// (a deduplicated set is always a previously judged non-violation).
@@ -1157,8 +1123,14 @@ mod tests {
         // not a tree), and neighboring coalitions share those edges.
         let g = generators::cycle(8);
         let state = GameState::new(g, a("10"));
-        let (mv, stats) = find_violation_in_with_stats(&state, 3);
-        assert!(mv.is_none(), "C8 is in its BSE window at α = 10");
+        let verdict = Solver::default()
+            .check(&StabilityQuery::on(kbse(3), &state))
+            .unwrap();
+        assert!(
+            verdict.is_stable().unwrap(),
+            "C8 is in its BSE window at α = 10"
+        );
+        let stats = verdict.stats();
         assert!(stats.deduped > 0, "cycle coalitions must overlap");
         assert!(
             stats.evaluated + stats.pruned + stats.deduped == stats.generated,
@@ -1172,9 +1144,15 @@ mod tests {
         // star at α ≥ 1 and the tree rule kills every pure removal: the
         // exact 3-BSE scan prices nothing at all.
         let state = GameState::new(generators::star(8), a("2"));
-        let (mv, stats) = find_violation_in_with_stats(&state, 3);
-        assert!(mv.is_none());
-        assert_eq!(stats.evaluated, 0, "star scan should be fully pruned");
+        let verdict = Solver::default()
+            .check(&StabilityQuery::on(kbse(3), &state))
+            .unwrap();
+        assert!(verdict.is_stable().unwrap());
+        assert_eq!(
+            verdict.stats().evaluated,
+            0,
+            "star scan should be fully pruned"
+        );
     }
 
     #[test]

@@ -38,11 +38,12 @@ use std::str::FromStr;
 ///
 /// [`Concept::find_violation`] spends [`CheckBudget::DEFAULT_MAX_EVALS`]
 /// as an anytime evaluation cap on the [`crate::solver`] path. The
-/// direct measurement and reference scans (`*_in_with_stats`,
-/// `*_in_reference`, `bne::find_violation_in_dense`,
-/// [`crate::best_response_in`]) take an explicit budget and size their
-/// **raw** move space against it before any work starts, refusing an
-/// oversized instance with [`GameError::CheckTooLarge`].
+/// reference scans (`*_in_reference`, `bne::find_violation_in_dense`)
+/// take an explicit budget and size their **raw** move space against it
+/// before any work starts, refusing an oversized instance with
+/// [`GameError::CheckTooLarge`]; [`crate::best_response`] and
+/// `round_robin::run` apply the same guard
+/// ([`crate::check_enumeration_budget`]) at the default budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckBudget {
     /// Maximum number of candidate-move evaluations admitted.
@@ -69,7 +70,7 @@ impl CheckBudget {
         CheckBudget { max_evals }
     }
 
-    /// The raw-space pre-guard of the direct scans: refuses a raw move
+    /// The raw-space pre-guard of the reference scans: refuses a raw move
     /// space of `work` candidates past the budget with
     /// [`GameError::CheckTooLarge`] before any work starts (the solver
     /// path has no such guard — it exhausts instead). `space` names the

@@ -107,8 +107,8 @@ pub mod windows;
 
 pub use alpha::Alpha;
 pub use best_response::{
-    best_response, best_response_in, best_response_resume, best_response_with_policy, BestResponse,
-    BestResponseFrontier, BestResponseVerdict,
+    best_response, best_response_resume, best_response_with_policy, check_enumeration_budget,
+    BestResponse, BestResponseFrontier, BestResponseVerdict,
 };
 pub use candidates::CandidateStats;
 pub use concepts::{CheckBudget, Concept};

@@ -45,8 +45,9 @@ use std::time::Instant;
 
 /// Immutable stop conditions for one query execution, shared by all
 /// worker threads. An inactive control (no budget, deadline, or cancel
-/// token) reduces every poll to a single branch so the legacy
-/// full-scan entry points pay nothing for the shared code path.
+/// token) reduces every poll to a single branch so unbounded scans (the
+/// default policy, the restricted refuters) pay nothing for the shared
+/// code path.
 pub(crate) struct ScanCtl<'a> {
     /// Shared evaluation counter; `None` means the control is inert.
     shared_evals: Option<&'a AtomicU64>,
@@ -63,7 +64,7 @@ pub(crate) struct ScanCtl<'a> {
 }
 
 impl<'a> ScanCtl<'a> {
-    /// A control that never stops the scan (legacy full-scan paths).
+    /// A control that never stops the scan.
     pub(crate) fn unbounded() -> ScanCtl<'static> {
         ScanCtl {
             shared_evals: None,

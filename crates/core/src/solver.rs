@@ -27,12 +27,13 @@
 //!   ([`Solver::check_many_pooled`] spans one pool across chunked
 //!   sweeps).
 //!
-//! The polynomial concepts (RE, BAE, PS, BSwE, BGE) complete in
-//! microseconds and are executed eagerly — they never exhaust and their
-//! evaluation counts are not metered. The exponential concepts (BNE,
-//! k-BSE, BSE) run through the PR 2 pruned scans, sharded across
-//! `threads` std scoped threads with the deterministic
-//! lowest-unit-wins witness protocol.
+//! The polynomial concepts (RE, BAE, PS, BSwE, BGE) are executed
+//! eagerly: they never exhaust, their evaluation counts are not metered,
+//! and no stop condition bounds them. They are cheap on small instances
+//! but not on large ones — a stable star(1024) BGE check runs for
+//! seconds. The exponential concepts (BNE, k-BSE, BSE) run through the
+//! pruned scans, sharded across `threads` std scoped threads with the
+//! deterministic lowest-unit-wins witness protocol.
 //!
 //! # Examples
 //!
@@ -316,11 +317,13 @@ pub enum Verdict {
         /// chain (0 for polynomial concepts, whose scans are not
         /// metered).
         evals: u64,
-        /// Candidates skipped by the pruning layer without evaluation
-        /// in **this run's slice** (bulk raw-space accounting happens
-        /// once per unit, so a resumed slice reports only what it
-        /// scanned).
+        /// Candidates skipped without evaluation in **this run's
+        /// slice**: always `stats.skipped()`.
         pruned: u64,
+        /// Candidate counters for **this run** (a resumed query reports
+        /// the slice it scanned, not the cumulative totals; all zero
+        /// for polynomial concepts).
+        stats: CandidateStats,
         /// Wall-clock time of this check call.
         elapsed: Duration,
     },
@@ -332,6 +335,8 @@ pub enum Verdict {
         /// Candidate evaluations performed across the whole resume
         /// chain.
         evals: u64,
+        /// Candidate counters for **this run**, as for `Stable`.
+        stats: CandidateStats,
         /// Wall-clock time of this check call.
         elapsed: Duration,
     },
@@ -364,6 +369,15 @@ impl Verdict {
         match self {
             Verdict::Unstable { witness, .. } => Some(witness),
             _ => None,
+        }
+    }
+
+    /// This run's candidate counters, whatever the verdict.
+    #[must_use]
+    pub fn stats(&self) -> &CandidateStats {
+        match self {
+            Verdict::Stable { stats, .. } | Verdict::Unstable { stats, .. } => stats,
+            Verdict::Exhausted { progress, .. } => &progress.stats,
         }
     }
 
@@ -720,11 +734,13 @@ impl Solver {
                 Some(witness) => Verdict::Unstable {
                     witness,
                     evals: 0,
+                    stats: CandidateStats::default(),
                     elapsed: started.elapsed(),
                 },
                 None => Verdict::Stable {
                     evals: 0,
                     pruned: 0,
+                    stats: CandidateStats::default(),
                     elapsed: started.elapsed(),
                 },
             });
@@ -798,36 +814,37 @@ impl Solver {
         };
 
         let elapsed = started.elapsed();
+        // Saturating: a forged token's `evals` must not overflow the sum.
+        let evals = prior_evals.saturating_add(stats.evaluated);
         Ok(match outcome {
             DriveOutcome::Completed(None) => Verdict::Stable {
-                evals: prior_evals + stats.evaluated,
+                evals,
                 pruned: stats.skipped(),
+                stats,
                 elapsed,
             },
             DriveOutcome::Completed(Some(witness)) => Verdict::Unstable {
                 witness,
-                evals: prior_evals + stats.evaluated,
+                evals,
+                stats,
                 elapsed,
             },
-            DriveOutcome::Stopped { unit, pos } => {
-                let evals_total = prior_evals + stats.evaluated;
-                Verdict::Exhausted {
-                    frontier: Frontier {
-                        concept: query.concept,
-                        instance: state.fingerprint(),
-                        unit,
-                        pos,
-                        evals: evals_total,
-                    },
-                    progress: Progress {
-                        stats,
-                        evals_total,
-                        units_done: unit,
-                        units_total,
-                        elapsed,
-                    },
-                }
-            }
+            DriveOutcome::Stopped { unit, pos } => Verdict::Exhausted {
+                frontier: Frontier {
+                    concept: query.concept,
+                    instance: state.fingerprint(),
+                    unit,
+                    pos,
+                    evals,
+                },
+                progress: Progress {
+                    stats,
+                    evals_total: evals,
+                    units_done: unit,
+                    units_total,
+                    elapsed,
+                },
+            },
         })
     }
 }

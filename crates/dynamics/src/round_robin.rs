@@ -32,8 +32,9 @@
 use bncg_core::jsonio;
 use bncg_core::solver::ExecPolicy;
 use bncg_core::{
-    best_response_in, best_response_resume, best_response_with_policy, BestResponseFrontier,
-    BestResponseVerdict, CheckBudget, CostModelSpec, GameError, GameState, Move,
+    best_response_resume, best_response_with_policy, check_enumeration_budget,
+    BestResponseFrontier, BestResponseVerdict, CheckBudget, CostModelSpec, GameError, GameState,
+    Move,
 };
 use bncg_graph::Graph;
 use std::collections::HashSet;
@@ -218,20 +219,22 @@ pub struct RoundRobinOutcome {
     /// leaf-filter skips). Unlike `evals` this is not carried through
     /// checkpoints — the resume token stays layout-stable — so a chain
     /// reports per-slice counts; together with the slice's evals it
-    /// yields the visited fraction of the scanned move space. The
-    /// legacy (non-policy) path reports 0.
+    /// yields the visited fraction of the scanned move space.
     pub skipped: u64,
     /// The final state (of this slice; pass it back to [`resume_under`]).
     pub final_graph: Graph,
 }
 
 /// Runs round-robin best-response dynamics from `start` for at most
-/// `max_rounds` rounds.
+/// `max_rounds` rounds: the [`check_enumeration_budget`] guard at the
+/// default [`CheckBudget`], then [`run_with_policy_under`] under
+/// [`ExecPolicy::default()`] and the paper's cost model.
 ///
 /// # Errors
 ///
-/// Forwards [`GameError::CheckTooLarge`] from the per-agent best-response
-/// enumeration (exponential in `n`; keep `n ≲ 20`).
+/// [`GameError::CheckTooLarge`] when one agent's `2^{n−1}` raw
+/// candidates exceed the default budget (`n ≥ 27`), refused before any
+/// activation; otherwise as [`run_with_policy_under`].
 ///
 /// # Examples
 ///
@@ -250,7 +253,9 @@ pub fn run(
     alpha: bncg_core::Alpha,
     max_rounds: usize,
 ) -> Result<RoundRobinOutcome, GameError> {
-    run_legacy(start, alpha, max_rounds, CheckBudget::default())
+    check_enumeration_budget(start.n(), CheckBudget::default())?;
+    let model = CostModelSpec::SumDistances;
+    run_with_policy_under(start, alpha, model, max_rounds, &ExecPolicy::default())
 }
 
 /// [`run`] under a solver [`ExecPolicy`] with **true anytime
@@ -309,61 +314,6 @@ pub fn resume_under(
     checkpoint: &Checkpoint,
 ) -> Result<RoundRobinOutcome, GameError> {
     run_metered(start, alpha, model, max_rounds, policy, Some(checkpoint))
-}
-
-/// The guarded loop behind [`run`]: unmetered scans under the
-/// per-activation [`CheckBudget`] size guard, which refuses oversized
-/// instances with [`GameError::CheckTooLarge`] before any work (the
-/// policy path has no guard at all).
-fn run_legacy(
-    start: &Graph,
-    alpha: bncg_core::Alpha,
-    max_rounds: usize,
-    budget: CheckBudget,
-) -> Result<RoundRobinOutcome, GameError> {
-    let mut state = GameState::new(start.clone(), alpha);
-    let n = start.n() as u32;
-    let mut history = Vec::new();
-    // A 64-bit fingerprint per visited state instead of full graph
-    // clones: collisions would falsely flag a cycle, but at < 10⁻¹² over
-    // the few thousand states a run visits, O(1) memory per state wins.
-    let mut seen: HashSet<u64> = HashSet::new();
-    seen.insert(state.graph().fingerprint());
-    let mut converged = false;
-    let mut cycled = false;
-    let mut rounds = 0usize;
-    'outer: while rounds < max_rounds {
-        rounds += 1;
-        let mut moved = false;
-        for u in 0..n {
-            let br = best_response_in(&state, u, budget)?;
-            if let Some(mv) = br.best {
-                state.apply_move(&mv)?;
-                history.push(mv);
-                moved = true;
-                if !seen.insert(state.graph().fingerprint()) {
-                    cycled = true;
-                    break 'outer;
-                }
-            }
-        }
-        if !moved {
-            converged = true;
-            break;
-        }
-    }
-    Ok(RoundRobinOutcome {
-        rounds,
-        moves: history.len(),
-        history,
-        converged,
-        cycled,
-        exhausted: false,
-        checkpoint: None,
-        evals: 0,
-        skipped: 0,
-        final_graph: state.graph().clone(),
-    })
 }
 
 /// The anytime loop behind [`run_with_policy_under`] and [`resume_under`].
@@ -427,6 +377,7 @@ fn run_metered(
             rounds = c.round;
             start_agent = c.agent;
             moved = c.moved;
+            // Token counters are outside input: the sums below saturate.
             moves_prior = c.moves;
             evals_prior = c.evals;
             pending_scan = c.scan.clone();
@@ -504,8 +455,8 @@ fn run_metered(
                     rounds,
                     u,
                     moved,
-                    moves_prior + history.len(),
-                    evals_prior + slice_evals,
+                    moves_prior.saturating_add(history.len()),
+                    evals_prior.saturating_add(slice_evals),
                     &seen,
                     pending_scan.take(),
                 ));
@@ -553,8 +504,8 @@ fn run_metered(
                         rounds,
                         u,
                         moved,
-                        moves_prior + history.len(),
-                        evals_prior + slice_evals,
+                        moves_prior.saturating_add(history.len()),
+                        evals_prior.saturating_add(slice_evals),
                         &seen,
                         Some(frontier),
                     ));
@@ -572,10 +523,10 @@ fn run_metered(
     }
     Ok(RoundRobinOutcome {
         rounds,
-        moves: moves_prior + history.len(),
+        moves: moves_prior.saturating_add(history.len()),
         exhausted: checkpoint.is_some(),
         checkpoint,
-        evals: evals_prior + slice_evals,
+        evals: evals_prior.saturating_add(slice_evals),
         skipped: slice_skipped,
         history,
         converged,
@@ -673,8 +624,8 @@ mod tests {
 
     #[test]
     fn policy_budget_pool_drains_with_partial_work() {
-        // The run-level pool replaces the legacy per-activation size
-        // guard: a 30-eval pool does real work (possibly applying early
+        // The run-level pool replaces `run`'s raw-space size guard: a
+        // 30-eval pool does real work (possibly applying early
         // moves) before draining, instead of refusing the whole run.
         let tight = ExecPolicy::default().with_eval_budget(30);
         let out =
@@ -682,8 +633,6 @@ mod tests {
         assert!(out.exhausted, "anytime contract: exhaust, not fail");
         assert!(out.evals >= 1, "the pool must have been drained by work");
         assert!(out.checkpoint.is_some());
-        // The legacy path still errors on a sub-guard budget.
-        assert!(run_legacy(&generators::path(12), a("2"), 50, CheckBudget::new(10)).is_err());
     }
 
     #[test]
@@ -702,8 +651,10 @@ mod tests {
             out.skipped > 0,
             "the pruning layer must skip part of the scanned move space"
         );
-        // The legacy path does not meter skips.
-        assert_eq!(run(&generators::path(10), a("2"), 100).unwrap().skipped, 0);
+        // The guarded wrapper runs the identical metered loop.
+        let guarded = run(&generators::path(10), a("2"), 100).unwrap();
+        assert_eq!((guarded.evals, guarded.skipped), (out.evals, out.skipped));
+        assert_eq!(guarded.history, out.history);
     }
 
     #[test]
@@ -830,6 +781,18 @@ mod tests {
             resume_under(&g, alpha, SumDistances, 100, &policy, &forged),
             Err(GameError::Unsupported { .. })
         ));
+        // Forged counters saturate the cumulative totals instead of
+        // overflowing them.
+        let forged: Checkpoint = format!(
+            "{{\"v\":1,\"instance\":{fp},\"round\":1,\"agent\":0,\
+             \"moved\":0,\"moves\":{max},\"evals\":{max},\"seen\":[]}}",
+            max = u64::MAX
+        )
+        .parse()
+        .unwrap();
+        let out = resume_under(&g, alpha, SumDistances, 100, &policy, &forged).unwrap();
+        assert!(!out.history.is_empty(), "path8 moves at α = 2");
+        assert_eq!((out.moves, out.evals), (usize::MAX, u64::MAX));
     }
 
     #[test]

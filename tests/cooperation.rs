@@ -91,10 +91,13 @@ fn brooms_fold_under_swaps_but_not_pairwise() {
 #[test]
 fn ablation_experiments_hold_their_assertions() {
     // The ablation runners assert engine agreement / refuter soundness
-    // internally; running them is the test.
+    // and the pruned scans' witness and evaluated-count agreement with
+    // the raw and dense references internally; running them is the test.
     let mut r = bncg::analysis::report::Report::new();
     bncg::analysis::ablations::delta_engines(&mut r, true).unwrap();
     bncg::analysis::ablations::kbse_restriction(&mut r, true).unwrap();
+    bncg::analysis::ablations::pruning(&mut r, true).unwrap();
+    bncg::analysis::ablations::generator(&mut r, true).unwrap();
     bncg::analysis::structure::bswe_depth(&mut r, true).unwrap();
     let json = r.to_json();
     assert!(json.contains("\"sections\""));

@@ -11,8 +11,8 @@
 
 use bncg::core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
 use bncg::core::{
-    best_response_in, best_response_resume, best_response_with_policy, Alpha, BestResponseVerdict,
-    CheckBudget, Concept, CostModel, CostModelSpec, GameState, Move, Utility,
+    best_response_resume, best_response_with_policy, Alpha, BestResponseVerdict, Concept,
+    CostModel, CostModelSpec, GameState, Move, Utility,
 };
 use bncg::graph::{generators, Graph};
 use rand::rngs::SmallRng;
@@ -253,10 +253,10 @@ fn unsound_filters_are_skipped_and_verdicts_match_the_per_agent_reference() {
                 .expect("check completes");
             let state = GameState::with_cost_model(g.clone(), alpha, model);
             let reference_stable = (0..g.n() as u32).all(|u| {
-                best_response_in(&state, u, CheckBudget::new(u64::MAX))
-                    .expect("per-agent scan")
-                    .best
-                    .is_none()
+                let verdict = best_response_with_policy(&state, u, &ExecPolicy::default())
+                    .expect("per-agent scan");
+                assert!(verdict.frontier().is_none(), "unbudgeted scans complete");
+                verdict.best().is_none()
             });
             match verdict {
                 Verdict::Stable { pruned, .. } => {

@@ -9,8 +9,9 @@
 //! 2. **Generator ≡ PR 2 dense loop**: the BNE scan prices *exactly*
 //!    the candidates the retained dense-loop scan
 //!    (`find_violation_in_dense`) prices — same witness, same
-//!    evaluated/pruned/generated counts — the generator only changes
-//!    how fast non-candidates are passed over.
+//!    evaluated/pruned/generated counts, the generator's read from
+//!    `Verdict::stats()` — the generator only changes how fast
+//!    non-candidates are passed over.
 //! 3. **Resumed ≡ uninterrupted**: a chain of generator scans resumed
 //!    from frontiers under adversarial 1-eval budgets lands on the
 //!    identical witness an uninterrupted generator scan returns.
@@ -26,7 +27,9 @@
 //! so no `proptest` crate): failures reproduce from the printed seed.
 
 use bncg::core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
-use bncg::core::{concepts, delta, jsonio, Alpha, CheckBudget, Concept, GameState, Move};
+use bncg::core::{
+    concepts, delta, jsonio, Alpha, CandidateStats, CheckBudget, Concept, GameState, Move,
+};
 use bncg::graph::{generators, graph6};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -65,6 +68,15 @@ fn huge() -> CheckBudget {
     CheckBudget::new(u64::MAX)
 }
 
+/// One unbounded sequential solver check: the witness and the run's
+/// candidate counters, read from the verdict.
+fn solve(concept: Concept, state: &GameState) -> (Option<Move>, CandidateStats) {
+    let verdict = Solver::default()
+        .check(&StabilityQuery::on(concept, state))
+        .unwrap();
+    (verdict.witness().cloned(), *verdict.stats())
+}
+
 /// Drains a budgeted query to a conclusive verdict through resume
 /// frontiers.
 fn resolve_with_resume(solver: &Solver, concept: Concept, state: &GameState) -> Option<Move> {
@@ -92,8 +104,7 @@ fn generated_bne_scan_matches_reference_and_dense_loop_exactly() {
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
             let reference = concepts::bne::find_violation_in_reference(&state, huge()).unwrap();
-            let (generated, gstats) =
-                concepts::bne::find_violation_in_with_stats(&state, huge()).unwrap();
+            let (generated, gstats) = solve(Concept::Bne, &state);
             let (dense, dstats) = concepts::bne::find_violation_in_dense(&state, huge()).unwrap();
             assert_eq!(
                 generated, reference,
@@ -131,10 +142,11 @@ fn generated_coalition_scans_match_their_references() {
         let g = random_instance(7, rng);
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
-            for k in [2usize, 3] {
-                let (generated, _) = concepts::kbse::find_violation_in_with_stats(&state, k);
+            for k in [2u32, 3] {
+                let (generated, _) = solve(Concept::KBse(k), &state);
                 let reference =
-                    concepts::kbse::find_violation_in_reference(&state, k, huge()).unwrap();
+                    concepts::kbse::find_violation_in_reference(&state, k as usize, huge())
+                        .unwrap();
                 assert_eq!(
                     generated.is_some(),
                     reference.is_some(),
@@ -148,8 +160,7 @@ fn generated_coalition_scans_match_their_references() {
         let g = random_instance(6, rng);
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
-            let (generated, _) =
-                concepts::bse::find_violation_in_with_stats(&state, huge()).unwrap();
+            let (generated, _) = solve(Concept::Bse, &state);
             let reference = concepts::bse::find_violation_in_reference(&state, huge()).unwrap();
             assert_eq!(generated, reference, "BSE witness diverged at α = {alpha}");
         }
@@ -226,7 +237,7 @@ fn exact_bne_completes_on_pinned_n24_instances_under_a_finite_budget() {
 #[test]
 fn generator_touches_a_vanishing_fraction_of_the_star16_space() {
     let state = GameState::new(generators::star(16), Alpha::integer(2).unwrap());
-    let (mv, stats) = concepts::bne::find_violation_in_with_stats(&state, huge()).unwrap();
+    let (mv, stats) = solve(Concept::Bne, &state);
     assert!(mv.is_none());
     assert_eq!(stats.evaluated, 0, "the star scan is fully pruned");
     assert_eq!(stats.skipped(), stats.generated);

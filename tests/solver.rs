@@ -20,8 +20,8 @@ use bncg::core::delta;
 use bncg::core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
 use bncg::core::CostModelSpec::SumDistances;
 use bncg::core::{
-    best_response_in, best_response_resume, best_response_with_policy, Alpha, BestResponseFrontier,
-    BestResponseVerdict, CheckBudget, Concept, GameError, GameState, Move,
+    best_response, best_response_resume, best_response_with_policy, Alpha, BestResponseFrontier,
+    BestResponseVerdict, Concept, GameError, GameState, Move,
 };
 use bncg::dynamics::round_robin;
 use bncg::graph::generators;
@@ -266,6 +266,13 @@ fn check_many_returns_input_order_and_matches_individual_checks() {
     }
 }
 
+/// `token` with its `"evals"` field replaced by `u64::MAX`.
+fn forge_evals(token: &str) -> String {
+    let at = token.find("\"evals\":").expect("tokens carry evals") + "\"evals\":".len();
+    let end = at + token[at..].find([',', '}']).expect("a terminated field");
+    format!("{}{}{}", &token[..at], u64::MAX, &token[end..])
+}
+
 #[test]
 fn mismatched_frontiers_are_rejected_not_misapplied() {
     let alpha = Alpha::integer(2).unwrap();
@@ -317,6 +324,39 @@ fn mismatched_frontiers_are_rejected_not_misapplied() {
         solver.check(&wrong),
         Err(GameError::Unsupported { .. })
     ));
+    // A genuine frontier whose eval count was forged to u64::MAX must
+    // saturate the cumulative count, not overflow it (a panic in debug
+    // builds, a silently wrapped count in release).
+    let cycle12 = GameState::new(generators::cycle(12), Alpha::integer(16).unwrap());
+    let sliced = Solver::new(ExecPolicy::default().with_eval_budget(100));
+    let Verdict::Exhausted { frontier, .. } = sliced
+        .check(&StabilityQuery::on(Concept::Bne, &cycle12))
+        .unwrap()
+    else {
+        panic!("a 100-eval budget must exhaust the cycle12 scan")
+    };
+    let forged: Frontier = forge_evals(&frontier.to_json()).parse().unwrap();
+    let resumed = StabilityQuery::on(Concept::Bne, &cycle12).resume(forged);
+    assert!(matches!(
+        solver.check(&resumed).unwrap(),
+        Verdict::Stable {
+            evals: u64::MAX,
+            ..
+        }
+    ));
+    // The same forgery on a best-response frontier.
+    let path12 = GameState::new(generators::path(12), alpha);
+    let tight = ExecPolicy::default().with_eval_budget(1);
+    let verdict = best_response_with_policy(&path12, 0, &tight).unwrap();
+    let frontier = verdict.frontier().expect("a 1-eval budget stops the scan");
+    let forged: BestResponseFrontier = forge_evals(&frontier.to_json()).parse().unwrap();
+    assert!(matches!(
+        best_response_resume(&path12, &ExecPolicy::default(), &forged).unwrap(),
+        BestResponseVerdict::Optimal {
+            evals: u64::MAX,
+            ..
+        }
+    ));
     // Malformed tokens fail to parse instead of resuming garbage.
     assert!("{\"concept\":\"bne\"}".parse::<Frontier>().is_err());
     assert!("nonsense".parse::<Frontier>().is_err());
@@ -367,7 +407,7 @@ fn budgeted_best_response_chain_returns_the_uninterrupted_move() {
         for alpha in alpha_grid(g.n()) {
             let state = GameState::new(g.clone(), alpha);
             for u in 0..g.n() as u32 {
-                let uninterrupted = best_response_in(&state, u, CheckBudget::default()).unwrap();
+                let uninterrupted = best_response(&g, alpha, u).unwrap();
                 for budget in [1u64, 17] {
                     let policy = ExecPolicy::default().with_eval_budget(budget);
                     let mut verdict = best_response_with_policy(&state, u, &policy).unwrap();

@@ -156,7 +156,8 @@ pub fn kbse_restriction(report: &mut Report, quick: bool) -> Result<(), GameErro
                 total += 1;
                 let exact_unstable = Concept::KBse(3).find_violation(g, alpha)?.is_some();
                 let restricted_unstable =
-                    concepts::kbse::find_violation_restricted(g, alpha, 3, max_removals).is_some();
+                    concepts::kbse::find_violation_restricted(g, alpha, 3, max_removals, 1)?
+                        .is_some();
                 // Soundness: the refuter never invents violations.
                 assert!(
                     !restricted_unstable || exact_unstable,
@@ -184,7 +185,7 @@ pub fn kbse_restriction(report: &mut Report, quick: bool) -> Result<(), GameErro
 ///
 /// # Errors
 ///
-/// Never fails; matches the runner signature.
+/// Forwards the refuter's coalition-unit limit (not reached here).
 pub fn parallel_scan(report: &mut Report, quick: bool) -> Result<(), GameError> {
     let rows = if quick {
         vec![8usize, 12]
@@ -200,11 +201,10 @@ pub fn parallel_scan(report: &mut Report, quick: bool) -> Result<(), GameError> 
     for i in rows {
         let fig = bncg_constructions::figures::figure7(i);
         let t0 = Instant::now();
-        let serial = concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2);
+        let serial = concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2, 1)?;
         let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
-        let parallel =
-            concepts::kbse::find_violation_restricted_parallel(&fig.graph, fig.alpha, 2, 2, 4);
+        let parallel = concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2, 4)?;
         let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             serial.is_some(),
@@ -403,12 +403,13 @@ pub fn pruning(report: &mut Report, quick: bool) -> Result<(), GameError> {
     Ok(())
 }
 
-/// Ablation 6: the branch-and-bound candidate generator vs. the PR 2
-/// dense mask loops — witness agreement asserted, with the fraction of
-/// the raw mask space the generator actually touched (`visited`) and
-/// the wall-clock effect. The last row runs a size the dense loop
-/// cannot reasonably iterate (the enumeration-bound regime the
-/// generator removed); its dense column is measured only when cheap.
+/// Ablation 6: the branch-and-bound candidate generator vs. the same
+/// scan with its subtree kills disabled (the dense leg, which visits
+/// every leaf) — witness agreement asserted, with the fraction of the
+/// raw mask space the generator actually touched (`visited`) and the
+/// wall-clock effect of the kills. The last row runs a size the dense
+/// leg cannot reasonably iterate (the enumeration-bound regime the
+/// kills remove); its dense column is measured only when cheap.
 ///
 /// # Errors
 ///
@@ -416,10 +417,12 @@ pub fn pruning(report: &mut Report, quick: bool) -> Result<(), GameError> {
 pub fn generator(report: &mut Report, quick: bool) -> Result<(), GameError> {
     use bncg_core::CheckBudget;
     let n = if quick { 10 } else { 12 };
-    let section = report.section("Ablation: branch-and-bound generator vs dense mask loops");
+    let section =
+        report.section("Ablation: branch-and-bound generator vs the same scan without kills");
     section.note(
-        "generated scans must return the dense loops' witness and price the identical \
-         candidates; visited = generator steps (leaves emitted + subtrees skipped) / raw masks",
+        "dense = the same scan with its subtree kills disabled; the generated scan must \
+         return its witness and price the identical candidates; visited = generator steps \
+         (leaves emitted + subtrees skipped) / raw masks",
     );
     let table = section.table([
         "instance",
@@ -447,7 +450,7 @@ pub fn generator(report: &mut Report, quick: bool) -> Result<(), GameError> {
         ),
         (
             // The enumeration-bound regime: a star hub owns 2^{n−1}
-            // pure-removal masks the dense loop iterates one by one and
+            // pure-removal masks the dense leg iterates one by one and
             // the generator kills in one probe.
             format!("star{big}"),
             generators::star(big),
@@ -468,7 +471,7 @@ pub fn generator(report: &mut Report, quick: bool) -> Result<(), GameError> {
             assert_eq!(generated, dense, "generator changed the BNE witness");
             assert_eq!(
                 stats.evaluated, dstats.evaluated,
-                "generator priced different candidates than the dense loop"
+                "generator priced different candidates than the dense leg"
             );
             (fnum(dense_ms), fnum(dense_ms / generated_ms.max(1e-9)))
         } else {

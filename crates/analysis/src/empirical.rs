@@ -52,55 +52,28 @@ pub struct PoaPoint {
     pub model: CostModelSpec,
 }
 
-/// Exhaustive PoA over all free trees on `n` nodes.
+/// Exhaustive PoA over all free trees on `n` nodes: a one-α
+/// [`tree_poa_grid`] under the default model and policy.
 ///
 /// # Errors
 ///
 /// Forwards the enumeration guard and checker guards.
 pub fn tree_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, GameError> {
-    tree_poa_with(n, alpha, concept, &ExecPolicy::default())
+    let model = CostModelSpec::SumDistances;
+    let mut points = tree_poa_grid(n, &[alpha], concept, model, &ExecPolicy::default(), None)?;
+    Ok(points.remove(0))
 }
 
-/// [`tree_poa`] under an explicit [`ExecPolicy`].
-///
-/// # Errors
-///
-/// Forwards the enumeration guard and solver errors.
-pub fn tree_poa_with(
-    n: usize,
-    alpha: Alpha,
-    concept: Concept,
-    policy: &ExecPolicy,
-) -> Result<PoaPoint, GameError> {
-    let trees = enumerate::free_trees(n).map_err(GameError::Graph)?;
-    poa_over(
-        &trees,
-        n,
-        alpha,
-        concept,
-        CostModelSpec::SumDistances,
-        policy,
-        None,
-    )
-}
-
-/// Exhaustive PoA over all connected graphs on `n` nodes.
+/// Exhaustive PoA over all connected graphs on `n` nodes: a one-α
+/// [`graph_poa_grid`] under the default model and policy.
 ///
 /// # Errors
 ///
 /// Forwards the enumeration guard and checker guards.
 pub fn graph_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, GameError> {
-    let graphs = enumerate::connected_graphs(n).map_err(GameError::Graph)?;
     let model = CostModelSpec::SumDistances;
-    poa_over(
-        &graphs,
-        n,
-        alpha,
-        concept,
-        model,
-        &ExecPolicy::default(),
-        None,
-    )
+    let mut points = graph_poa_grid(n, &[alpha], concept, model, &ExecPolicy::default(), None)?;
+    Ok(points.remove(0))
 }
 
 /// A conclusive per-instance verdict, whatever produced it.
@@ -108,23 +81,6 @@ enum Resolved {
     Stable,
     Unstable,
     Exhausted,
-}
-
-fn poa_over(
-    instances: &[Graph],
-    n: usize,
-    alpha: Alpha,
-    concept: Concept,
-    model: CostModelSpec,
-    policy: &ExecPolicy,
-    atlas: Option<&DynAtlas>,
-) -> Result<PoaPoint, GameError> {
-    // One eval pool for the *whole sweep*: chunking bounds resident
-    // state, not the budget scope, so the pool outlives every
-    // `check_many_pooled` call and the batch budget means "this much
-    // work for the entire enumeration".
-    let pool = AtomicU64::new(0);
-    poa_over_pooled(instances, n, alpha, concept, model, policy, &pool, atlas)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -249,7 +205,7 @@ fn poa_over_pooled(
 /// carries one) — the budget bounds the entire grid's work, and which
 /// points shed is a race between the sweeps, exactly like competing
 /// tenants on one pool. Per-point results are otherwise deterministic
-/// and identical to serial [`tree_poa_with`] calls. A supplied atlas
+/// and identical to one-α calls. A supplied atlas
 /// answers stored instances at zero solver cost ([`PoaPoint::atlas_hits`]).
 ///
 /// Every stability check and social cost is priced under `model`
@@ -333,6 +289,13 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// One tree PoA point under `policy`.
+    fn tree_point(n: usize, alpha: Alpha, concept: Concept, policy: &ExecPolicy) -> PoaPoint {
+        tree_poa_grid(n, &[alpha], concept, SumDistances, policy, None)
+            .unwrap()
+            .remove(0)
+    }
+
     #[test]
     fn star_is_always_among_stable_trees() {
         // For α ≥ 1 the star is stable under every concept, so max_rho is
@@ -398,7 +361,7 @@ mod tests {
         // and the worst witness are deterministic regardless.
         let serial = tree_poa(8, a("2"), Concept::Bne).unwrap();
         let policy = ExecPolicy::default().with_threads(4);
-        let pooled = tree_poa_with(8, a("2"), Concept::Bne, &policy).unwrap();
+        let pooled = tree_point(8, a("2"), Concept::Bne, &policy);
         assert_eq!(serial.max_rho, pooled.max_rho);
         assert_eq!(serial.stable_count, pooled.stable_count);
         assert_eq!(serial.worst, pooled.worst);
@@ -412,7 +375,7 @@ mod tests {
         // first poll; small fully-pruned instances still complete, so
         // the sweep reports a mix instead of erroring out.
         let policy = ExecPolicy::default().with_deadline(std::time::Duration::ZERO);
-        let point = tree_poa_with(10, a("2"), Concept::Bne, &policy).unwrap();
+        let point = tree_point(10, a("2"), Concept::Bne, &policy);
         assert!(point.exhausted > 0, "some scans must exhaust");
         assert_eq!(point.total, 106);
     }
@@ -423,7 +386,7 @@ mod tests {
         // first instances drain it, the remaining exponential checks
         // load-shed into the exhausted count instead of running.
         let policy = ExecPolicy::default().with_batch_budget(5);
-        let point = tree_poa_with(10, a("2"), Concept::Bne, &policy).unwrap();
+        let point = tree_point(10, a("2"), Concept::Bne, &policy);
         assert_eq!(point.total, 106);
         assert!(point.exhausted > 0, "a 5-eval pool must shed instances");
         assert!(point.stable_count + point.exhausted <= point.total);
@@ -493,7 +456,7 @@ mod tests {
         // everything; the atlas-backed sweep touches the pool for
         // nothing and completes conclusively.
         let policy = ExecPolicy::default().with_batch_budget(1);
-        let starved = tree_poa_with(7, a("2"), Concept::Bne, &policy).unwrap();
+        let starved = tree_point(7, a("2"), Concept::Bne, &policy);
         assert!(starved.exhausted > 0, "the starved sweep must shed");
         let served = poa_grid(
             &enumerate::free_trees(7).unwrap(),

@@ -320,7 +320,7 @@ pub fn fig4(report: &mut Report, quick: bool) -> Result<(), GameError> {
     let spider = bncg_graph::generators::spider(2, 6);
     let alpha: Alpha = "2".parse().expect("α");
     assert!(!bncg_core::bounds::lemma_3_14_holds(&spider, alpha)?);
-    let mv = concepts::kbse::find_violation_restricted(&spider, alpha, 3, 1)
+    let mv = concepts::kbse::find_violation_restricted(&spider, alpha, 3, 1, 1)?
         .expect("the deep spider must admit a size-3 coalition move");
     section.note(format!(
         "counterexample spider(2 legs × 6): violates the depth property and admits {mv}"
@@ -392,8 +392,7 @@ pub fn fig7(report: &mut Report, quick: bool) -> Result<(), GameError> {
         "the center's full rewire improves it and every c_j (⇒ not BNE): {} agents move",
         mv.consenting_agents().len()
     ));
-    let refuted =
-        concepts::kbse::find_violation_restricted_parallel(&fig.graph, fig.alpha, 2, 2, 4);
+    let refuted = concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2, 4)?;
     section.note(format!(
         "restricted 2-BSE refuter (≤ 2 removals): {}",
         refuted.map_or("no improving coalition move".to_string(), |m| m.to_string())

@@ -49,29 +49,21 @@ fn bench_coalition_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations/coalition_scan");
     group.sample_size(10);
     let fig = figure7(12);
-    group.bench_function("serial_i12", |b| {
-        b.iter(|| {
-            assert!(concepts::kbse::find_violation_restricted(
-                black_box(&fig.graph),
-                fig.alpha,
-                2,
-                2
-            )
-            .is_none());
+    for threads in [1usize, 4] {
+        group.bench_function(format!("threads{threads}_i12"), |b| {
+            b.iter(|| {
+                let found = concepts::kbse::find_violation_restricted(
+                    black_box(&fig.graph),
+                    fig.alpha,
+                    2,
+                    2,
+                    threads,
+                )
+                .unwrap();
+                assert!(found.is_none());
+            });
         });
-    });
-    group.bench_function("parallel4_i12", |b| {
-        b.iter(|| {
-            assert!(concepts::kbse::find_violation_restricted_parallel(
-                black_box(&fig.graph),
-                fig.alpha,
-                2,
-                2,
-                4
-            )
-            .is_none());
-        });
-    });
+    }
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! they depend on (the simulation layer behind the cooperation-ladder
 //! experiment).
 
-use bncg_core::{concepts, Alpha, Concept};
+use bncg_core::{concepts, Alpha, Concept, GameState};
 use bncg_dynamics::{run, SelectionRule};
 use bncg_graph::generators;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,7 +56,8 @@ fn bench_move_enumeration(c: &mut Criterion) {
     let g = generators::random_tree(30, &mut rng);
     group.bench_function("all_bge_violations_n30", |b| {
         b.iter(|| {
-            bncg_dynamics::enumerate_violations(black_box(&g), alpha(4), Concept::Bge).unwrap()
+            let state = GameState::new(black_box(&g).clone(), alpha(4));
+            bncg_dynamics::enumerate_violations(&state, Concept::Bge).unwrap()
         });
     });
     group.finish();

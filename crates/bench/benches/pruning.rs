@@ -1,9 +1,9 @@
 //! The headline benchmark for the candidate-pruning layer (PR 2) and
 //! the branch-and-bound generator (PR 5): exact BNE and k-BSE **full
 //! scans** at n = 16 — the generated scans (one `Solver::check` each)
-//! vs. the PR 2 dense mask loop retained as
-//! `bne::find_violation_in_dense` vs. the PR 1 engine path retained as
-//! `*_reference`. Instances are chosen so the scans
+//! vs. the same BNE scan with its subtree kills disabled
+//! (`bne::find_violation_in_dense`) vs. the unpruned raw scans retained
+//! as `*_reference`. Instances are chosen so the scans
 //! certify stability (no early exit): the star at α = 2, and a
 //! pinned-seed diameter-2 G(n, p) at α = 1, which Proposition 3.16 makes
 //! BSE-stable (hence BNE- and k-BSE-stable).
@@ -33,7 +33,7 @@ fn bench_bne_full_scan(c: &mut Criterion) {
         assert_eq!(
             (pruned.clone(), stats.evaluated),
             (dense, dense_stats.evaluated),
-            "the generator diverged from the dense loop on {name}"
+            "the generator diverged from the dense leg on {name}"
         );
         assert!(pruned.is_none(), "{name} must be a full (stable) scan");
         println!(

@@ -207,10 +207,11 @@ fn kernels() -> Vec<Kernel> {
                 black_box(solve(Concept::KBse(3), fx.gnp16()));
             })
         }),
-        // Generator vs the dense mask loop it replaced: on star16
-        // the dense scan iterates the hub's 2¹⁵ pure-removal masks one by
-        // one; the generator kills them in a handful of probes (witness
-        // and evaluated stream were asserted by `bne_pruned/star16`).
+        // Generator vs the same scan with its subtree kills disabled: on
+        // star16 the dense leg visits the hub's 2¹⁵ pure-removal masks
+        // one by one; the generator kills them in a handful of probes
+        // (witness and evaluated stream were asserted by
+        // `bne_pruned/star16`).
         kernel("generator_vs_dense/bne_star16", Floor(3.0), |fx, _| {
             let star16 = fx.star16();
             paired_overhead(
@@ -462,7 +463,7 @@ fn bitset_speedup() -> Measured {
 }
 
 /// Times the pruned BNE scan of a stable pinned instance. Exactness
-/// first: generator ≡ raw reference ≡ the retained dense loop,
+/// first: generator ≡ raw reference ≡ the kill-free dense leg,
 /// witness and evaluated stream alike, and `bound` holds on the
 /// generator's counters.
 fn stable_bne_secs(name: &str, state: &GameState, bound: impl Fn(&CandidateStats)) -> f64 {
@@ -473,7 +474,7 @@ fn stable_bne_secs(name: &str, state: &GameState, bound: impl Fn(&CandidateStats
     assert_eq!(pruned_mv, dense_mv, "generator witness diverged on {name}");
     assert_eq!(
         stats.evaluated, dense_stats.evaluated,
-        "generator priced different candidates than the dense loop on {name}"
+        "generator priced different candidates than the dense leg on {name}"
     );
     assert!(pruned_mv.is_none(), "{name} must scan to completion");
     bound(&stats);

@@ -337,7 +337,9 @@ mod tests {
         // coalition move with at most 2 members and ≤ 2 removals.
         let fig = figure7(10);
         assert!(
-            concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2).is_none(),
+            concepts::kbse::find_violation_restricted(&fig.graph, fig.alpha, 2, 2, 1)
+                .unwrap()
+                .is_none(),
             "no small coalition move should exist at i = 10"
         );
     }

@@ -12,8 +12,8 @@
 //! # The pruning inequalities
 //!
 //! All bounds are applied only from **connected** states (every cached
-//! [`AgentCost`] has `unreachable == 0`); on disconnected states the
-//! checkers fall back to raw enumeration. Costs compare
+//! [`AgentCost`](crate::AgentCost) has `unreachable == 0`); on
+//! disconnected states the checkers fall back to raw enumeration. Costs compare
 //! lexicographically, so a move that disconnects an agent that could
 //! previously reach everything is never improving — each bound only has
 //! to handle the connected-successor case.
@@ -116,8 +116,7 @@
 //! pruned ones).
 
 use crate::alpha::Alpha;
-use crate::cost::AgentCost;
-use crate::cost_model::{filter_sound, CostModelSpec, FilterId};
+use crate::cost_model::{filter_sound, FilterId};
 use crate::state::GameState;
 use bncg_graph::DistanceMatrix;
 
@@ -391,37 +390,27 @@ pub struct EditSetPruner {
 }
 
 impl EditSetPruner {
-    /// Builds the pruner from the pre-move costs (`costs[x].dist` is the
-    /// distance sum `D(x)` — which is only the case under a
-    /// distance-linear `model`; the soundness capability deactivates
-    /// the bounds otherwise).
+    /// Builds the pruner from the state's pre-move costs (`costs[x].dist`
+    /// is the distance sum `D(x)` — which is only the case under a
+    /// distance-linear model; the soundness capability deactivates the
+    /// bounds otherwise).
     #[must_use]
-    pub fn new(alpha: Alpha, costs: &[AgentCost], is_tree: bool, model: CostModelSpec) -> Self {
+    pub fn from_state(state: &GameState) -> Self {
+        let (alpha, costs) = (state.alpha(), state.costs());
         let n = costs.len();
         let connected = costs.iter().all(|c| c.unreachable == 0);
-        let active = connected && filter_sound(FilterId::EditSetBounds, model);
+        let active = connected && filter_sound(FilterId::EditSetBounds, state.cost_model());
         let floor = n.saturating_sub(1) as u64;
         EditSetPruner {
             alpha,
             active,
-            is_tree,
+            is_tree: state.is_tree(),
             alpha_le_one: alpha.cmp_ratio(1, 1) != std::cmp::Ordering::Greater,
             slack: costs.iter().map(|c| c.dist.saturating_sub(floor)).collect(),
             gained: vec![0; n],
             lost: vec![0; n],
             touched: Vec::new(),
         }
-    }
-
-    /// Convenience constructor from a state.
-    #[must_use]
-    pub fn from_state(state: &GameState) -> Self {
-        EditSetPruner::new(
-            state.alpha(),
-            state.costs(),
-            state.is_tree(),
-            state.cost_model(),
-        )
     }
 
     /// Whether the bounds may be applied at all (connected state, and a

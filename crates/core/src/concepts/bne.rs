@@ -26,8 +26,9 @@
 //! exactness-preserving and the generator emits leaves in the same
 //! lexicographic order the dense loops used, so the verdict — and the
 //! witness — equals the raw scan retained as
-//! [`find_violation_in_reference`] and the PR 2 dense-loop scan retained
-//! as [`find_violation_in_dense`] (both property-tested in
+//! [`find_violation_in_reference`]. [`find_violation_in_dense`] runs the
+//! same scan with the subtree kills disabled, which pins that kills only
+//! skip what the leaf filters would skip (both property-tested in
 //! `tests/generator.rs`).
 //!
 //! Surviving leaves are priced **word-parallel**: the scan keeps one
@@ -35,22 +36,21 @@
 //! across its run of consecutive leaves, flips only the addition words
 //! per leaf, and prices every consenting agent with the `u64`-frontier
 //! [`agent_cost_bits`](crate::cost::agent_cost_bits) BFS kernel (routed
-//! through the state's [`CostModelSpec`], so non-default models price
-//! the identical stream with their own bitset kernels). The scalar
-//! [`eval_candidate`](find_violation_in_dense) path is retained
-//! unchanged inside the dense and raw reference scans, which is what
-//! makes the witness-equality tests a differential proof of the bitset
-//! kernels.
+//! through the state's [`CostModelSpec`](crate::CostModelSpec), so
+//! non-default models price the identical stream with their own bitset
+//! kernels). The scalar
+//! [`eval_candidate`](find_violation_in_reference) path is retained
+//! unchanged inside the raw reference scan, which is what makes the
+//! witness-equality tests a differential proof of the bitset kernels.
 
 use crate::alpha::Alpha;
 use crate::candidates::{CandidateStats, CenterCapCache, NeighborhoodPruner};
 use crate::concepts::CheckBudget;
 use crate::cost::{agent_cost, AgentCost};
-use crate::cost_model::{CostModel, CostModelSpec};
 use crate::error::GameError;
-use crate::generator::{BranchScan, NeighborhoodOracle, Step};
+use crate::generator::{BranchScan, NeighborhoodOracle, Step, SubtreeOracle};
 use crate::moves::Move;
-use crate::scan::{CtlLocal, ScanCtl, UnitOutcome, UnitScanner};
+use crate::scan::{drive, CtlLocal, DriveOutcome, ScanCtl, UnitOutcome, UnitScanner};
 use crate::state::GameState;
 use bncg_graph::{BitsetGraph, Graph};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,13 +100,15 @@ pub(crate) fn check_budget(n: usize, budget: CheckBudget) -> Result<(), GameErro
 }
 
 /// The solver's BNE unit scanner: one unit per center, positions in
-/// `(removal mask, addition mask)` raw enumeration order.
-pub(crate) struct SolverScan<'a> {
+/// `(removal mask, addition mask)` raw enumeration order. `KILL = false`
+/// disables the generator's subtree kills, so every position reaches the
+/// leaf filters — the dense reference [`find_violation_in_dense`].
+pub(crate) struct SolverScan<'a, const KILL: bool = true> {
     state: &'a GameState,
     pruner: NeighborhoodPruner,
 }
 
-impl<'a> SolverScan<'a> {
+impl<'a, const KILL: bool> SolverScan<'a, KILL> {
     pub(crate) fn new(state: &'a GameState) -> Self {
         SolverScan {
             state,
@@ -115,7 +117,7 @@ impl<'a> SolverScan<'a> {
     }
 }
 
-impl UnitScanner for SolverScan<'_> {
+impl<const KILL: bool> UnitScanner for SolverScan<'_, KILL> {
     type Ws = CenterScanSpace;
 
     fn units(&self) -> u64 {
@@ -136,7 +138,7 @@ impl UnitScanner for SolverScan<'_> {
         cl: &mut CtlLocal,
         racing: Option<&AtomicU64>,
     ) -> UnitOutcome {
-        scan_center(
+        scan_center::<KILL>(
             self.state,
             &self.pruner,
             unit as u32,
@@ -152,13 +154,11 @@ impl UnitScanner for SolverScan<'_> {
 
 /// Reusable scratch for one center's candidate scan.
 pub(crate) struct CenterScanSpace {
-    scratch: Graph,
     /// Word-parallel scratch for the batched generated scan (`Some` iff
     /// `n ≤ 64`, which the scan's packed 64-bit positions require
     /// anyway); re-synced from the base graph at every `scan_center`
     /// entry, so early returns may leave it dirty.
     bits: Option<BitsetGraph>,
-    buf: Vec<u32>,
     removed: Vec<u32>,
     added: Vec<u32>,
     /// Lazily filled per-add-mask saving caps (inequality 3 memo).
@@ -168,13 +168,23 @@ pub(crate) struct CenterScanSpace {
 impl CenterScanSpace {
     fn new(g: &Graph) -> Self {
         CenterScanSpace {
-            scratch: g.clone(),
             bits: BitsetGraph::from_graph(g),
-            buf: Vec::new(),
             removed: Vec::new(),
             added: Vec::new(),
             caps: CenterCapCache::default(),
         }
+    }
+}
+
+/// Consults the inner oracle only when `KILL` is set (constant-folded
+/// away on the production path): `Gate<false, _>` kills nothing, so the
+/// scan visits every position and its leaf filters alone decide.
+struct Gate<const KILL: bool, O>(O);
+
+impl<const KILL: bool, O: SubtreeOracle> SubtreeOracle for Gate<KILL, O> {
+    #[inline]
+    fn probe(&mut self, base: u64, level: u32) -> bool {
+        KILL && self.0.probe(base, level)
     }
 }
 
@@ -184,9 +194,10 @@ impl CenterScanSpace {
 /// landed, positions are *generated*, not iterated: a [`BranchScan`]
 /// over the `(removal, addition)` mask space skips subtrees the
 /// [`NeighborhoodOracle`] proves dead in `O(1)`, and only surviving
-/// leaves reach the exact per-candidate filters below — which are the
-/// PR 2 dense loop's, verbatim, so the evaluated stream and the witness
-/// are bit-identical to [`find_violation_in_dense`].
+/// leaves reach the exact per-candidate filters below. With
+/// `KILL = false` nothing is skipped and every position reaches those
+/// filters — the dense reference, which prices the same stream because
+/// a kill only ever covers leaves the filters would skip.
 ///
 /// Surviving leaves are priced on the workspace [`BitsetGraph`] in
 /// **batches**: consecutive leaves share their removal class (the order
@@ -200,7 +211,7 @@ impl CenterScanSpace {
 /// below `center` this scan cannot win and abandons. `ctl`/`cl` stop
 /// the scan anytime-style at an exact resumable position.
 #[allow(clippy::too_many_arguments)]
-fn scan_center(
+fn scan_center<const KILL: bool>(
     state: &GameState,
     pruner: &NeighborhoodPruner,
     center: u32,
@@ -234,7 +245,6 @@ fn scan_center(
         ref mut removed,
         ref mut added,
         ref mut caps,
-        ..
     } = *ws;
     // Any n the raw-space or structural guards admit fits the 64-bit
     // position mask, and BitsetGraph covers exactly that range.
@@ -249,8 +259,9 @@ fn scan_center(
     caps.reset(no);
     let removal_only_prunable = pruner.removal_only_prunable();
     let bounds_active = pruner.active();
-    let mut oracle =
-        NeighborhoodOracle::new(state, pruner, center, &partners, 0, no as u32, nb as u32);
+    let mut oracle = Gate::<KILL, _>(NeighborhoodOracle::new(
+        state, pruner, center, &partners, 0, no as u32, nb as u32,
+    ));
     let mut scan = BranchScan::new(start, total);
     loop {
         if let Some(flag) = racing {
@@ -350,12 +361,12 @@ fn scan_center(
     }
 }
 
-/// The PR 2 dense-loop scan, retained as the generator's differential
-/// reference: iterates every mask of the surviving space and applies the
-/// identical per-candidate filters the generator applies at its leaves.
-/// `tests/generator.rs` asserts witness *and* evaluated-count equality
-/// against the generated scan, and the `generator_vs_dense` perf-gate
-/// kernel measures the enumeration cost the generator removed.
+/// The dense reference: the solver's scan with the generator's subtree
+/// kills disabled, so every position of the surviving space reaches the
+/// per-candidate filters. `tests/generator.rs` asserts witness and
+/// evaluated/generated/pruned equality against the generated scan, and
+/// the `generator_vs_dense` perf-gate kernel measures the enumeration
+/// cost the kills remove.
 ///
 /// # Errors
 ///
@@ -365,72 +376,12 @@ pub fn find_violation_in_dense(
     state: &GameState,
     budget: CheckBudget,
 ) -> Result<(Option<Move>, CandidateStats), GameError> {
-    let n = state.n();
-    let mut stats = CandidateStats::default();
-    if n <= 1 {
-        return Ok((None, stats));
+    check_budget(state.n(), budget)?;
+    let scan = SolverScan::<false>::new(state);
+    match drive(&scan, 1, 0, 0, &ScanCtl::unbounded()) {
+        (DriveOutcome::Completed(found), stats) => Ok((found, stats)),
+        (DriveOutcome::Stopped { .. }, _) => unreachable!("unbounded controls never stop"),
     }
-    check_budget(n, budget)?;
-    let g = state.graph();
-    let alpha = state.alpha();
-    let old = state.costs();
-    let pruner = NeighborhoodPruner::new(state);
-    let mut ws = CenterScanSpace::new(g);
-    let removal_only_prunable = pruner.removal_only_prunable();
-    let bounds_active = pruner.active();
-    for center in 0..n as u32 {
-        let neighbors: Vec<u32> = g.neighbors(center).to_vec();
-        let (partners, dropped) = pruner.filtered_partners(state, center);
-        let nb = neighbors.len();
-        let no = partners.len();
-        let raw = (1u64 << nb) * (1u64 << (no + dropped)) - 1;
-        let surviving = (1u64 << nb) * (1u64 << no) - 1;
-        stats.generated += raw;
-        stats.pruned += raw - surviving;
-        ws.caps.reset(no);
-        for rem_mask in 0..1u64 << nb {
-            for add_mask in 0..1u64 << no {
-                if rem_mask == 0 && add_mask == 0 {
-                    continue;
-                }
-                if add_mask == 0 {
-                    if removal_only_prunable {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                } else if bounds_active {
-                    let save_a = ws.caps.get(&pruner, state, center, &partners, add_mask);
-                    if pruner.center_class_prunable(
-                        rem_mask.count_ones(),
-                        add_mask.count_ones(),
-                        save_a,
-                    ) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                }
-                stats.evaluated += 1;
-                if let Some(mv) = eval_candidate(
-                    &mut ws.scratch,
-                    g,
-                    alpha,
-                    state.cost_model(),
-                    old,
-                    center,
-                    &neighbors,
-                    rem_mask,
-                    &partners,
-                    add_mask,
-                    &mut ws.buf,
-                    &mut ws.removed,
-                    &mut ws.added,
-                ) {
-                    return Ok((Some(mv), stats));
-                }
-            }
-        }
-    }
-    Ok((None, stats))
 }
 
 /// The raw (unpruned) scan, retained as ground truth: identical
@@ -451,8 +402,6 @@ pub fn find_violation_in_reference(
         return Ok(None);
     }
     check_budget(n, budget)?;
-    let alpha = state.alpha();
-    let old = state.costs();
     let mut scratch = g.clone();
     let mut buf = Vec::new();
     let mut removed = Vec::new();
@@ -471,10 +420,7 @@ pub fn find_violation_in_reference(
                 }
                 if let Some(mv) = eval_candidate(
                     &mut scratch,
-                    g,
-                    alpha,
-                    state.cost_model(),
-                    old,
+                    state,
                     center,
                     &neighbors,
                     rem_mask,
@@ -498,10 +444,7 @@ pub fn find_violation_in_reference(
 #[allow(clippy::too_many_arguments)]
 fn eval_candidate(
     scratch: &mut Graph,
-    g: &Graph,
-    alpha: Alpha,
-    model: CostModelSpec,
-    old: &[AgentCost],
+    state: &GameState,
     center: u32,
     neighbors: &[u32],
     rem_mask: u64,
@@ -525,14 +468,13 @@ fn eval_candidate(
             added.push(v);
         }
     }
-    let improving = model
-        .cost_scalar(scratch, center, buf)
-        .better_than(&old[center as usize], alpha)
-        && added.iter().all(|&a| {
-            model
-                .cost_scalar(scratch, a, buf)
-                .better_than(&old[a as usize], alpha)
-        });
+    let improves = |x: u32, scratch: &Graph, buf: &mut Vec<u32>| {
+        state
+            .price_scalar(scratch, x, buf)
+            .better_than(&state.cost(x), state.alpha())
+    };
+    let improving =
+        improves(center, scratch, buf) && added.iter().all(|&a| improves(a, scratch, buf));
     // Restore.
     for &v in removed.iter() {
         scratch.add_edge(center, v).expect("restore removed");
@@ -540,7 +482,7 @@ fn eval_candidate(
     for &v in added.iter() {
         scratch.remove_edge(center, v).expect("restore added");
     }
-    debug_assert_eq!(scratch.m(), g.m());
+    debug_assert_eq!(scratch.m(), state.graph().m());
     if improving {
         Some(Move::Neighborhood {
             center,

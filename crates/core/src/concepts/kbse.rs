@@ -8,10 +8,12 @@
 //! checker bounds the number of simultaneous removals instead, trading
 //! completeness for scale (a `None` from it is evidence, not proof).
 //!
-//! All scans — exact, restricted, sequential, and parallel — now share
-//! **one candidate iterator** over the
-//! [`candidates`](crate::candidates) layer. Two observations make that
-//! layer bite hard here:
+//! Both scans — exact and restricted, on any number of threads — are
+//! one unit scanner (one unit per coalition) run by the one parallel
+//! driver, `scan::drive`, over the [`candidates`](crate::candidates)
+//! layer; the restricted refuter only adds a removal cap and shares the
+//! exact scan's coalition-unit limit. Two observations make that layer
+//! bite hard here:
 //!
 //! 1. An edit set is a k-BSE violation **iff** its strictly improving
 //!    endpoints admit a covering coalition of size ≤ k (both endpoints of
@@ -27,9 +29,10 @@
 //!
 //! The pre-dedup scan is retained as [`find_violation_in_reference`] for
 //! the property suite and the `pruning` bench. The exact scan's one
-//! entry point is the [`crate::solver`] surface, which drives the shared
-//! candidate iterator anytime-style, one unit per coalition in
-//! size-major order, and reports its counters on the verdict.
+//! entry point is the [`crate::solver`] surface, which drives the
+//! scanner anytime-style in size-major coalition order and reports its
+//! counters on the verdict; [`find_violation_restricted`] drives it
+//! unbounded.
 
 use crate::alpha::Alpha;
 use crate::candidates::{
@@ -38,17 +41,14 @@ use crate::candidates::{
 };
 use crate::combinatorics::{bounded_subsets, combinations};
 use crate::concepts::CheckBudget;
-use crate::cost::{agent_cost_from_matrix, AgentCost};
-use crate::cost_model::{CostModel, CostModelSpec};
 use crate::error::GameError;
 use crate::generator::{BranchScan, IncidentInterval, RemovalIntervalOracle, Step};
 use crate::moves::Move;
-use crate::scan::{CtlLocal, ScanCtl, UnitOutcome, UnitScanner};
+use crate::scan::{drive, CtlLocal, DriveOutcome, ScanCtl, UnitOutcome, UnitScanner};
 use crate::state::GameState;
-use bncg_graph::{DistanceMatrix, Graph};
+use bncg_graph::Graph;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::AtomicU64;
 
 /// [`CheckBudget::admit`] for the summed raw move space of all
 /// coalitions (pruning and dedup only ever shrink the work below this
@@ -75,35 +75,83 @@ fn check_budget(g: &Graph, k: usize, budget: CheckBudget) -> Result<(), GameErro
     Ok(())
 }
 
-/// The exact k-BSE scan, driven only through the solver: one unit per
-/// coalition in the canonical size-major order, positions in each
-/// coalition's raw edit enumeration order (mask-based where the move
-/// space fits 63 bits, size-bounded subset order otherwise). A
-/// sequential one-shot check scans every coalition in one workspace, so
-/// its dedup set spans the whole scan. Dedup sets are per workspace,
-/// so a resumed or parallel scan may re-evaluate edit sets an
-/// uninterrupted run deduplicated — wasted work, never a wrong verdict
-/// (a deduplicated set is always a previously judged non-violation).
+/// Hard cap on materialized coalition units (≈ 50 MB of small vectors
+/// at the limit; every instance the exact scan could ever drain sits far
+/// below it).
+const MAX_UNITS: u64 = 1 << 20;
+
+/// `Σ_{i=1..k} C(n, i)`, saturating early once past [`MAX_UNITS`] (the
+/// caller only needs "over the cap", so intermediate binomials never
+/// overflow: each term is checked before it can grow past the cap times
+/// `n`).
+fn unit_count(n: usize, k: usize) -> u128 {
+    let k = k.min(n);
+    let mut total: u128 = 0;
+    let mut c: u128 = 1;
+    for i in 1..=k {
+        c = c * (n - i + 1) as u128 / i as u128;
+        total = total.saturating_add(c);
+        if total > u128::from(MAX_UNITS) {
+            return total;
+        }
+    }
+    total
+}
+
+/// The k-BSE unit scanner behind both the solver and the restricted
+/// refuter: one unit per coalition in the canonical size-major order,
+/// positions in each coalition's raw edit enumeration order (mask-based
+/// where the move space fits 63 bits and no removal cap binds,
+/// size-bounded subset order otherwise). A sequential one-shot check
+/// scans every coalition in one workspace, so its dedup set spans the
+/// whole scan. Dedup sets are per workspace, so a resumed or parallel
+/// scan may re-evaluate edit sets an uninterrupted run deduplicated —
+/// wasted work, never a wrong verdict (a deduplicated set is always a
+/// previously judged non-violation).
 pub(crate) struct SolverScan<'a> {
     state: &'a GameState,
     k: usize,
+    /// Most edges one candidate may delete (`usize::MAX` for the exact
+    /// scan).
+    max_removals: usize,
     coalitions: Vec<Vec<u32>>,
 }
 
 impl<'a> SolverScan<'a> {
-    pub(crate) fn new(state: &'a GameState, k: usize) -> Self {
+    /// Materializes the coalition list of `(state, k)`.
+    ///
+    /// # Errors
+    ///
+    /// [`GameError::Unsupported`] when `(n, k)` yields more than
+    /// [`MAX_UNITS`] coalitions — checked before allocation, so an
+    /// absurd `(n, k)` errors structurally instead of exhausting memory.
+    pub(crate) fn new(
+        state: &'a GameState,
+        k: usize,
+        max_removals: usize,
+    ) -> Result<Self, GameError> {
         let n = state.n();
+        if unit_count(n, k) > u128::from(MAX_UNITS) {
+            return Err(GameError::Unsupported {
+                reason: format!(
+                    "the {k}-BSE scan indexes its coalitions as materialized \
+                     units and supports at most {MAX_UNITS} of them; n = {n} \
+                     with k = {k} yields more"
+                ),
+            });
+        }
         let k = k.min(n);
-        let coalitions: Vec<Vec<u32>> = if n <= 1 || k == 0 {
+        let coalitions = if n <= 1 || k == 0 {
             Vec::new()
         } else {
             (1..=k).flat_map(|size| combinations(n, size)).collect()
         };
-        SolverScan {
+        Ok(SolverScan {
             state,
             k,
+            max_removals,
             coalitions,
-        }
+        })
     }
 }
 
@@ -115,15 +163,7 @@ impl<'a> UnitScanner for SolverScan<'a> {
     }
 
     fn workspace(&self) -> CoalitionScan<'a> {
-        CoalitionScan::new(
-            self.state.graph(),
-            self.state.alpha(),
-            self.state.cost_model(),
-            self.state.costs(),
-            self.state.is_tree(),
-            self.k,
-            Some(self.state.distances()),
-        )
+        CoalitionScan::new(self.state, self.k)
     }
 
     fn scan_unit(
@@ -138,7 +178,7 @@ impl<'a> UnitScanner for SolverScan<'a> {
     ) -> UnitOutcome {
         ws.scan_coalition(
             &self.coalitions[unit as usize],
-            usize::MAX,
+            self.max_removals,
             stats,
             ctl,
             cl,
@@ -152,177 +192,34 @@ impl<'a> UnitScanner for SolverScan<'a> {
 /// `C(k,2)` and always fully enumerated). `None` means *no violation found
 /// in the restricted space* — it is not a stability certificate.
 ///
-/// The refuter now builds one all-pairs distance matrix up front
-/// (`O(n·m)` — the same work its per-agent BFS costs already paid) and
-/// feeds the **inequality-6 saving caps** to the removal-restricted
-/// subset scan: each addition subset's endpoint caps are memoized once
-/// per coalition, and any candidate whose own-removal count cannot pay
-/// for an added endpoint's edges is pruned before the covering search.
-/// The caps are exactness-preserving, so the restricted verdict is
-/// unchanged — tested against the unrestricted exact path on instances
-/// where the removal cap does not bind (`tests/pruning.rs`).
-#[must_use]
+/// The refuter runs the exact scan's unit scanner under a removal cap,
+/// through the same `scan::drive` on `threads` workers: the lowest-coalition
+/// violation wins the race, so the witness is identical at every thread
+/// count. The inequality-6 saving caps apply to the removal-restricted
+/// subset scan too: each addition subset's endpoint caps are memoized
+/// once per coalition, and any candidate whose own-removal count cannot
+/// pay for an added endpoint's edges is pruned before the covering
+/// search. The caps are exactness-preserving, so the restricted verdict
+/// is unchanged — tested against the unrestricted exact path on
+/// instances where the removal cap does not bind (`tests/pruning.rs`).
+///
+/// # Errors
+///
+/// [`GameError::Unsupported`] past the coalition-unit cap the exact
+/// scan shares.
 pub fn find_violation_restricted(
     g: &Graph,
     alpha: Alpha,
     k: usize,
     max_removals: usize,
-) -> Option<Move> {
-    let n = g.n();
-    if n <= 1 || k == 0 {
-        return None;
-    }
-    let k = k.min(n);
-    let dist = DistanceMatrix::new(g);
-    let old: Vec<AgentCost> = (0..n as u32)
-        .map(|u| agent_cost_from_matrix(g, &dist, u))
-        .collect();
-    let mut scan = CoalitionScan::new(
-        g,
-        alpha,
-        CostModelSpec::SumDistances,
-        &old,
-        g.is_tree(),
-        k,
-        Some(&dist),
-    );
-    let mut stats = CandidateStats::default();
-    let ctl = ScanCtl::unbounded();
-    let mut cl = CtlLocal::new(&ctl);
-    for size in 1..=k {
-        for coalition in combinations(n, size) {
-            match scan.scan_coalition(&coalition, max_removals, &mut stats, &ctl, &mut cl, 0) {
-                UnitOutcome::Found(mv) => return Some(mv),
-                UnitOutcome::Done => {}
-                UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-            }
-        }
-    }
-    None
-}
-
-/// Parallel variant of [`find_violation_restricted`], sharing the exact
-/// same candidate iterator: coalitions are partitioned across `threads`
-/// OS threads (std scoped threads — no extra dependency), the first
-/// violation in sequential candidate order wins via an atomic
-/// lowest-coalition-index race, and the returned witness is **identical**
-/// to the sequential scan's.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-#[must_use]
-pub fn find_violation_restricted_parallel(
-    g: &Graph,
-    alpha: Alpha,
-    k: usize,
-    max_removals: usize,
     threads: usize,
-) -> Option<Move> {
-    assert!(threads > 0, "need at least one thread");
-    let n = g.n();
-    if n <= 1 || k == 0 {
-        return None;
+) -> Result<Option<Move>, GameError> {
+    let state = GameState::new(g.clone(), alpha);
+    let scan = SolverScan::new(&state, k, max_removals)?;
+    match drive(&scan, threads, 0, 0, &ScanCtl::unbounded()).0 {
+        DriveOutcome::Completed(found) => Ok(found),
+        DriveOutcome::Stopped { .. } => unreachable!("unbounded controls never stop"),
     }
-    let k = k.min(n);
-    let coalitions: Vec<Vec<u32>> = (1..=k).flat_map(|size| combinations(n, size)).collect();
-    let dist = DistanceMatrix::new(g);
-    let old: Vec<AgentCost> = (0..n as u32)
-        .map(|u| agent_cost_from_matrix(g, &dist, u))
-        .collect();
-    parallel_coalition_scan(
-        g,
-        alpha,
-        &old,
-        g.is_tree(),
-        Some(&dist),
-        &coalitions,
-        k,
-        max_removals,
-        threads,
-    )
-}
-
-/// The shared sharded scan behind both parallel entry points: strided
-/// coalition assignment, per-thread scratch and dedup sets, and a
-/// deterministic lowest-index winner so the witness matches the
-/// sequential scan.
-#[allow(clippy::too_many_arguments)]
-fn parallel_coalition_scan(
-    g: &Graph,
-    alpha: Alpha,
-    old: &[AgentCost],
-    is_tree: bool,
-    dist: Option<&DistanceMatrix>,
-    coalitions: &[Vec<u32>],
-    k: usize,
-    max_removals: usize,
-    threads: usize,
-) -> Option<Move> {
-    if threads == 1 || coalitions.len() < 2 {
-        let mut scan =
-            CoalitionScan::new(g, alpha, CostModelSpec::SumDistances, old, is_tree, k, dist);
-        let mut stats = CandidateStats::default();
-        let ctl = ScanCtl::unbounded();
-        let mut cl = CtlLocal::new(&ctl);
-        for coalition in coalitions {
-            match scan.scan_coalition(coalition, max_removals, &mut stats, &ctl, &mut cl, 0) {
-                UnitOutcome::Found(mv) => return Some(mv),
-                UnitOutcome::Done => {}
-                UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-            }
-        }
-        return None;
-    }
-    let best_idx = AtomicU32::new(u32::MAX);
-    let best: Mutex<Option<Move>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let best_idx = &best_idx;
-            let best = &best;
-            scope.spawn(move || {
-                let mut scan = CoalitionScan::new(
-                    g,
-                    alpha,
-                    CostModelSpec::SumDistances,
-                    old,
-                    is_tree,
-                    k,
-                    dist,
-                );
-                let mut stats = CandidateStats::default();
-                let ctl = ScanCtl::unbounded();
-                let mut cl = CtlLocal::new(&ctl);
-                let mut i = t;
-                while i < coalitions.len() {
-                    if (best_idx.load(Ordering::Relaxed) as usize) < i {
-                        return;
-                    }
-                    match scan.scan_coalition(
-                        &coalitions[i],
-                        max_removals,
-                        &mut stats,
-                        &ctl,
-                        &mut cl,
-                        0,
-                    ) {
-                        UnitOutcome::Found(mv) => {
-                            let mut guard = best.lock().expect("no poisoning");
-                            if (i as u32) < best_idx.load(Ordering::Relaxed) {
-                                best_idx.store(i as u32, Ordering::Relaxed);
-                                *guard = Some(mv);
-                            }
-                            return;
-                        }
-                        UnitOutcome::Done => {}
-                        UnitOutcome::Stopped(_) => unreachable!("unbounded controls never stop"),
-                    }
-                    i += threads;
-                }
-            });
-        }
-    });
-    best.into_inner().expect("no poisoning")
 }
 
 /// The unified candidate iterator state: one per scanning thread. Holds
@@ -332,8 +229,7 @@ fn parallel_coalition_scan(
 /// through the same dedup → prune → judge pipeline.
 ///
 /// Two enumeration strategies back the shared pipeline, and both carry
-/// the inequality-6 saving caps now that every entry point (including
-/// the restricted refuters) supplies a distance matrix. With an
+/// the inequality-6 saving caps from the state's distance matrix. With an
 /// unrestricted removal budget, removal subsets are walked as
 /// branch-and-bound generated masks ([`crate::generator`]) so
 /// inequality 6 discards whole subspaces — per class up front, and per
@@ -342,12 +238,8 @@ fn parallel_coalition_scan(
 /// instead, with the same caps memoized per addition subset and applied
 /// per candidate.
 pub(crate) struct CoalitionScan<'a> {
-    g: &'a Graph,
-    alpha: Alpha,
-    model: CostModelSpec,
-    old: &'a [AgentCost],
+    state: &'a GameState,
     k: usize,
-    dist: Option<&'a DistanceMatrix>,
     scratch: Graph,
     buf: Vec<u32>,
     pruner: EditSetPruner,
@@ -366,26 +258,13 @@ pub(crate) struct CoalitionScan<'a> {
 }
 
 impl<'a> CoalitionScan<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        g: &'a Graph,
-        alpha: Alpha,
-        model: CostModelSpec,
-        old: &'a [AgentCost],
-        is_tree: bool,
-        k: usize,
-        dist: Option<&'a DistanceMatrix>,
-    ) -> Self {
+    fn new(state: &'a GameState, k: usize) -> Self {
         CoalitionScan {
-            g,
-            alpha,
-            model,
-            old,
+            state,
             k,
-            dist,
-            scratch: g.clone(),
+            scratch: state.graph().clone(),
             buf: Vec::new(),
-            pruner: EditSetPruner::new(alpha, old, is_tree, model),
+            pruner: EditSetPruner::from_state(state),
             seen: HashSet::new(),
             min_gamma: Vec::new(),
             add_caps: Vec::new(),
@@ -409,25 +288,23 @@ impl<'a> CoalitionScan<'a> {
         cl: &mut CtlLocal,
         start: u64,
     ) -> UnitOutcome {
-        let (removable, addable) = coalition_move_space(self.g, coalition);
-        if self.dist.is_some() {
-            // The mask strategy additionally needs positions to fit one
-            // u64 (`add_mask · 2^r + rem_mask`); coalitions past 63 total
-            // bits fall back to subset order, whose ordinal positions
-            // index only what a scan could ever actually visit.
-            if max_removals >= removable.len()
-                && removable.len() < 60
-                && addable.len() <= 20
-                && removable.len() + addable.len() <= 63
-            {
-                return self.scan_coalition_masks(&removable, &addable, stats, ctl, cl, start);
-            }
+        let (removable, addable) = coalition_move_space(self.state.graph(), coalition);
+        // The mask strategy additionally needs positions to fit one u64
+        // (`add_mask · 2^r + rem_mask`); coalitions past 63 total bits
+        // fall back to subset order, whose ordinal positions index only
+        // what a scan could ever actually visit.
+        if max_removals >= removable.len()
+            && removable.len() < 60
+            && addable.len() <= 20
+            && removable.len() + addable.len() <= 63
+        {
+            return self.scan_coalition_masks(&removable, &addable, stats, ctl, cl, start);
         }
         let rcap = max_removals.min(removable.len());
         // Inequality 6 for the subset strategy (the restricted refuter's
-        // path, now that it carries a distance matrix): requirements are
-        // memoized per addition subset and applied per candidate.
-        let use_caps = self.dist.is_some() && self.pruner.active();
+        // path): requirements are memoized per addition subset and
+        // applied per candidate.
+        let use_caps = self.pruner.active();
         self.add_caps.clear();
         let mut idx: u64 = 0;
         for rem in bounded_subsets(&removable, 0, rcap) {
@@ -462,7 +339,8 @@ impl<'a> CoalitionScan<'a> {
                                 let inc =
                                     removable.iter().filter(|&&(a, b)| a == u || b == u).count()
                                         as u32;
-                                (u, add_endpoint_requirement(self.alpha, gained, cap, inc))
+                                let alpha = self.state.alpha();
+                                (u, add_endpoint_requirement(alpha, gained, cap, inc))
                             })
                             .collect();
                         self.add_caps[cur_add] = Some(reqs);
@@ -579,7 +457,8 @@ impl<'a> CoalitionScan<'a> {
                             inc |= 1u64 << i;
                         }
                     }
-                    match add_endpoint_requirement(self.alpha, gained, cap, inc.count_ones()) {
+                    let alpha = self.state.alpha();
+                    match add_endpoint_requirement(alpha, gained, cap, inc.count_ones()) {
                         EndpointRequirement::Dead => {
                             class_dead = true;
                             break;
@@ -694,7 +573,7 @@ impl<'a> CoalitionScan<'a> {
     /// enumeration strategies feed to [`add_endpoint_requirement`], so
     /// the two paths cannot drift on which candidates the caps prune.
     fn endpoint_caps(&mut self, add: &[(u32, u32)]) -> Vec<(u32, u32, u64)> {
-        let dist = self.dist.expect("callers gate on a distance matrix");
+        let dist = self.state.distances();
         let mut endpoints: Vec<u32> = add.iter().flat_map(|&(u, v)| [u, v]).collect();
         endpoints.sort_unstable();
         endpoints.dedup();
@@ -719,14 +598,14 @@ impl<'a> CoalitionScan<'a> {
             self.scratch.add_edge(u, v).expect("addable non-edge");
         }
         let mut memo: Vec<(u32, bool)> = Vec::new();
-        let model = self.model;
+        let state = self.state;
         let mut improves = |x: u32, scratch: &Graph, buf: &mut Vec<u32>| -> bool {
             if let Some(&(_, s)) = memo.iter().find(|&&(y, _)| y == x) {
                 return s;
             }
-            let s = model
-                .cost_scalar(scratch, x, buf)
-                .better_than(&self.old[x as usize], self.alpha);
+            let s = state
+                .price_scalar(scratch, x, buf)
+                .better_than(&state.cost(x), state.alpha());
             memo.push((x, s));
             s
         };
@@ -828,26 +707,32 @@ pub fn find_violation_in_reference(
         return Ok(None);
     }
     check_budget(g, k, budget)?;
-    let k = k.min(n);
-    let alpha = state.alpha();
-    let model = state.cost_model();
-    let old = state.costs();
     let mut scratch = g.clone();
     let mut buf = Vec::new();
-    for size in 1..=k {
+    let select = |edges: &[(u32, u32)], mask: u64| -> Vec<(u32, u32)> {
+        (0..edges.len())
+            .filter(|&i| mask >> i & 1 == 1)
+            .map(|i| edges[i])
+            .collect()
+    };
+    for size in 1..=k.min(n) {
         for coalition in combinations(n, size) {
             let (removable, addable) = coalition_move_space(g, &coalition);
-            if let Some(mv) = scan_coalition_moves(
-                &mut scratch,
-                alpha,
-                model,
-                old,
-                &coalition,
-                &removable,
-                &addable,
-                &mut buf,
-            ) {
-                return Ok(Some(mv));
+            for rem_mask in 0u64..1u64 << removable.len() {
+                for add_mask in 0u64..1u64 << addable.len() {
+                    if rem_mask == 0 && add_mask == 0 {
+                        continue;
+                    }
+                    let rem = select(&removable, rem_mask);
+                    let add = select(&addable, add_mask);
+                    if coalition_improves(&mut scratch, state, &coalition, &rem, &add, &mut buf) {
+                        return Ok(Some(Move::Coalition {
+                            members: coalition,
+                            remove_edges: rem,
+                            add_edges: add,
+                        }));
+                    }
+                }
             }
         }
     }
@@ -876,56 +761,16 @@ fn coalition_move_space(g: &Graph, coalition: &[u32]) -> MoveSpace {
     (removable, addable)
 }
 
-/// Full mask scan over a single coalition's move space (reference path).
-#[allow(clippy::too_many_arguments)]
-fn scan_coalition_moves(
+/// Applies a coalition move in place, checks that every member strictly
+/// improves, and restores the graph (reference path).
+fn coalition_improves(
     scratch: &mut Graph,
-    alpha: Alpha,
-    model: CostModelSpec,
-    old: &[AgentCost],
-    coalition: &[u32],
-    removable: &[(u32, u32)],
-    addable: &[(u32, u32)],
-    buf: &mut Vec<u32>,
-) -> Option<Move> {
-    let rbits = removable.len();
-    let abits = addable.len();
-    for rem_mask in 0u64..1u64 << rbits {
-        for add_mask in 0u64..1u64 << abits {
-            if rem_mask == 0 && add_mask == 0 {
-                continue;
-            }
-            let rem: Vec<(u32, u32)> = (0..rbits)
-                .filter(|&i| rem_mask >> i & 1 == 1)
-                .map(|i| removable[i])
-                .collect();
-            let add: Vec<(u32, u32)> = (0..abits)
-                .filter(|&i| add_mask >> i & 1 == 1)
-                .map(|i| addable[i])
-                .collect();
-            if let Some(mv) =
-                eval_coalition_move(scratch, alpha, model, old, coalition, &rem, &add, buf)
-            {
-                return Some(mv);
-            }
-        }
-    }
-    None
-}
-
-/// Applies a coalition move in place, checks every member improves, and
-/// restores the graph (reference path).
-#[allow(clippy::too_many_arguments)]
-fn eval_coalition_move(
-    scratch: &mut Graph,
-    alpha: Alpha,
-    model: CostModelSpec,
-    old: &[AgentCost],
+    state: &GameState,
     coalition: &[u32],
     rem: &[(u32, u32)],
     add: &[(u32, u32)],
     buf: &mut Vec<u32>,
-) -> Option<Move> {
+) -> bool {
     for &(u, v) in rem {
         scratch.remove_edge(u, v).expect("removable edge exists");
     }
@@ -933,9 +778,9 @@ fn eval_coalition_move(
         scratch.add_edge(u, v).expect("addable pair is a non-edge");
     }
     let improving = coalition.iter().all(|&w| {
-        model
-            .cost_scalar(scratch, w, buf)
-            .better_than(&old[w as usize], alpha)
+        state
+            .price_scalar(scratch, w, buf)
+            .better_than(&state.cost(w), state.alpha())
     });
     for &(u, v) in add {
         scratch.remove_edge(u, v).expect("restore added");
@@ -943,15 +788,7 @@ fn eval_coalition_move(
     for &(u, v) in rem {
         scratch.add_edge(u, v).expect("restore removed");
     }
-    if improving {
-        Some(Move::Coalition {
-            members: coalition.to_vec(),
-            remove_edges: rem.to_vec(),
-            add_edges: add.to_vec(),
-        })
-    } else {
-        None
-    }
+    improving
 }
 
 #[cfg(test)]
@@ -1065,41 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn restricted_matches_exact_when_unrestricted() {
-        let mut rng = bncg_graph::test_rng(17);
-        for _ in 0..10 {
-            let g = generators::random_connected(6, 0.3, &mut rng);
-            for alpha in ["1", "3"] {
-                let alpha = a(alpha);
-                let exact = kbse(2).find_violation(&g, alpha).unwrap().is_some();
-                let restricted = find_violation_restricted(&g, alpha, 2, g.m()).is_some();
-                assert_eq!(exact, restricted);
-            }
-        }
-    }
-
-    /// The satellite guarantee: serial and parallel restricted scans run
-    /// the same candidate iterator and return **identical** witnesses.
-    #[test]
-    fn parallel_restricted_returns_identical_witness() {
-        let mut rng = bncg_graph::test_rng(73);
-        for _ in 0..8 {
-            let g = generators::random_connected(7, 0.3, &mut rng);
-            for alpha in ["1", "3"] {
-                let alpha = a(alpha);
-                let serial = find_violation_restricted(&g, alpha, 2, 2);
-                for threads in [1usize, 2, 4] {
-                    let parallel = find_violation_restricted_parallel(&g, alpha, 2, 2, threads);
-                    assert_eq!(serial, parallel, "witness diverged at {threads} threads");
-                }
-                if let Some(mv) = serial {
-                    assert!(crate::delta::move_improves_all(&g, alpha, &mv).unwrap());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn parallel_exact_matches_sequential_witness() {
         let mut rng = bncg_graph::test_rng(74);
         for _ in 0..6 {
@@ -1187,7 +989,9 @@ mod tests {
         assert_eq!(
             kbse(2).find_violation(&g, alpha).unwrap().is_some(),
             crate::concepts::bge::find_violation(&g, alpha).is_some()
-                || find_violation_restricted(&g, alpha, 2, 6).is_some()
+                || find_violation_restricted(&g, alpha, 2, 6, 1)
+                    .unwrap()
+                    .is_some()
         );
     }
 }

@@ -32,8 +32,9 @@
 //! subset of the dense scan's skips — the generator changes *how fast*
 //! non-candidates are passed over, never *which* candidates are priced.
 //! `tests/generator.rs` property-tests this against the retained raw
-//! `*_reference` scans and the PR 2 dense loop kept as
-//! [`crate::concepts::bne::find_violation_in_dense`].
+//! `*_reference` scans and against the BNE scan run with its kills
+//! disabled ([`crate::concepts::bne::find_violation_in_dense`]), which
+//! must price the identical stream.
 //!
 //! # Resumability
 //!

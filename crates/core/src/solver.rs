@@ -564,7 +564,7 @@ impl Solver {
     /// the counter accumulates evaluations across calls, so a sweep
     /// that batches its instances in chunks (to bound resident state)
     /// can still drain one global budget over the whole sweep — the
-    /// load-shedding shape behind `empirical::poa_over`. Requires
+    /// load-shedding shape behind `empirical::tree_poa_grid`. Requires
     /// [`ExecPolicy::batch_budget`] to be set; without it the pool is
     /// ignored and this is exactly [`Solver::check_many`].
     pub fn check_many_pooled(
@@ -768,7 +768,7 @@ impl Solver {
                 if state.n() > 64 {
                     return Err(unsupported_size("BNE", state.n(), 64));
                 }
-                let scanner = bne::SolverScan::new(state);
+                let scanner: bne::SolverScan = bne::SolverScan::new(state);
                 validate_resume_unit(resumed, start_unit, scanner.units())?;
                 (
                     drive_or_shed(&scanner, threads, start_unit, start_pos, &ctl, shed),
@@ -776,23 +776,7 @@ impl Solver {
                 )
             }
             Concept::KBse(k) => {
-                // The coalition list is materialized for unit indexing;
-                // cap it before allocation so an absurd (n, k) errors
-                // structurally instead of exhausting memory.
-                let units = kbse_unit_count(state.n(), k as usize);
-                if units > u128::from(KBSE_MAX_UNITS) {
-                    return Err(GameError::Unsupported {
-                        reason: format!(
-                            "the exact {k}-BSE scan indexes its coalitions as \
-                             materialized units and supports at most \
-                             {KBSE_MAX_UNITS} of them; n = {} with k = {k} \
-                             yields more (use the restricted refuter for \
-                             instances of this size)",
-                            state.n()
-                        ),
-                    });
-                }
-                let scanner = kbse::SolverScan::new(state, k as usize);
+                let scanner = kbse::SolverScan::new(state, k as usize, usize::MAX)?;
                 validate_resume_unit(resumed, start_unit, scanner.units())?;
                 (
                     drive_or_shed(&scanner, threads, start_unit, start_pos, &ctl, shed),
@@ -896,29 +880,6 @@ fn validate_resume_unit(resumed: bool, start_unit: u64, units: u64) -> Result<()
         });
     }
     Ok(())
-}
-
-/// Hard cap on materialized k-BSE coalition units (≈ 50 MB of small
-/// vectors at the limit; every instance the exact scan could ever drain
-/// sits far below it).
-const KBSE_MAX_UNITS: u64 = 1 << 20;
-
-/// `Σ_{i=1..k} C(n, i)`, saturating early once past [`KBSE_MAX_UNITS`]
-/// (the caller only needs "over the cap", so intermediate binomials
-/// never overflow: each term is checked before it can grow past the cap
-/// times `n`).
-fn kbse_unit_count(n: usize, k: usize) -> u128 {
-    let k = k.min(n);
-    let mut total: u128 = 0;
-    let mut c: u128 = 1;
-    for i in 1..=k {
-        c = c * (n - i + 1) as u128 / i as u128;
-        total = total.saturating_add(c);
-        if total > u128::from(KBSE_MAX_UNITS) {
-            return total;
-        }
-    }
-    total
 }
 
 fn unsupported_size(what: &str, n: usize, max: usize) -> GameError {

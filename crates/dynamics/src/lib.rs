@@ -58,7 +58,7 @@ pub mod round_robin;
 
 use bncg_core::jsonio;
 use bncg_core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
-use bncg_core::{Alpha, Concept, CostModelSpec, GameError, GameState, Move};
+use bncg_core::{Alpha, CheckBudget, Concept, CostModelSpec, GameError, GameState, Move};
 use bncg_graph::Graph;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -209,8 +209,8 @@ pub struct Trajectory {
     /// the trajectory.
     pub checkpoint: Option<DynamicsCheckpoint>,
     /// Candidate evaluations metered by the per-step stability checks
-    /// across the whole trajectory chain so far (0 on the non-policy
-    /// path and for polynomial concepts, whose checks are unmetered).
+    /// across the whole trajectory chain so far (0 for polynomial
+    /// concepts, whose checks are unmetered).
     pub evals: u64,
     /// The final graph.
     pub final_graph: Graph,
@@ -254,10 +254,14 @@ pub fn run(
 }
 
 /// [`run`] with a caller-supplied RNG (used by [`SelectionRule::Random`]).
+/// Each step's check is the solver call [`Concept::find_violation_in`]
+/// makes: the default policy under a [`CheckBudget::DEFAULT_MAX_EVALS`]
+/// evaluation budget.
 ///
 /// # Errors
 ///
-/// Same as [`run`].
+/// Same as [`run`]; a check that exhausts its budget surfaces as
+/// [`GameError::CheckTooLarge`].
 pub fn run_with_rng<R: Rng + ?Sized>(
     start: &Graph,
     alpha: Alpha,
@@ -266,7 +270,8 @@ pub fn run_with_rng<R: Rng + ?Sized>(
     max_steps: usize,
     rng: &mut R,
 ) -> Result<Trajectory, GameError> {
-    run_impl(
+    let policy = ExecPolicy::default().with_eval_budget(CheckBudget::DEFAULT_MAX_EVALS);
+    let t = run_impl(
         start,
         alpha,
         CostModelSpec::SumDistances,
@@ -274,9 +279,20 @@ pub fn run_with_rng<R: Rng + ?Sized>(
         rule,
         max_steps,
         rng,
+        &policy,
         None,
-        None,
-    )
+    )?;
+    if t.exhausted {
+        return Err(GameError::CheckTooLarge {
+            reason: format!(
+                "a {concept} stability check exhausted its {} evaluation budget \
+                 after {} steps",
+                CheckBudget::DEFAULT_MAX_EVALS,
+                t.len()
+            ),
+        });
+    }
+    Ok(t)
 }
 
 /// [`run`] under an explicit [`ExecPolicy`] and [`CostModelSpec`]:
@@ -315,15 +331,7 @@ pub fn run_with_policy_under(
 ) -> Result<Trajectory, GameError> {
     let mut rng = bncg_graph::test_rng(0x5eed);
     run_impl(
-        start,
-        alpha,
-        model,
-        concept,
-        rule,
-        max_steps,
-        &mut rng,
-        Some(policy),
-        None,
+        start, alpha, model, concept, rule, max_steps, &mut rng, policy, None,
     )
 }
 
@@ -361,14 +369,14 @@ pub fn resume_with_policy_under(
         rule,
         max_steps,
         &mut rng,
-        Some(policy),
+        policy,
         Some(checkpoint),
     )
 }
 
-/// One per-step check outcome on the policy path: either the
-/// deterministic next move (or `None` at an equilibrium), or a policy
-/// stop with the scan frontier to checkpoint.
+/// One per-step check outcome: either the deterministic next move (or
+/// `None` at an equilibrium), or a policy stop with the scan frontier to
+/// checkpoint.
 enum Step {
     Next(Option<Move>),
     Stopped(Option<Frontier>),
@@ -383,16 +391,14 @@ fn run_impl<R: Rng + ?Sized>(
     rule: SelectionRule,
     max_steps: usize,
     rng: &mut R,
-    policy: Option<&ExecPolicy>,
+    policy: &ExecPolicy,
     from: Option<&DynamicsCheckpoint>,
 ) -> Result<Trajectory, GameError> {
     // The policy deadline bounds the *run*, not each step: it is
     // anchored once here and each per-step check receives only the
     // remaining slice (the same run-level anchoring the round-robin
     // dynamics uses, so `deadline` means one thing across both APIs).
-    let run_deadline = policy
-        .and_then(|p| p.deadline)
-        .map(|d| std::time::Instant::now() + d);
+    let run_deadline = policy.deadline.map(|d| std::time::Instant::now() + d);
     let mut state = GameState::with_cost_model(start.clone(), alpha, model);
 
     // Chain state: either fresh or rehydrated from the checkpoint.
@@ -438,51 +444,45 @@ fn run_impl<R: Rng + ?Sized>(
     // advances the frontier by at least one scan quantum per slice and
     // terminates.
     let mut attempted = false;
-    // Resolves the next deterministic first-violation move: under the
-    // caller's policy when one is given (anytime semantics), through
-    // `Concept::find_violation_in` otherwise. `resume` carries the
+    // Resolves the next deterministic first-violation move under the
+    // caller's policy (anytime semantics). `resume` carries the
     // interrupted scan frontier on the first check of a resumed slice.
     let mut next_first = |state: &GameState,
                           resume: Option<Frontier>,
                           slice_evals: &mut u64|
      -> Result<Step, GameError> {
-        match policy {
-            Some(p) => {
-                let mut step_policy = p.clone();
-                if let Some(at) = run_deadline {
-                    let remaining = at.saturating_duration_since(std::time::Instant::now());
-                    if attempted && remaining.is_zero() {
-                        // Run deadline already passed between steps: stop
-                        // without starting a scan, keeping any pending
-                        // frontier for the checkpoint.
-                        return Ok(Step::Stopped(resume));
-                    }
-                    step_policy.deadline = Some(remaining);
-                }
-                attempted = true;
-                // Verdict eval counts are cumulative across a resumed
-                // query chain; delta-track against the frontier's prior.
-                let scan_prior = resume.as_ref().map_or(0, Frontier::evals);
-                let mut query = StabilityQuery::on(concept, state);
-                if let Some(f) = resume {
-                    query = query.resume(f);
-                }
-                match Solver::new(step_policy).check(&query)? {
-                    Verdict::Stable { evals, .. } => {
-                        *slice_evals += evals - scan_prior;
-                        Ok(Step::Next(None))
-                    }
-                    Verdict::Unstable { witness, evals, .. } => {
-                        *slice_evals += evals - scan_prior;
-                        Ok(Step::Next(Some(witness)))
-                    }
-                    Verdict::Exhausted { frontier, progress } => {
-                        *slice_evals += progress.evals_total - scan_prior;
-                        Ok(Step::Stopped(Some(frontier)))
-                    }
-                }
+        let mut step_policy = policy.clone();
+        if let Some(at) = run_deadline {
+            let remaining = at.saturating_duration_since(std::time::Instant::now());
+            if attempted && remaining.is_zero() {
+                // Run deadline already passed between steps: stop
+                // without starting a scan, keeping any pending
+                // frontier for the checkpoint.
+                return Ok(Step::Stopped(resume));
             }
-            None => Ok(Step::Next(concept.find_violation_in(state)?)),
+            step_policy.deadline = Some(remaining);
+        }
+        attempted = true;
+        // Verdict eval counts are cumulative across a resumed query
+        // chain; delta-track against the frontier's prior.
+        let scan_prior = resume.as_ref().map_or(0, Frontier::evals);
+        let mut query = StabilityQuery::on(concept, state);
+        if let Some(f) = resume {
+            query = query.resume(f);
+        }
+        match Solver::new(step_policy).check(&query)? {
+            Verdict::Stable { evals, .. } => {
+                *slice_evals += evals - scan_prior;
+                Ok(Step::Next(None))
+            }
+            Verdict::Unstable { witness, evals, .. } => {
+                *slice_evals += evals - scan_prior;
+                Ok(Step::Next(Some(witness)))
+            }
+            Verdict::Exhausted { frontier, progress } => {
+                *slice_evals += progress.evals_total - scan_prior;
+                Ok(Step::Stopped(Some(frontier)))
+            }
         }
     };
     let mut steps = Vec::new();
@@ -490,7 +490,7 @@ fn run_impl<R: Rng + ?Sized>(
     let mut converged = false;
     let mut checkpoint: Option<DynamicsCheckpoint> = None;
     // For exponential concepts every rule reduces to the checker's
-    // single deterministic violation (enumerate_violations_in falls back
+    // single deterministic violation (enumerate_violations falls back
     // to it), so the solver-routed path covers Random/MostImproving too
     // — without it they would bypass the policy. (This also means every
     // checkpointable check is deterministic, which is what makes resumed
@@ -509,15 +509,15 @@ fn run_impl<R: Rng + ?Sized>(
                     checkpoint = Some(DynamicsCheckpoint {
                         instance: state.fingerprint(),
                         steps: steps_done,
-                        evals: evals_prior + slice_evals,
+                        // Saturating: a forged checkpoint's `evals` must
+                        // not overflow the sum.
+                        evals: evals_prior.saturating_add(slice_evals),
                         scan,
                     });
                     break;
                 }
             },
-            SelectionRule::Random => enumerate_violations_in(&state, concept)?
-                .choose(rng)
-                .cloned(),
+            SelectionRule::Random => enumerate_violations(&state, concept)?.choose(rng).cloned(),
             SelectionRule::MostImproving => pick_most_improving(&state, concept)?,
         };
         let Some(mv) = next else {
@@ -539,7 +539,7 @@ fn run_impl<R: Rng + ?Sized>(
                 checkpoint = Some(DynamicsCheckpoint {
                     instance: state.fingerprint(),
                     steps: steps_done,
-                    evals: evals_prior + slice_evals,
+                    evals: evals_prior.saturating_add(slice_evals),
                     scan,
                 });
             }
@@ -550,38 +550,22 @@ fn run_impl<R: Rng + ?Sized>(
         converged,
         exhausted: checkpoint.is_some(),
         checkpoint,
-        evals: evals_prior + slice_evals,
+        evals: evals_prior.saturating_add(slice_evals),
         final_graph: state.graph().clone(),
         cost_trace,
     })
 }
 
 /// Enumerates every violating move of a *polynomial* concept (RE, BAE, PS,
-/// BSwE, BGE). The exponential concepts fall back to the single move the
-/// exact checker reports.
+/// BSwE, BGE) in `state`: each candidate is priced by the engine (matrix
+/// fast path for additions, consenting-agent BFS otherwise) against the
+/// cached pre-move costs. The exponential concepts fall back to the
+/// single move the exact checker reports.
 ///
 /// # Errors
 ///
 /// Forwards guard errors from the exponential checkers.
-pub fn enumerate_violations(
-    g: &Graph,
-    alpha: Alpha,
-    concept: Concept,
-) -> Result<Vec<Move>, GameError> {
-    enumerate_violations_in(&GameState::new(g.clone(), alpha), concept)
-}
-
-/// [`enumerate_violations`] against a caller-maintained [`GameState`]:
-/// each candidate is priced by the engine (matrix fast path for additions,
-/// consenting-agent BFS otherwise) against the cached pre-move costs.
-///
-/// # Errors
-///
-/// Forwards guard errors from the exponential checkers.
-pub fn enumerate_violations_in(
-    state: &GameState,
-    concept: Concept,
-) -> Result<Vec<Move>, GameError> {
+pub fn enumerate_violations(state: &GameState, concept: Concept) -> Result<Vec<Move>, GameError> {
     let g = state.graph();
     let mut out = Vec::new();
     let mut ev = state.evaluator();
@@ -647,7 +631,7 @@ pub fn enumerate_violations_in(
 
 fn pick_most_improving(state: &GameState, concept: Concept) -> Result<Option<Move>, GameError> {
     let alpha = state.alpha();
-    let all = enumerate_violations_in(state, concept)?;
+    let all = enumerate_violations(state, concept)?;
     let mut ev = state.evaluator();
     let mut best: Option<(i128, Move)> = None;
     for mv in all {
@@ -783,7 +767,8 @@ mod tests {
         for _ in 0..10 {
             let g = generators::random_connected(7, 0.3, &mut rng);
             for concept in [Concept::Re, Concept::Bae, Concept::Bswe] {
-                let all = enumerate_violations(&g, a("1"), concept).unwrap();
+                let all =
+                    enumerate_violations(&GameState::new(g.clone(), a("1")), concept).unwrap();
                 for mv in &all {
                     assert!(bncg_core::delta::move_improves_all(&g, a("1"), mv).unwrap());
                 }
@@ -800,7 +785,7 @@ mod tests {
     #[test]
     fn policy_runs_match_default_runs() {
         // The solver-routed policy path replays the exact trajectory of
-        // the non-policy path, threads notwithstanding (witness determinism).
+        // the default run, threads notwithstanding (witness determinism).
         let start = generators::path(9);
         let t1 = run(&start, a("2"), Concept::Bge, SelectionRule::First, 5_000).unwrap();
         let policy = ExecPolicy::default().with_threads(2);
@@ -979,6 +964,49 @@ mod tests {
     }
 
     #[test]
+    fn forged_checkpoint_evals_saturate_instead_of_overflowing() {
+        let tight = ExecPolicy::default().with_eval_budget(5);
+        let alpha = a("2");
+        let t = run_with_policy_under(
+            &generators::path(10),
+            alpha,
+            SumDistances,
+            Concept::Bne,
+            SelectionRule::First,
+            2_000,
+            &tight,
+        )
+        .unwrap();
+        let ckpt = t.checkpoint.expect("a 5-eval budget exhausts");
+        // The checkpoint's own `evals` precedes the embedded scan token.
+        let forged: DynamicsCheckpoint = ckpt
+            .to_json()
+            .replacen(
+                &format!("\"evals\":{}", ckpt.evals()),
+                &format!("\"evals\":{}", u64::MAX),
+                1,
+            )
+            .parse()
+            .unwrap();
+        assert_eq!(forged.evals(), u64::MAX);
+        let resumed = resume_with_policy_under(
+            &t.final_graph,
+            alpha,
+            SumDistances,
+            Concept::Bne,
+            SelectionRule::First,
+            2_000,
+            &tight,
+            &forged,
+        )
+        .unwrap();
+        assert_eq!(resumed.evals, u64::MAX);
+        if let Some(next) = resumed.checkpoint {
+            assert_eq!(next.evals(), u64::MAX);
+        }
+    }
+
+    #[test]
     fn trajectory_costs_are_recorded() {
         let t = run(
             &generators::path(8),
@@ -1022,6 +1050,7 @@ mod tests {
         )
         .unwrap();
         assert!(t.converged);
+        assert!(t.evals > 0, "run meters its exponential checks");
         assert!(Concept::Bne.is_stable(&t.final_graph, a("2")).unwrap());
     }
 }

@@ -6,12 +6,14 @@
 //!    order is shared (BNE, BSE), witnesses — equal the retained
 //!    `*_reference` raw scans over pinned seeded instances
 //!    (n ≤ 12, α ∈ {1/2, 2, n}).
-//! 2. **Generator ≡ PR 2 dense loop**: the BNE scan prices *exactly*
-//!    the candidates the retained dense-loop scan
-//!    (`find_violation_in_dense`) prices — same witness, same
+//! 2. **Generator ≡ dense leg**: the BNE scan prices *exactly* the
+//!    candidates the same scan prices with its subtree kills disabled
+//!    (`find_violation_in_dense`) — same witness, same
 //!    evaluated/pruned/generated counts, the generator's read from
 //!    `Verdict::stats()` — the generator only changes how fast
-//!    non-candidates are passed over.
+//!    non-candidates are passed over. Because the two legs share their
+//!    enumeration, the dense leg's counters are also checked against
+//!    the raw reference's candidate count on stable instances.
 //! 3. **Resumed ≡ uninterrupted**: a chain of generator scans resumed
 //!    from frontiers under adversarial 1-eval budgets lands on the
 //!    identical witness an uninterrupted generator scan returns.
@@ -26,6 +28,7 @@
 //! Seeded-case harness as in `proptests.rs` (the container is offline,
 //! so no `proptest` crate): failures reproduce from the printed seed.
 
+use bncg::core::candidates::NeighborhoodPruner;
 use bncg::core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
 use bncg::core::{
     concepts, delta, jsonio, Alpha, CandidateStats, CheckBudget, Concept, GameState, Move,
@@ -95,8 +98,36 @@ fn resolve_with_resume(solver: &Solver, concept: Concept, state: &GameState) -> 
     }
 }
 
-/// Differential law 1 + 2 for BNE: generator ≡ raw reference ≡ dense
-/// PR 2 loop, witness *and* work accounting.
+/// The dense leg is the generated scan with its kills off, so on a
+/// stable instance its counters must also add up against the raw
+/// reference: every one of the n·(2^{n−1} − 1) raw candidates is priced
+/// or pruned, and every position of the partner-filtered space is
+/// visited as a leaf.
+fn assert_dense_leg_counts_the_raw_space(state: &GameState, dstats: &CandidateStats) {
+    let n = state.n() as u64;
+    assert_eq!(
+        dstats.evaluated + dstats.pruned,
+        dstats.generated,
+        "dense counters must partition the space"
+    );
+    assert_eq!(
+        dstats.generated,
+        n * ((1u64 << (n - 1)) - 1),
+        "dense leg generated other than the raw reference's candidates"
+    );
+    let pruner = NeighborhoodPruner::new(state);
+    let leaves: u64 = (0..n as u32)
+        .map(|u| {
+            let (partners, _) = pruner.filtered_partners(state, u);
+            (1u64 << (state.graph().degree(u) + partners.len())) - 1
+        })
+        .sum();
+    assert_eq!(dstats.visited, leaves, "dense leg skipped a leaf");
+}
+
+/// Differential law 1 + 2 for BNE: generator ≡ raw reference ≡ the
+/// same scan with its subtree kills disabled, witness *and* work
+/// accounting.
 #[test]
 fn generated_bne_scan_matches_reference_and_dense_loop_exactly() {
     prop("bne generator ≡ reference ≡ dense", |rng| {
@@ -112,11 +143,11 @@ fn generated_bne_scan_matches_reference_and_dense_loop_exactly() {
             );
             assert_eq!(
                 generated, dense,
-                "generator witness diverged from the dense loop at α = {alpha}"
+                "generator witness diverged from the dense leg at α = {alpha}"
             );
             assert_eq!(
                 gstats.evaluated, dstats.evaluated,
-                "generator priced different candidates than the dense loop at α = {alpha}"
+                "generator priced different candidates than the dense leg at α = {alpha}"
             );
             assert_eq!(gstats.generated, dstats.generated, "raw-space accounting");
             assert_eq!(
@@ -127,11 +158,36 @@ fn generated_bne_scan_matches_reference_and_dense_loop_exactly() {
                 gstats.visited <= dstats.generated + 1,
                 "generator took more steps than the raw space has masks"
             );
+            if reference.is_none() {
+                assert_dense_leg_counts_the_raw_space(&state, &dstats);
+            }
             if let Some(mv) = generated {
                 assert!(delta::move_improves_all(&g, alpha, &mv).unwrap());
             }
         }
     });
+    // Pinned stable instances, so the raw-space identity is exercised on
+    // trees, cycles and cliques whatever the seeded corpus draws.
+    for (g, alpha) in [
+        (generators::star(10), 2),
+        (generators::cycle(8), 12),
+        (generators::cycle(10), 20),
+        (generators::clique(7), 1),
+    ] {
+        let state = GameState::new(g, Alpha::integer(alpha).unwrap());
+        let (dense, dstats) = concepts::bne::find_violation_in_dense(&state, huge()).unwrap();
+        assert_eq!(dense, None, "pinned instance must be BNE-stable");
+        assert_eq!(
+            concepts::bne::find_violation_in_reference(&state, huge()).unwrap(),
+            None
+        );
+        let (_, gstats) = solve(Concept::Bne, &state);
+        assert_eq!(
+            (gstats.evaluated, gstats.generated, gstats.pruned),
+            (dstats.evaluated, dstats.generated, dstats.pruned)
+        );
+        assert_dense_leg_counts_the_raw_space(&state, &dstats);
+    }
 }
 
 /// Differential law 1 for k-BSE (verdicts — the coalition scan reorders

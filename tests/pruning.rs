@@ -143,14 +143,17 @@ fn restricted_kbse_serial_and_parallel_share_one_iterator() {
     prop("restricted serial == parallel", |rng| {
         let g = random_instance(9, rng);
         for alpha in alpha_grid(g.n()) {
-            let serial = concepts::kbse::find_violation_restricted(&g, alpha, 2, 2);
-            for threads in [1usize, 2, 4] {
+            let serial = concepts::kbse::find_violation_restricted(&g, alpha, 2, 2, 1).unwrap();
+            for threads in [2usize, 4] {
                 let parallel =
-                    concepts::kbse::find_violation_restricted_parallel(&g, alpha, 2, 2, threads);
+                    concepts::kbse::find_violation_restricted(&g, alpha, 2, 2, threads).unwrap();
                 assert_eq!(
                     serial, parallel,
                     "restricted witness diverged at α = {alpha}"
                 );
+            }
+            if let Some(mv) = &serial {
+                assert!(delta::move_improves_all(&g, alpha, mv).unwrap());
             }
         }
     });
@@ -172,14 +175,15 @@ fn restricted_caps_agree_with_the_unrestricted_path_where_both_apply() {
                 let exact = Concept::KBse(k as u32).find_violation(&g, alpha).unwrap();
                 // Non-binding cap: the restricted space is the full
                 // space, so the verdicts must coincide.
-                let unrestricted = concepts::kbse::find_violation_restricted(&g, alpha, k, g.m());
+                let unrestricted =
+                    concepts::kbse::find_violation_restricted(&g, alpha, k, g.m(), 1).unwrap();
                 assert_eq!(
                     exact.is_some(),
                     unrestricted.is_some(),
                     "unbound restricted scan diverged at α = {alpha}, k = {k}"
                 );
                 // Binding cap: one-sided agreement on the shared space.
-                let capped = concepts::kbse::find_violation_restricted(&g, alpha, k, 1);
+                let capped = concepts::kbse::find_violation_restricted(&g, alpha, k, 1, 1).unwrap();
                 match &exact {
                     None => assert!(
                         capped.is_none(),

@@ -711,7 +711,7 @@ fn sched_fairness_secs(fx: &Fixtures) -> f64 {
                 query(trial * 1000 + 999, "light", light),
                 Box::new(move |line| {
                     at_light.store(done.load(Ordering::SeqCst), Ordering::SeqCst);
-                    let _ = tx.send(line);
+                    let _ = tx.send(line.to_string());
                 }),
             );
         }
@@ -928,7 +928,7 @@ impl MixedBatch {
         ]
         .map(|work| {
             id += 1;
-            sched.submit_blocking(query(id, "gate", work))
+            sched.submit_blocking(query(id, "gate", work)).to_string()
         })
     }
 

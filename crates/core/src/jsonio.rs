@@ -8,7 +8,10 @@
 //! arrays of unsigned integers — so a handful of scanning extractors is
 //! the whole parser. None of the emitted tokens contain strings with
 //! embedded braces or brackets, which is the (documented) assumption the
-//! nested-object extractor [`object_field`] relies on.
+//! nested-object extractors [`object_field`] and [`split_object`] rely
+//! on.
+
+use std::borrow::Cow;
 
 /// Extracts `"key": <u64>` from a flat JSON object.
 #[must_use]
@@ -54,20 +57,43 @@ pub fn u64_list_field(json: &str, key: &str) -> Option<Vec<u64>> {
 /// to the nested token's own parser.
 #[must_use]
 pub fn object_field<'j>(json: &'j str, key: &str) -> Option<&'j str> {
+    object_span(json, key).map(|(_, start, end)| &json[start..end])
+}
+
+/// Splits the nested object `"key": {…}` off `json`: returns `json` with
+/// that span (key included) cut out, plus the object verbatim. Nested
+/// tokens share field names with their host (`evals`, `instance`, …),
+/// so the host's own fields must be read from the returned head, never
+/// from `json` — wherever in the line the nested object sits.
+#[must_use]
+pub fn split_object<'j>(json: &'j str, key: &str) -> (Cow<'j, str>, Option<&'j str>) {
+    match object_span(json, key) {
+        None => (Cow::Borrowed(json), None),
+        Some((key_at, start, end)) => (
+            Cow::Owned([&json[..key_at], &json[end..]].concat()),
+            Some(&json[start..end]),
+        ),
+    }
+}
+
+/// Byte offsets of `"key": {…}`: where the key starts, and where its
+/// object value starts and ends.
+fn object_span(json: &str, key: &str) -> Option<(usize, usize, usize)> {
     let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    if !rest.starts_with('{') {
+    let key_at = json.find(&needle)?;
+    let value = &json[key_at + needle.len()..];
+    let start = json.len() - value.trim_start().len();
+    if !json[start..].starts_with('{') {
         return None;
     }
     let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
+    for (i, c) in json[start..].char_indices() {
         match c {
             '{' => depth += 1,
             '}' => {
                 depth -= 1;
                 if depth == 0 {
-                    return Some(&rest[..=i]);
+                    return Some((key_at, start, start + i + 1));
                 }
             }
             _ => {}
@@ -106,6 +132,11 @@ mod tests {
         let inner = object_field(json, "inner").unwrap();
         assert_eq!(inner, "{\"a\":2,\"b\":[9]}");
         assert_eq!(u64_field(inner, "a"), Some(2));
+        let (head, split) = split_object(json, "inner");
+        assert_eq!(split, Some(inner));
+        assert_eq!(u64_field(&head, "a"), None, "the nested fields are cut out");
+        assert_eq!(u64_field(&head, "tail"), Some(7));
+        assert_eq!(split_object(json, "v"), (json.into(), None));
         assert_eq!(u64_field(json, "missing"), None);
         assert_eq!(object_field(json, "v"), None);
     }

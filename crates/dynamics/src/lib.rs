@@ -156,15 +156,12 @@ impl FromStr for DynamicsCheckpoint {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         // The scan object shares field names with the checkpoint, so
-        // strip it off before extracting the checkpoint's own fields.
-        let scan = match jsonio::object_field(s, "scan") {
-            Some(obj) => Some(obj.parse::<Frontier>()?),
-            None => None,
-        };
-        let head = match s.find("\"scan\"") {
-            Some(at) => &s[..at],
-            None => s,
-        };
+        // split it off before extracting the checkpoint's own fields —
+        // first-occurrence parsing must never read into the nested
+        // token.
+        let (head, scan) = jsonio::split_object(s, "scan");
+        let scan = scan.map(str::parse::<Frontier>).transpose()?;
+        let head: &str = &head;
         let field = |key: &str| {
             jsonio::u64_field(head, key).ok_or_else(|| GameError::Unsupported {
                 reason: format!("malformed dynamics checkpoint: missing or invalid {key:?}"),
@@ -989,6 +986,12 @@ mod tests {
             .parse()
             .unwrap();
         assert_eq!(forged.evals(), u64::MAX);
+        // A nested scan placed first cannot hide the checkpoint's own
+        // fields: it parses to the checkpoint the scan-last layout does.
+        let json = ckpt.to_json();
+        let at = json.find(",\"scan\":").expect("the stop fired mid-scan");
+        let scan_first = format!("{{{},{}}}", &json[at + 1..json.len() - 1], &json[1..at]);
+        assert_eq!(scan_first.parse::<DynamicsCheckpoint>().unwrap(), ckpt);
         let resumed = resume_with_policy_under(
             &t.final_graph,
             alpha,

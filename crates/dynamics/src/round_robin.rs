@@ -146,17 +146,12 @@ impl FromStr for Checkpoint {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         // The scan object shares field names with the checkpoint, so
-        // strip it off before extracting the checkpoint's own fields —
+        // split it off before extracting the checkpoint's own fields —
         // first-occurrence parsing must never read into the nested
         // token.
-        let scan = match jsonio::object_field(s, "scan") {
-            Some(obj) => Some(obj.parse::<BestResponseFrontier>()?),
-            None => None,
-        };
-        let head = match s.find("\"scan\"") {
-            Some(at) => &s[..at],
-            None => s,
-        };
+        let (head, scan) = jsonio::split_object(s, "scan");
+        let scan = scan.map(str::parse::<BestResponseFrontier>).transpose()?;
+        let head: &str = &head;
         let field = |key: &str| {
             jsonio::u64_field(head, key).ok_or_else(|| GameError::Unsupported {
                 reason: format!("malformed trajectory checkpoint: missing or invalid {key:?}"),
@@ -793,6 +788,17 @@ mod tests {
         let out = resume_under(&g, alpha, SumDistances, 100, &policy, &forged).unwrap();
         assert!(!out.history.is_empty(), "path8 moves at α = 2");
         assert_eq!((out.moves, out.evals), (usize::MAX, u64::MAX));
+        // A nested scan placed first cannot hide the checkpoint's own
+        // fields: it parses to the checkpoint the scan-last layout does.
+        let tight = ExecPolicy::default().with_eval_budget(5);
+        let ckpt = run_with_policy_under(&g, alpha, SumDistances, 100, &tight)
+            .unwrap()
+            .checkpoint
+            .expect("a 5-eval budget stops the run");
+        let json = ckpt.to_json();
+        let at = json.find(",\"scan\":").expect("the stop fired mid-scan");
+        let scan_first = format!("{{{},{}}}", &json[at + 1..json.len() - 1], &json[1..at]);
+        assert_eq!(scan_first.parse::<Checkpoint>().unwrap(), ckpt);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Hit and miss counters feed the `stats` op so operators can see what
 //! share of lookup traffic the corpus is absorbing.
 
-use crate::protocol::render_move;
+use crate::protocol::{Response, Source};
 use bncg_atlas::DynAtlas;
 use bncg_core::{Alpha, Concept, CostModelSpec};
 use bncg_graph::Graph;
@@ -88,8 +88,8 @@ impl AtlasService {
     }
 
     /// Tries to answer an `atlas_lookup` from the corpus. `Some` is the
-    /// complete response line (a hit — the caller writes it and is
-    /// done); `None` is a miss (the caller submits the equivalent live
+    /// complete response (a hit — the caller writes it and is done);
+    /// `None` is a miss (the caller submits the equivalent live
     /// check). Counters are bumped either way. The corpus is built
     /// under the default cost model only, so a non-default
     /// `cost_model` is a counted miss without probing the index.
@@ -101,15 +101,15 @@ impl AtlasService {
         graph: &Graph,
         alpha: Alpha,
         cost_model: CostModelSpec,
-    ) -> Option<String> {
+    ) -> Option<Response> {
         if !cost_model.is_default() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         match self.probe(id, concept, graph, alpha) {
-            Some(line) => {
+            Some(hit) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(line)
+                Some(hit)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -118,47 +118,29 @@ impl AtlasService {
         }
     }
 
-    fn probe(&self, id: u64, concept: Concept, graph: &Graph, alpha: Alpha) -> Option<String> {
+    fn probe(&self, id: u64, concept: Concept, graph: &Graph, alpha: Alpha) -> Option<Response> {
         let atlas = self.atlas.as_ref()?;
         // A lookup error (unkeyable graph, torn index) degrades to a
         // miss: the live path still produces a correct answer.
         let hit = atlas.lookup(graph, concept, alpha).ok().flatten()?;
-        match hit.record.verdict.is_stable()? {
-            true => Some(format!(
-                "{{\"id\":{id},\"ok\":1,\"op\":\"atlas_lookup\",\"source\":\"atlas\",\
-                 \"verdict\":\"stable\",\"evals\":0,\"slices\":0}}"
-            )),
-            false => {
-                let witness = hit.witness?;
-                Some(format!(
-                    "{{\"id\":{id},\"ok\":1,\"op\":\"atlas_lookup\",\"source\":\"atlas\",\
-                     \"verdict\":\"unstable\",\"witness\":{},\"evals\":0,\"slices\":0}}",
-                    render_move(&witness)
-                ))
-            }
-        }
+        let witness = match hit.record.verdict.is_stable()? {
+            true => None,
+            false => Some(hit.witness?),
+        };
+        Some(Response::Verdict {
+            id,
+            source: Some(Source::Atlas),
+            witness,
+            evals: 0,
+            slices: 0,
+        })
     }
-}
-
-/// Rewrites a live `check` response line into `atlas_lookup` shape: the
-/// op field becomes `atlas_lookup` and `"source":"live"` is added, so
-/// fall-through responses are distinguishable from corpus hits while
-/// carrying the identical verdict payload. Error responses (shed, bad
-/// request) have no op field and pass through unchanged.
-#[must_use]
-pub fn relabel_live_response(line: &str) -> String {
-    line.replacen(
-        "\"op\":\"check\"",
-        "\"op\":\"atlas_lookup\",\"source\":\"live\"",
-        1,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bncg_atlas::{build, Atlas, BuildSpec, MemoryBacking, RamBacking};
-    use bncg_core::jsonio;
     use bncg_graph::generators;
 
     fn service_n4() -> AtlasService {
@@ -177,7 +159,7 @@ mod tests {
     fn conclusive_hits_answer_inline_with_zero_cost() {
         let svc = service_n4();
         let g = generators::path(4);
-        let line = svc
+        let hit = svc
             .try_answer(
                 7,
                 Concept::Bae,
@@ -186,11 +168,19 @@ mod tests {
                 CostModelSpec::SumDistances,
             )
             .expect("P4 BAE at α=1/2 is in the standard n≤4 grid");
-        assert_eq!(jsonio::u64_field(&line, "id"), Some(7));
-        assert_eq!(jsonio::str_field(&line, "source"), Some("atlas"));
-        assert_eq!(jsonio::str_field(&line, "verdict"), Some("unstable"));
-        assert_eq!(jsonio::u64_field(&line, "evals"), Some(0));
-        assert!(jsonio::object_field(&line, "witness").is_some());
+        assert!(
+            matches!(
+                hit,
+                Response::Verdict {
+                    id: 7,
+                    source: Some(Source::Atlas),
+                    witness: Some(_),
+                    evals: 0,
+                    slices: 0,
+                }
+            ),
+            "{hit:?}"
+        );
         assert_eq!((svc.hits(), svc.misses()), (1, 0));
     }
 
@@ -263,17 +253,5 @@ mod tests {
             )
             .is_none());
         assert_eq!((svc.hits(), svc.misses()), (0, 1));
-    }
-
-    #[test]
-    fn live_responses_are_relabeled() {
-        let live = "{\"id\":3,\"ok\":1,\"op\":\"check\",\"verdict\":\"stable\",\
-                    \"evals\":12,\"slices\":2}";
-        let out = relabel_live_response(live);
-        assert_eq!(jsonio::str_field(&out, "op"), Some("atlas_lookup"));
-        assert_eq!(jsonio::str_field(&out, "source"), Some("live"));
-        assert_eq!(jsonio::u64_field(&out, "evals"), Some(12));
-        let shed = "{\"id\":3,\"ok\":0,\"error\":\"shed\",\"reason\":\"x\"}";
-        assert_eq!(relabel_live_response(shed), shed);
     }
 }

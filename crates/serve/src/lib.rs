@@ -40,7 +40,10 @@
 //! The wire format ([`protocol`]) is the repo's escape-free flat-JSON
 //! dialect — the same [`bncg_core::jsonio`] toolkit the resume tokens
 //! themselves use, so tokens embed in requests and responses verbatim.
-//! The full schema is documented in `docs/PROTOCOL.md`.
+//! It is one module's decision: request lines parse straight into a
+//! scheduler [`QuerySpec`], and every line the daemon writes is a typed
+//! [`Response`] encoded by its one `Display` impl. The full schema is
+//! documented in `docs/PROTOCOL.md`.
 //!
 //! ## Quickstart
 //!
@@ -80,7 +83,7 @@ pub mod tenant;
 
 pub use atlas::AtlasService;
 pub use journal::{GrantEvent, GrantJournal};
-pub use protocol::{parse_request, BadRequest, Request, TenantRow};
+pub use protocol::{parse_request, BadRequest, Request, Response, TenantRow};
 pub use scheduler::{QuerySpec, Scheduler, SchedulerConfig, Work};
 pub use server::{Server, ServerConfig};
 pub use tenant::{Tenant, TenantRegistry, TenantStats};

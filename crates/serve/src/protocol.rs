@@ -1,33 +1,40 @@
 //! The line-delimited JSON wire protocol: one request object per line in,
 //! one response object per line out (correlated by `id`, not by order).
 //!
-//! The full schema lives in `docs/PROTOCOL.md`; this module is the
-//! executable half. Parsing is built on [`bncg_core::jsonio`] — the same
-//! escape-free flat-JSON toolkit the resume tokens use — which imposes
-//! the protocol's two structural rules:
+//! This module is the whole wire boundary. [`parse_request`] turns a
+//! line into a [`Request`] — every compute op parses straight into the
+//! scheduler's [`QuerySpec`] — and every line the daemon writes is a
+//! [`Response`], encoded by its one `Display` impl. The full schema
+//! lives in `docs/PROTOCOL.md`. Both halves are built on
+//! [`bncg_core::jsonio`] — the same escape-free flat-JSON toolkit the
+//! resume tokens use — which imposes the protocol's two structural
+//! rules:
 //!
 //! * **no escapes anywhere**: strings never contain `"`, `\`, braces, or
 //!   brackets (tenant names are validated against that alphabet, and
-//!   outbound free text is passed through [`sanitize`]);
+//!   the encoder passes outbound free text through [`sanitize`]);
 //! * **`"resume"` carries the nested token verbatim** — a solver
-//!   [`Frontier`](bncg_core::Frontier) for `check`, a
-//!   [`BestResponseFrontier`](bncg_core::BestResponseFrontier) for
+//!   [`Frontier`] for `check`, a [`BestResponseFrontier`] for
 //!   `best_response`, a [`round_robin::Checkpoint`] for `trajectory`, a
 //!   [`DynamicsCheckpoint`] for `dynamics`. Nested tokens share field
 //!   names with the request (`evals`, `instance`, …), so the parser
-//!   splits the resume object off *before* reading the request's own
-//!   fields and the split is position-independent (clients should still
-//!   put `resume` last, as every emitted token does).
+//!   splits the resume object off ([`jsonio::split_object`]) *before*
+//!   reading the request's own fields and the split is
+//!   position-independent (clients should still put `resume` last, as
+//!   every emitted token does).
 //!
 //! Graphs travel as a node count `n` plus `edges`, an array of edges
 //! packed one per `u64` as `(u << 32) | v` — not graph6, whose alphabet
 //! contains `\` and would break the no-escape rule.
 //!
-//! [`round_robin::Checkpoint`]: bncg_dynamics::round_robin::Checkpoint
-//! [`DynamicsCheckpoint`]: bncg_dynamics::DynamicsCheckpoint
+//! [`round_robin::Checkpoint`]: Checkpoint
 
-use bncg_core::{jsonio, Alpha, Concept, CostModelSpec, Move};
+use crate::scheduler::{QuerySpec, Work};
+use bncg_core::{jsonio, Alpha, BestResponseFrontier, Concept, CostModelSpec, Frontier, Move};
+use bncg_dynamics::round_robin::Checkpoint;
+use bncg_dynamics::DynamicsCheckpoint;
 use bncg_graph::Graph;
+use std::fmt;
 
 /// Tenant used when a request omits the `tenant` field.
 pub const DEFAULT_TENANT: &str = "public";
@@ -43,128 +50,18 @@ pub const MAX_TENANT_LEN: usize = 64;
 /// A parsed request line.
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// `op:"check"` — a stability query for `concept` on the instance.
-    Check {
-        /// Client-chosen correlation id (echoed in the response).
-        id: u64,
-        /// Tenant whose budget pool meters the work.
-        tenant: String,
-        /// The queried solution concept.
-        concept: Concept,
-        /// Edge price α.
-        alpha: Alpha,
-        /// Cost model the query prices moves under (absent field on the
-        /// wire → [`CostModelSpec::SumDistances`]).
-        cost_model: CostModelSpec,
-        /// The instance graph.
-        graph: Graph,
-        /// A previously returned resume token, verbatim.
-        resume: Option<String>,
-        /// Per-query wall-clock allowance in milliseconds.
-        deadline_ms: Option<u64>,
+    /// A compute op — `check`, `atlas_lookup`, `best_response`,
+    /// `trajectory` or `dynamics` — as the work the scheduler runs.
+    Query {
+        /// The query: id, tenant, payload, resume token, deadline.
+        spec: QuerySpec,
         /// `"stream":1` — emit a `progress` frame per requeued slice
         /// before the final response line.
         stream: bool,
-    },
-    /// `op:"best_response"` — the best feasible neighborhood move of
-    /// `agent`.
-    BestResponse {
-        /// Client-chosen correlation id.
-        id: u64,
-        /// Tenant whose budget pool meters the work.
-        tenant: String,
-        /// The optimizing agent.
-        agent: u32,
-        /// Edge price α.
-        alpha: Alpha,
-        /// Cost model the query prices moves under.
-        cost_model: CostModelSpec,
-        /// The instance graph.
-        graph: Graph,
-        /// A previously returned resume token, verbatim.
-        resume: Option<String>,
-        /// Per-query wall-clock allowance in milliseconds.
-        deadline_ms: Option<u64>,
-        /// `"stream":1` — emit a `progress` frame per requeued slice.
-        stream: bool,
-    },
-    /// `op:"trajectory"` — round-robin best-response dynamics from the
-    /// instance, for at most `rounds` rounds.
-    Trajectory {
-        /// Client-chosen correlation id.
-        id: u64,
-        /// Tenant whose budget pool meters the work.
-        tenant: String,
-        /// Edge price α.
-        alpha: Alpha,
-        /// Cost model the dynamics price activations under.
-        cost_model: CostModelSpec,
-        /// The starting graph (on resume: the `final_edges` of the shed
-        /// response the token came from).
-        graph: Graph,
-        /// Round cap (a round activates every agent once).
-        rounds: usize,
-        /// A previously returned resume token, verbatim.
-        resume: Option<String>,
-        /// Per-query wall-clock allowance in milliseconds.
-        deadline_ms: Option<u64>,
-        /// `"stream":1` — emit a `progress` frame per requeued slice
-        /// (round, moves, evals so far) before the final line.
-        stream: bool,
-    },
-    /// `op:"dynamics"` — improving-move dynamics under `concept`
-    /// (deterministic first-violation rule), for at most `steps` moves.
-    Dynamics {
-        /// Client-chosen correlation id.
-        id: u64,
-        /// Tenant whose budget pool meters the work.
-        tenant: String,
-        /// The concept whose violations drive the dynamics.
-        concept: Concept,
-        /// Edge price α.
-        alpha: Alpha,
-        /// Cost model the dynamics price moves under.
-        cost_model: CostModelSpec,
-        /// The starting graph (on resume: the `final_edges` of the shed
-        /// response the token came from).
-        graph: Graph,
-        /// Step cap.
-        steps: usize,
-        /// A previously returned resume token, verbatim.
-        resume: Option<String>,
-        /// Per-query wall-clock allowance in milliseconds.
-        deadline_ms: Option<u64>,
-        /// `"stream":1` — emit a `progress` frame per requeued slice
-        /// (steps, evals so far) before the final line.
-        stream: bool,
-    },
-    /// `op:"atlas_lookup"` — a stability query answered from the
-    /// precomputed atlas when the instance's canonical class is stored
-    /// (zero solver cost), falling through to a scheduled live check
-    /// otherwise. Same payload as `check`.
-    AtlasLookup {
-        /// Client-chosen correlation id (echoed in the response).
-        id: u64,
-        /// Tenant whose budget pool meters a live fall-through.
-        tenant: String,
-        /// The queried solution concept.
-        concept: Concept,
-        /// Edge price α.
-        alpha: Alpha,
-        /// Cost model the query prices moves under. A non-default model
-        /// always falls through to a live check — the atlas corpus is
-        /// priced under the default model only.
-        cost_model: CostModelSpec,
-        /// The instance graph.
-        graph: Graph,
-        /// A previously returned resume token, verbatim (only a live
-        /// fall-through ever emits one).
-        resume: Option<String>,
-        /// Per-query wall-clock allowance in milliseconds.
-        deadline_ms: Option<u64>,
-        /// `"stream":1` — emit a `progress` frame per requeued slice of
-        /// a live fall-through (an atlas hit answers in one frame).
-        stream: bool,
+        /// `op:"atlas_lookup"` — answer `spec` (always a check) from the
+        /// precomputed atlas when the instance's canonical class is
+        /// stored, and fall through to a scheduled live check otherwise.
+        lookup: bool,
     },
     /// `op:"grant"` — control plane: fund a tenant and/or set its
     /// scheduling weight. `evals` creates the tenant with exactly that
@@ -200,14 +97,8 @@ impl Request {
     #[must_use]
     pub fn id(&self) -> u64 {
         match self {
-            Request::Check { id, .. }
-            | Request::BestResponse { id, .. }
-            | Request::Trajectory { id, .. }
-            | Request::Dynamics { id, .. }
-            | Request::AtlasLookup { id, .. }
-            | Request::Grant { id, .. }
-            | Request::Stats { id }
-            | Request::Shutdown { id } => *id,
+            Request::Query { spec, .. } => spec.id,
+            Request::Grant { id, .. } | Request::Stats { id } | Request::Shutdown { id } => *id,
         }
     }
 }
@@ -222,130 +113,97 @@ pub struct BadRequest {
     pub reason: String,
 }
 
-/// Splits the `"resume": {…}` object off a request line, returning the
-/// line with that span removed plus the object verbatim. Nested tokens
-/// share field names with the request, so every other field must be
-/// extracted from the returned head, never from the raw line.
-#[must_use]
-pub fn split_resume(line: &str) -> (String, Option<String>) {
-    let Some(obj) = jsonio::object_field(line, "resume") else {
-        return (line.to_string(), None);
-    };
-    // `object_field` returns a subslice of `line`; recover its offset to
-    // cut the `"resume": {…}` span (key included) out of the head.
-    let obj_start = obj.as_ptr() as usize - line.as_ptr() as usize;
-    let key_start = line[..obj_start].rfind("\"resume\"").unwrap_or(obj_start);
-    let mut head = String::with_capacity(line.len() - obj.len());
-    head.push_str(&line[..key_start]);
-    head.push_str(&line[obj_start + obj.len()..]);
-    (head, Some(obj.to_string()))
-}
-
-/// Parses one request line.
+/// Parses one request line. Fields are read in a fixed order per op
+/// (tenant first), so a line with several faults names the same first
+/// one every time.
 ///
 /// # Errors
 ///
 /// [`BadRequest`] with the line's `id` (0 if absent) and the cause; the
-/// caller serializes it as an error response instead of dropping the
+/// caller answers it with an error response instead of dropping the
 /// line silently.
 pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
-    let (head, resume) = split_resume(line);
-    let id = jsonio::u64_field(&head, "id").unwrap_or(0);
+    let (head, resume) = jsonio::split_object(line, "resume");
+    let resume = resume.map(str::to_string);
+    let head: &str = &head;
+    let id = jsonio::u64_field(head, "id").unwrap_or(0);
     let bad = |reason: String| BadRequest { id, reason };
-    let op = jsonio::str_field(&head, "op")
-        .ok_or_else(|| bad("missing \"op\"".into()))?
-        .to_string();
+    let op = jsonio::str_field(head, "op").ok_or_else(|| bad("missing \"op\"".into()))?;
     let tenant = || -> Result<String, BadRequest> {
-        let name = jsonio::str_field(&head, "tenant").unwrap_or(DEFAULT_TENANT);
+        let name = jsonio::str_field(head, "tenant").unwrap_or(DEFAULT_TENANT);
         validate_tenant(name).map_err(&bad)?;
         Ok(name.to_string())
     };
     let alpha = || -> Result<Alpha, BadRequest> {
-        jsonio::str_field(&head, "alpha")
+        jsonio::str_field(head, "alpha")
             .ok_or_else(|| bad("missing \"alpha\"".into()))?
             .parse()
             .map_err(|e| bad(format!("bad \"alpha\": {e}")))
     };
     let concept = || -> Result<Concept, BadRequest> {
-        jsonio::str_field(&head, "concept")
+        jsonio::str_field(head, "concept")
             .ok_or_else(|| bad("missing \"concept\"".into()))?
             .parse()
             .map_err(|e| bad(format!("bad \"concept\": {e}")))
     };
-    let graph = || parse_graph(&head).map_err(&bad);
+    let graph = || parse_graph(head).map_err(&bad);
     let cost_model = || -> Result<CostModelSpec, BadRequest> {
-        match jsonio::str_field(&head, "cost_model") {
+        match jsonio::str_field(head, "cost_model") {
             None => Ok(CostModelSpec::SumDistances),
             Some(t) => t
                 .parse()
                 .map_err(|e| bad(format!("bad \"cost_model\": {e}"))),
         }
     };
-    let deadline_ms = jsonio::u64_field(&head, "deadline_ms");
-    let stream = jsonio::u64_field(&head, "stream").unwrap_or(0) != 0;
-    match op.as_str() {
-        "check" => Ok(Request::Check {
-            id,
-            tenant: tenant()?,
-            concept: concept()?,
-            alpha: alpha()?,
-            cost_model: cost_model()?,
-            graph: graph()?,
-            resume,
-            deadline_ms,
-            stream,
-        }),
-        "best_response" => Ok(Request::BestResponse {
-            id,
-            tenant: tenant()?,
-            agent: u32::try_from(
-                jsonio::u64_field(&head, "agent").ok_or_else(|| bad("missing \"agent\"".into()))?,
-            )
-            .map_err(|_| bad("\"agent\" overflows u32".into()))?,
-            alpha: alpha()?,
-            cost_model: cost_model()?,
-            graph: graph()?,
-            resume,
-            deadline_ms,
-            stream,
-        }),
-        "trajectory" => Ok(Request::Trajectory {
-            id,
-            tenant: tenant()?,
-            alpha: alpha()?,
-            cost_model: cost_model()?,
-            graph: graph()?,
-            rounds: jsonio::u64_field(&head, "rounds").unwrap_or(100) as usize,
-            resume,
-            deadline_ms,
-            stream,
-        }),
-        "dynamics" => Ok(Request::Dynamics {
-            id,
-            tenant: tenant()?,
-            concept: concept()?,
-            alpha: alpha()?,
-            cost_model: cost_model()?,
-            graph: graph()?,
-            steps: jsonio::u64_field(&head, "steps").unwrap_or(1000) as usize,
-            resume,
-            deadline_ms,
-            stream,
-        }),
-        "atlas_lookup" => Ok(Request::AtlasLookup {
-            id,
-            tenant: tenant()?,
-            concept: concept()?,
-            alpha: alpha()?,
-            cost_model: cost_model()?,
-            graph: graph()?,
-            resume,
-            deadline_ms,
-            stream,
-        }),
+    match op {
+        "check" | "atlas_lookup" | "best_response" | "trajectory" | "dynamics" => {
+            let tenant = tenant()?;
+            let work = match op {
+                "best_response" => Work::BestResponse {
+                    agent: u32::try_from(
+                        jsonio::u64_field(head, "agent")
+                            .ok_or_else(|| bad("missing \"agent\"".into()))?,
+                    )
+                    .map_err(|_| bad("\"agent\" overflows u32".into()))?,
+                    alpha: alpha()?,
+                    cost_model: cost_model()?,
+                    graph: graph()?,
+                },
+                "trajectory" => Work::Trajectory {
+                    alpha: alpha()?,
+                    cost_model: cost_model()?,
+                    graph: graph()?,
+                    rounds: jsonio::u64_field(head, "rounds").unwrap_or(100) as usize,
+                },
+                "dynamics" => Work::Dynamics {
+                    concept: concept()?,
+                    alpha: alpha()?,
+                    cost_model: cost_model()?,
+                    graph: graph()?,
+                    steps: jsonio::u64_field(head, "steps").unwrap_or(1000) as usize,
+                },
+                _ => Work::Check {
+                    concept: concept()?,
+                    alpha: alpha()?,
+                    cost_model: cost_model()?,
+                    graph: graph()?,
+                },
+            };
+            Ok(Request::Query {
+                spec: QuerySpec {
+                    id,
+                    tenant,
+                    work,
+                    resume,
+                    deadline_ms: jsonio::u64_field(head, "deadline_ms"),
+                },
+                stream: jsonio::u64_field(head, "stream").unwrap_or(0) != 0,
+                lookup: op == "atlas_lookup",
+            })
+        }
         "grant" => {
-            let evals = jsonio::u64_field(&head, "evals");
-            let weight = jsonio::u64_field(&head, "weight");
+            let evals = jsonio::u64_field(head, "evals");
+            let weight = jsonio::u64_field(head, "weight");
             if evals.is_none() && weight.is_none() {
                 return Err(bad("grant needs \"evals\" and/or \"weight\"".into()));
             }
@@ -415,19 +273,10 @@ pub fn render_edges(g: &Graph) -> String {
     jsonio::render_u64_list(&packed)
 }
 
-/// Renders a witness [`Move`] as a JSON object (`witness`/`move`
-/// response fields). Edge pairs are packed like the wire arrays. This is
-/// [`Move::render_json`] — the atlas stores witnesses in the identical
-/// format, so a stored verdict serves byte-for-byte like a live one.
-#[must_use]
-pub fn render_move(mv: &Move) -> String {
-    mv.render_json()
-}
-
-/// Makes free text (error reasons) safe for the escape-free wire format:
-/// quotes, backslashes, braces, brackets, and control characters are
-/// replaced, not escaped. Lossy by design — these strings are for
-/// humans, never re-parsed.
+/// Makes free text (error reasons, tenant names) safe for the
+/// escape-free wire format: quotes, backslashes, braces, brackets, and
+/// control characters are replaced, not escaped. Lossy by design — these
+/// strings are for humans, never re-parsed.
 #[must_use]
 pub fn sanitize(text: &str) -> String {
     text.chars()
@@ -463,75 +312,420 @@ pub struct TenantRow {
     pub waited_ms: u64,
 }
 
-/// Renders one `stats` tenant row. The name passes through
-/// [`sanitize`] — a hostile registered name can garble *its own* label
-/// but cannot break the response line's structure.
-#[must_use]
-pub fn render_tenant_row(row: &TenantRow) -> String {
-    format!(
-        "{{\"tenant\":\"{}\",\"granted\":{},\"used\":{},\"weight\":{},\
-         \"queued\":{},\"in_flight\":{},\"waited_ms\":{}}}",
-        sanitize(&row.name),
-        row.granted,
-        row.used,
-        row.weight,
-        row.queued,
-        row.in_flight,
-        row.waited_ms
-    )
+/// Where an `atlas_lookup` verdict came from (the `source` field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// The precomputed corpus: zero solver cost.
+    Atlas,
+    /// A scheduled live check — the instance missed the corpus.
+    Live,
 }
 
-/// Renders one streaming `progress` frame from a job's freshly
-/// serialized resume token. The token is the scheduler's own
-/// checkpoint, so the frame reports exactly what a shed would resume
-/// from: cumulative `evals`, plus whichever of `round`/`moves`/`steps`
-/// the op's checkpoint carries. Distinguished from the final line by
-/// `"progress":1`; correlated by `id` like every response.
-#[must_use]
-pub fn progress_frame(id: u64, op: &str, slices: u64, token: &str) -> String {
-    let mut out =
-        format!("{{\"id\":{id},\"ok\":1,\"op\":\"{op}\",\"progress\":1,\"slices\":{slices}");
-    for key in ["evals", "round", "moves", "steps"] {
-        if let Some(v) = jsonio::u64_field(token, key) {
-            out.push_str(&format!(",\"{key}\":{v}"));
+/// The class of an error response (the `error` field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorClass {
+    /// An unparsable line, unknown op or concept, or malformed fields.
+    BadRequest,
+    /// A resume token that does not parse or does not match the query.
+    BadResume,
+    /// The tenant's budget pool is drained or expired.
+    Shed,
+    /// The query's `deadline_ms` passed.
+    Deadline,
+    /// The daemon is stopping.
+    Shutdown,
+}
+
+impl ErrorClass {
+    /// The wire token.
+    #[must_use]
+    pub(crate) fn token(self) -> &'static str {
+        match self {
+            ErrorClass::BadRequest => "bad_request",
+            ErrorClass::BadResume => "bad_resume",
+            ErrorClass::Shed => "shed",
+            ErrorClass::Deadline => "deadline",
+            ErrorClass::Shutdown => "shutdown",
         }
     }
-    out.push('}');
-    out
 }
 
-/// Renders the uniform error response:
-/// `{"id":…,"ok":0,"error":…,"reason":…}` plus, when partial work
-/// exists, the `resume` token (and for trajectory ops the
-/// `final_edges` to restart it against).
-#[must_use]
-pub fn error_response(
-    id: u64,
-    error: &str,
-    reason: &str,
-    resume: Option<&str>,
-    final_edges: Option<&str>,
-) -> String {
-    let mut out = format!(
-        "{{\"id\":{id},\"ok\":0,\"error\":\"{error}\",\"reason\":\"{}\"",
-        sanitize(reason)
-    );
-    if let Some(edges) = final_edges {
-        out.push_str(",\"final_edges\":");
-        out.push_str(edges);
+/// A suspended query's resume token, typed: what the scheduler carries
+/// between slices and what a progress frame reads its counters from.
+/// `Display` writes the token itself.
+#[derive(Debug, Clone)]
+pub enum Token {
+    /// A `check`'s solver frontier.
+    Check(Frontier),
+    /// A `best_response` scan's frontier.
+    BestResponse(BestResponseFrontier),
+    /// A `trajectory`'s round-robin checkpoint.
+    Trajectory(Checkpoint),
+    /// A `dynamics` run's checkpoint.
+    Dynamics(DynamicsCheckpoint),
+}
+
+impl Token {
+    fn op(&self) -> &'static str {
+        match self {
+            Token::Check(_) => "check",
+            Token::BestResponse(_) => "best_response",
+            Token::Trajectory(_) => "trajectory",
+            Token::Dynamics(_) => "dynamics",
+        }
     }
-    if let Some(token) = resume {
-        out.push_str(",\"resume\":");
-        out.push_str(token);
+}
+
+impl fmt::Display for Token {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Token::Check(t) => t.fmt(f),
+            Token::BestResponse(t) => t.fmt(f),
+            Token::Trajectory(t) => t.fmt(f),
+            Token::Dynamics(t) => t.fmt(f),
+        }
     }
-    out.push('}');
-    out
+}
+
+/// One response line. Its `Display` impl is the wire encoder: every line
+/// the daemon writes goes through it, and free text (error reasons,
+/// tenant names) is passed through [`sanitize`] there, once.
+#[derive(Debug, Clone)]
+pub enum Response {
+    /// A `check` verdict, or an `atlas_lookup` verdict when `source` is
+    /// set.
+    Verdict {
+        /// The request's id.
+        id: u64,
+        /// `None` for `check`; the answer's origin for `atlas_lookup`.
+        source: Option<Source>,
+        /// The violating move; `None` means stable.
+        witness: Option<Move>,
+        /// Cumulative evaluations of the resume chain.
+        evals: u64,
+        /// Slices this submission took.
+        slices: u64,
+    },
+    /// A `best_response` answer.
+    BestResponse {
+        /// The request's id.
+        id: u64,
+        /// The optimal improving move; `None` when nothing improves.
+        best: Option<Move>,
+        /// Cumulative evaluations of the resume chain.
+        evals: u64,
+        /// Slices this submission took.
+        slices: u64,
+    },
+    /// A finished `trajectory`.
+    Trajectory {
+        /// The request's id.
+        id: u64,
+        /// Whether the dynamics reached a stable state.
+        converged: bool,
+        /// Whether they revisited a state.
+        cycled: bool,
+        /// Rounds started.
+        rounds: u64,
+        /// Moves applied.
+        moves: u64,
+        /// Cumulative evaluations of the resume chain.
+        evals: u64,
+        /// Slices this submission took.
+        slices: u64,
+        /// The graph reached.
+        final_edges: Graph,
+    },
+    /// A finished `dynamics` run.
+    Dynamics {
+        /// The request's id.
+        id: u64,
+        /// Whether the dynamics reached a stable state.
+        converged: bool,
+        /// Moves applied.
+        steps: u64,
+        /// Cumulative evaluations of the resume chain.
+        evals: u64,
+        /// Slices this submission took.
+        slices: u64,
+        /// The graph reached.
+        final_edges: Graph,
+    },
+    /// A `grant` acknowledgement.
+    Grant {
+        /// The request's id.
+        id: u64,
+        /// The tenant (sanitized on output).
+        tenant: String,
+        /// The pool's new lifetime grant.
+        granted: u64,
+        /// The stored scheduling weight.
+        weight: u64,
+    },
+    /// The `stats` snapshot.
+    Stats {
+        /// The request's id.
+        id: u64,
+        /// Queued plus in-flight queries.
+        resident: u64,
+        /// Lookups the atlas answered.
+        atlas_hits: u64,
+        /// Lookups that fell through to a live check.
+        atlas_misses: u64,
+        /// Per-tenant rows, sorted by name.
+        tenants: Vec<TenantRow>,
+    },
+    /// The `shutdown` acknowledgement.
+    Shutdown {
+        /// The request's id.
+        id: u64,
+    },
+    /// A streaming `progress` frame, sent per requeued slice before the
+    /// final line.
+    Progress {
+        /// The request's id.
+        id: u64,
+        /// `Some(Live)` for an `atlas_lookup` fall-through.
+        source: Option<Source>,
+        /// Slices dispatched so far.
+        slices: u64,
+        /// The token the query would resume from; the frame reports its
+        /// cumulative counters.
+        token: Token,
+    },
+    /// An error: `{"id":…,"ok":0,"error":…,"reason":…}` plus, when partial
+    /// work exists, the `final_edges` to resume against (dynamics ops)
+    /// and the `resume` token.
+    Error {
+        /// The request's id (0 when even that was unreadable).
+        id: u64,
+        /// The error class.
+        error: ErrorClass,
+        /// Human-readable cause (sanitized on output).
+        reason: String,
+        /// The advanced graph of a suspended trajectory or dynamics run.
+        final_edges: Option<Graph>,
+        /// The resume token of a suspended query, verbatim.
+        resume: Option<String>,
+    },
+}
+
+impl Response {
+    /// An error response without partial work.
+    #[must_use]
+    pub(crate) fn error(id: u64, error: ErrorClass, reason: impl Into<String>) -> Response {
+        Response::Error {
+            id,
+            error,
+            reason: reason.into(),
+            final_edges: None,
+            resume: None,
+        }
+    }
+
+    /// Marks a live check's verdict or progress frame as an
+    /// `atlas_lookup` fall-through (`"source":"live"`); every other line
+    /// passes unchanged.
+    #[must_use]
+    pub(crate) fn live_lookup(mut self) -> Response {
+        if let Response::Verdict { source, .. } | Response::Progress { source, .. } = &mut self {
+            *source = Some(Source::Live);
+        }
+        self
+    }
+}
+
+impl fmt::Display for Response {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Response::Verdict {
+                id,
+                source,
+                witness,
+                evals,
+                slices,
+            } => {
+                head(f, *id, "check", *source)?;
+                match witness {
+                    None => f.write_str(",\"verdict\":\"stable\"")?,
+                    Some(mv) => write!(
+                        f,
+                        ",\"verdict\":\"unstable\",\"witness\":{}",
+                        mv.render_json()
+                    )?,
+                }
+                write!(f, ",\"evals\":{evals},\"slices\":{slices}")?;
+            }
+            Response::BestResponse {
+                id,
+                best,
+                evals,
+                slices,
+            } => {
+                head(f, *id, "best_response", None)?;
+                write!(f, ",\"improving\":{}", u8::from(best.is_some()))?;
+                if let Some(mv) = best {
+                    write!(f, ",\"move\":{}", mv.render_json())?;
+                }
+                write!(f, ",\"evals\":{evals},\"slices\":{slices}")?;
+            }
+            Response::Trajectory {
+                id,
+                converged,
+                cycled,
+                rounds,
+                moves,
+                evals,
+                slices,
+                final_edges,
+            } => {
+                head(f, *id, "trajectory", None)?;
+                write!(
+                    f,
+                    ",\"converged\":{},\"cycled\":{},\"rounds\":{rounds},\"moves\":{moves},\
+                     \"evals\":{evals},\"slices\":{slices},\"final_edges\":{}",
+                    u8::from(*converged),
+                    u8::from(*cycled),
+                    render_edges(final_edges)
+                )?;
+            }
+            Response::Dynamics {
+                id,
+                converged,
+                steps,
+                evals,
+                slices,
+                final_edges,
+            } => {
+                head(f, *id, "dynamics", None)?;
+                write!(
+                    f,
+                    ",\"converged\":{},\"steps\":{steps},\"evals\":{evals},\"slices\":{slices},\
+                     \"final_edges\":{}",
+                    u8::from(*converged),
+                    render_edges(final_edges)
+                )?;
+            }
+            Response::Grant {
+                id,
+                tenant,
+                granted,
+                weight,
+            } => {
+                head(f, *id, "grant", None)?;
+                write!(
+                    f,
+                    ",\"tenant\":\"{}\",\"granted\":{granted},\"weight\":{weight}",
+                    sanitize(tenant)
+                )?;
+            }
+            Response::Stats {
+                id,
+                resident,
+                atlas_hits,
+                atlas_misses,
+                tenants,
+            } => {
+                head(f, *id, "stats", None)?;
+                write!(
+                    f,
+                    ",\"resident\":{resident},\"atlas_hits\":{atlas_hits},\
+                     \"atlas_misses\":{atlas_misses},\"tenants\":["
+                )?;
+                for (i, row) in tenants.iter().enumerate() {
+                    // A hostile embedder-registered name can garble its
+                    // own label but never the line's structure.
+                    write!(
+                        f,
+                        "{}{{\"tenant\":\"{}\",\"granted\":{},\"used\":{},\"weight\":{},\
+                         \"queued\":{},\"in_flight\":{},\"waited_ms\":{}}}",
+                        if i == 0 { "" } else { "," },
+                        sanitize(&row.name),
+                        row.granted,
+                        row.used,
+                        row.weight,
+                        row.queued,
+                        row.in_flight,
+                        row.waited_ms
+                    )?;
+                }
+                f.write_str("]")?;
+            }
+            Response::Shutdown { id } => head(f, *id, "shutdown", None)?,
+            Response::Progress {
+                id,
+                source,
+                slices,
+                token,
+            } => {
+                head(f, *id, token.op(), *source)?;
+                write!(f, ",\"progress\":1,\"slices\":{slices}")?;
+                match token {
+                    Token::Check(t) => write!(f, ",\"evals\":{}", t.evals())?,
+                    Token::BestResponse(t) => write!(f, ",\"evals\":{}", t.evals())?,
+                    Token::Trajectory(t) => write!(
+                        f,
+                        ",\"evals\":{},\"round\":{},\"moves\":{}",
+                        t.evals(),
+                        t.round(),
+                        t.moves()
+                    )?,
+                    Token::Dynamics(t) => {
+                        write!(f, ",\"evals\":{},\"steps\":{}", t.evals(), t.steps())?;
+                    }
+                }
+            }
+            Response::Error {
+                id,
+                error,
+                reason,
+                final_edges,
+                resume,
+            } => {
+                write!(
+                    f,
+                    "{{\"id\":{id},\"ok\":0,\"error\":\"{}\",\"reason\":\"{}\"",
+                    error.token(),
+                    sanitize(reason)
+                )?;
+                if let Some(g) = final_edges {
+                    write!(f, ",\"final_edges\":{}", render_edges(g))?;
+                }
+                if let Some(token) = resume {
+                    write!(f, ",\"resume\":{token}")?;
+                }
+            }
+        }
+        f.write_str("}")
+    }
+}
+
+/// Opens a success line. A `source` makes it an `atlas_lookup` line,
+/// whatever op produced it.
+fn head(f: &mut fmt::Formatter<'_>, id: u64, op: &str, source: Option<Source>) -> fmt::Result {
+    write!(f, "{{\"id\":{id},\"ok\":1,\"op\":\"")?;
+    match source {
+        None => write!(f, "{op}\""),
+        Some(Source::Atlas) => f.write_str("atlas_lookup\",\"source\":\"atlas\""),
+        Some(Source::Live) => f.write_str("atlas_lookup\",\"source\":\"live\""),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bncg_graph::generators;
+
+    fn query(line: &str) -> (QuerySpec, bool, bool) {
+        match parse_request(line) {
+            Ok(Request::Query {
+                spec,
+                stream,
+                lookup,
+            }) => (spec, stream, lookup),
+            other => panic!("not a query: {other:?}"),
+        }
+    }
 
     #[test]
     fn check_request_round_trips() {
@@ -541,39 +735,36 @@ mod tests {
              \"alpha\":\"3/2\",\"n\":5,\"edges\":{}}}",
             render_edges(&g)
         );
-        let Request::Check {
-            id,
-            tenant,
+        let (spec, stream, lookup) = query(&line);
+        let Work::Check {
             concept,
+            graph,
             alpha,
             cost_model,
-            graph,
-            resume,
-            deadline_ms,
-            stream,
-        } = parse_request(&line).unwrap()
+        } = spec.work
         else {
-            panic!("wrong op")
+            panic!("wrong work")
         };
-        assert_eq!(id, 7);
-        assert_eq!(tenant, "acme");
+        assert_eq!(spec.id, 7);
+        assert_eq!(spec.tenant, "acme");
         assert_eq!(concept, Concept::Bne);
         assert_eq!(alpha, "3/2".parse().unwrap());
         assert_eq!(cost_model, CostModelSpec::SumDistances);
         assert_eq!(graph, g);
-        assert!(resume.is_none());
-        assert!(deadline_ms.is_none());
-        assert!(!stream);
+        assert!(spec.resume.is_none());
+        assert!(spec.deadline_ms.is_none());
+        assert!(!stream && !lookup);
+        let (spec, _, lookup) = query(&line.replace("\"check\"", "\"atlas_lookup\""));
+        assert!(lookup && matches!(spec.work, Work::Check { .. }));
     }
 
     #[test]
     fn stream_flag_and_grant_weight_parse() {
         let line = "{\"id\":4,\"op\":\"trajectory\",\"alpha\":\"2\",\"n\":3,\
                     \"edges\":[1,4294967298],\"stream\":1}";
-        let Request::Trajectory { stream, .. } = parse_request(line).unwrap() else {
-            panic!("wrong op")
-        };
+        let (spec, stream, _) = query(line);
         assert!(stream);
+        assert!(matches!(spec.work, Work::Trajectory { rounds: 100, .. }));
         let Request::Grant { evals, weight, .. } =
             parse_request("{\"id\":5,\"op\":\"grant\",\"tenant\":\"a\",\"weight\":3}").unwrap()
         else {
@@ -592,51 +783,11 @@ mod tests {
     }
 
     #[test]
-    fn hostile_tenant_names_cannot_break_stats_rows() {
-        // Registered through an embedder (the wire rejects these at
-        // parse time), a hostile name must not yield an unparseable or
-        // field-spoofing row.
-        let row = TenantRow {
-            name: "evil\",\"granted\":999999,\"x\":\"".into(),
-            granted: 7,
-            used: 2,
-            weight: 1,
-            queued: 0,
-            in_flight: 0,
-            waited_ms: 0,
-        };
-        let json = render_tenant_row(&row);
-        assert_eq!(jsonio::u64_field(&json, "granted"), Some(7), "{json}");
-        assert_eq!(jsonio::u64_field(&json, "used"), Some(2));
-        assert_eq!(json.matches('{').count(), 1, "one object only: {json}");
-        assert_eq!(json.matches('"').count() % 2, 0, "quotes must balance");
-    }
-
-    #[test]
-    fn progress_frames_extract_checkpoint_counters() {
-        let token = "{\"v\":1,\"instance\":9,\"round\":3,\"agent\":2,\"moved\":1,\
-                     \"moves\":5,\"evals\":480,\"seen\":[],\
-                     \"scan\":{\"v\":1,\"agent\":2,\"instance\":9,\"pos\":7,\"evals\":12,\"best\":0}}";
-        let frame = progress_frame(11, "trajectory", 4, token);
-        assert_eq!(jsonio::u64_field(&frame, "id"), Some(11));
-        assert_eq!(jsonio::u64_field(&frame, "progress"), Some(1));
-        assert_eq!(jsonio::u64_field(&frame, "slices"), Some(4));
-        assert_eq!(
-            jsonio::u64_field(&frame, "evals"),
-            Some(480),
-            "the checkpoint's own cumulative evals, not the nested scan's: {frame}"
-        );
-        assert_eq!(jsonio::u64_field(&frame, "round"), Some(3));
-        assert_eq!(jsonio::u64_field(&frame, "moves"), Some(5));
-        assert_eq!(jsonio::str_field(&frame, "op"), Some("trajectory"));
-    }
-
-    #[test]
     fn cost_model_field_parses_and_defaults() {
         let line = "{\"id\":2,\"op\":\"check\",\"concept\":\"bne\",\"alpha\":\"2\",\
                     \"cost_model\":\"generalized:cap2\",\"n\":3,\"edges\":[1,4294967298]}";
-        let Request::Check { cost_model, .. } = parse_request(line).unwrap() else {
-            panic!("wrong op")
+        let Work::Check { cost_model, .. } = query(line).0.work else {
+            panic!("wrong work")
         };
         assert_eq!(cost_model.token(), "generalized:cap2");
         let err = parse_request(
@@ -656,14 +807,15 @@ mod tests {
                     \"resume\":{\"v\":1,\"concept\":\"bse\",\"instance\":9,\
                     \"unit\":2,\"pos\":4,\"evals\":55},\
                     \"concept\":\"bne\",\"alpha\":\"2\",\"n\":3,\"edges\":[1,4294967298]}";
-        let Request::Check {
-            concept, resume, ..
-        } = parse_request(line).unwrap()
-        else {
-            panic!("wrong op")
-        };
-        assert_eq!(concept, Concept::Bne);
-        let token = resume.unwrap();
+        let spec = query(line).0;
+        assert!(matches!(
+            spec.work,
+            Work::Check {
+                concept: Concept::Bne,
+                ..
+            }
+        ));
+        let token = spec.resume.unwrap();
         assert_eq!(jsonio::u64_field(&token, "evals"), Some(55));
         assert_eq!(jsonio::str_field(&token, "concept"), Some("bse"));
     }
@@ -718,39 +870,281 @@ mod tests {
         assert_eq!(parse_graph(&json).unwrap(), g);
     }
 
+    /// Reads every field of `line` back with `jsonio`, given the line's
+    /// keys in order: each must read as exactly the text between its key
+    /// and the next, so none is unreadable or shadowed by an earlier key
+    /// of the same name (a nested token's `evals`, say). `tenants` rows
+    /// are read back row by row.
+    fn assert_reads_back(line: &str, keys: &str) {
+        let keys: Vec<&str> = keys.split(' ').collect();
+        let mut rest = line.strip_prefix('{').expect("an object");
+        for (i, key) in keys.iter().enumerate() {
+            rest = rest.strip_prefix(&format!("\"{key}\":")).expect(key);
+            let end = keys.get(i + 1).map_or(rest.len() - 1, |next| {
+                rest.find(&format!(",\"{next}\":")).expect(next)
+            });
+            let value = &rest[..end];
+            rest = &rest[end..];
+            rest = rest.strip_prefix(',').unwrap_or(rest);
+            match value.as_bytes()[0] {
+                b'"' => assert_eq!(jsonio::str_field(line, key), Some(&value[1..end - 1])),
+                b'{' => assert_eq!(jsonio::object_field(line, key), Some(value)),
+                b'[' if *key == "tenants" => {
+                    for row in value[2..end - 2].split("},{") {
+                        assert_reads_back(&format!("{{{row}}}"), TENANT_ROW);
+                    }
+                }
+                b'[' => {
+                    let list = jsonio::u64_list_field(line, key).expect(key);
+                    assert_eq!(jsonio::render_u64_list(&list), value);
+                }
+                _ => assert_eq!(
+                    jsonio::u64_field(line, key),
+                    Some(value.parse().expect(key))
+                ),
+            }
+        }
+        assert_eq!(rest, "}", "{line} has fields past {keys:?}");
+    }
+
+    const TENANT_ROW: &str = "tenant granted used weight queued in_flight waited_ms";
+
+    /// One value of every response shape, encoded and compared to the
+    /// line the daemon wrote for it before the typed encoder existed,
+    /// then parsed back field by field.
     #[test]
-    fn sanitize_strips_structure() {
-        let dirty = "bad \"alpha\": {x\\y} [z]\n";
-        let clean = sanitize(dirty);
-        assert!(!clean.contains('"') && !clean.contains('\\'));
-        assert!(!clean.contains('{') && !clean.contains('['));
-        let resp = error_response(4, "bad_request", dirty, None, None);
-        assert_eq!(jsonio::u64_field(&resp, "id"), Some(4));
-        assert_eq!(jsonio::u64_field(&resp, "ok"), Some(0));
-        assert_eq!(jsonio::str_field(&resp, "error"), Some("bad_request"));
+    fn responses_encode_to_the_captured_lines_and_parse_back() {
+        let p6_plus =
+            Graph::from_edges(6, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
+        let row = |name: &str, granted, used| TenantRow {
+            name: name.into(),
+            granted,
+            used,
+            weight: 1,
+            queued: 0,
+            in_flight: 0,
+            waited_ms: 0,
+        };
+        let cases = [
+            (
+                Response::Verdict {
+                    id: 1,
+                    source: Some(Source::Atlas),
+                    witness: Some(Move::BilateralAdd { u: 0, v: 3 }),
+                    evals: 0,
+                    slices: 0,
+                },
+                "{\"id\":1,\"ok\":1,\"op\":\"atlas_lookup\",\"source\":\"atlas\",\
+                 \"verdict\":\"unstable\",\"witness\":{\"kind\":\"add\",\"u\":0,\"v\":3},\
+                 \"evals\":0,\"slices\":0}",
+                "id ok op source verdict witness evals slices",
+            ),
+            (
+                Response::Progress {
+                    id: 3,
+                    source: None,
+                    slices: 1,
+                    token: Token::Check(
+                        "{\"v\":1,\"concept\":\"bne\",\"instance\":0,\"unit\":0,\"pos\":0,\
+                         \"evals\":64}"
+                            .parse()
+                            .unwrap(),
+                    ),
+                }
+                .live_lookup(),
+                "{\"id\":3,\"ok\":1,\"op\":\"atlas_lookup\",\"source\":\"live\",\
+                 \"progress\":1,\"slices\":1,\"evals\":64}",
+                "id ok op source progress slices evals",
+            ),
+            (
+                Response::Verdict {
+                    id: 3,
+                    source: None,
+                    witness: None,
+                    evals: 120,
+                    slices: 2,
+                }
+                .live_lookup(),
+                "{\"id\":3,\"ok\":1,\"op\":\"atlas_lookup\",\"source\":\"live\",\
+                 \"verdict\":\"stable\",\"evals\":120,\"slices\":2}",
+                "id ok op source verdict evals slices",
+            ),
+            (
+                Response::Progress {
+                    id: 4,
+                    source: None,
+                    slices: 3,
+                    token: Token::Trajectory(
+                        "{\"v\":1,\"instance\":0,\"round\":2,\"agent\":0,\"moved\":0,\
+                         \"moves\":1,\"evals\":46,\"seen\":[]}"
+                            .parse()
+                            .unwrap(),
+                    ),
+                },
+                "{\"id\":4,\"ok\":1,\"op\":\"trajectory\",\"progress\":1,\"slices\":3,\
+                 \"evals\":46,\"round\":2,\"moves\":1}",
+                "id ok op progress slices evals round moves",
+            ),
+            (
+                Response::Trajectory {
+                    id: 4,
+                    converged: true,
+                    cycled: false,
+                    rounds: 2,
+                    moves: 1,
+                    evals: 58,
+                    slices: 4,
+                    final_edges: p6_plus.clone(),
+                },
+                "{\"id\":4,\"ok\":1,\"op\":\"trajectory\",\"converged\":1,\"cycled\":0,\
+                 \"rounds\":2,\"moves\":1,\"evals\":58,\"slices\":4,\
+                 \"final_edges\":[1,4,4294967298,8589934595,12884901892,17179869189]}",
+                "id ok op converged cycled rounds moves evals slices final_edges",
+            ),
+            (
+                Response::Progress {
+                    id: 14,
+                    source: None,
+                    slices: 1,
+                    token: Token::Dynamics(
+                        "{\"v\":1,\"instance\":0,\"steps\":5,\"evals\":32}"
+                            .parse()
+                            .unwrap(),
+                    ),
+                },
+                "{\"id\":14,\"ok\":1,\"op\":\"dynamics\",\"progress\":1,\"slices\":1,\
+                 \"evals\":32,\"steps\":5}",
+                "id ok op progress slices evals steps",
+            ),
+            (
+                Response::Dynamics {
+                    id: 5,
+                    converged: true,
+                    steps: 1,
+                    evals: 29,
+                    slices: 1,
+                    final_edges: p6_plus.clone(),
+                },
+                "{\"id\":5,\"ok\":1,\"op\":\"dynamics\",\"converged\":1,\"steps\":1,\
+                 \"evals\":29,\"slices\":1,\
+                 \"final_edges\":[1,4,4294967298,8589934595,12884901892,17179869189]}",
+                "id ok op converged steps evals slices final_edges",
+            ),
+            (
+                Response::Grant {
+                    id: 6,
+                    tenant: "poor".into(),
+                    granted: 20,
+                    weight: 1,
+                },
+                "{\"id\":6,\"ok\":1,\"op\":\"grant\",\"tenant\":\"poor\",\"granted\":20,\
+                 \"weight\":1}",
+                "id ok op tenant granted weight",
+            ),
+            (
+                Response::Error {
+                    id: 7,
+                    error: ErrorClass::Shed,
+                    reason: "tenant budget pool is drained".into(),
+                    final_edges: Some(p6_plus),
+                    resume: Some(
+                        "{\"v\":1,\"instance\":16550291332460309889,\"round\":1,\"agent\":4,\
+                         \"moved\":1,\"moves\":1,\"evals\":22,\
+                         \"seen\":[2248340315589134886,13140582344453966690]}"
+                            .into(),
+                    ),
+                }
+                .live_lookup(),
+                "{\"id\":7,\"ok\":0,\"error\":\"shed\",\"reason\":\"tenant budget pool is \
+                 drained\",\"final_edges\":[1,4,4294967298,8589934595,12884901892,\
+                 17179869189],\"resume\":{\"v\":1,\"instance\":16550291332460309889,\
+                 \"round\":1,\"agent\":4,\"moved\":1,\"moves\":1,\"evals\":22,\
+                 \"seen\":[2248340315589134886,13140582344453966690]}}",
+                "id ok error reason final_edges resume",
+            ),
+            (
+                Response::BestResponse {
+                    id: 8,
+                    best: Some(Move::Neighborhood {
+                        center: 0,
+                        remove: vec![],
+                        add: vec![4, 7, 10],
+                    }),
+                    evals: 2046,
+                    slices: 31,
+                },
+                "{\"id\":8,\"ok\":1,\"op\":\"best_response\",\"improving\":1,\
+                 \"move\":{\"kind\":\"neighborhood\",\"center\":0,\"remove\":[],\
+                 \"add\":[4,7,10]},\"evals\":2046,\"slices\":31}",
+                "id ok op improving move evals slices",
+            ),
+            (
+                Response::error(0, ErrorClass::BadRequest, "missing \"op\""),
+                "{\"id\":0,\"ok\":0,\"error\":\"bad_request\",\"reason\":\"missing 'op'\"}",
+                "id ok error reason",
+            ),
+            (
+                Response::Stats {
+                    id: 12,
+                    resident: 0,
+                    atlas_hits: 2,
+                    atlas_misses: 1,
+                    tenants: vec![row("poor", 20, 22), row("public", u64::MAX, 527)],
+                },
+                "{\"id\":12,\"ok\":1,\"op\":\"stats\",\"resident\":0,\"atlas_hits\":2,\
+                 \"atlas_misses\":1,\"tenants\":[{\"tenant\":\"poor\",\"granted\":20,\
+                 \"used\":22,\"weight\":1,\"queued\":0,\"in_flight\":0,\"waited_ms\":0},\
+                 {\"tenant\":\"public\",\"granted\":18446744073709551615,\"used\":527,\
+                 \"weight\":1,\"queued\":0,\"in_flight\":0,\"waited_ms\":0}]}",
+                "id ok op resident atlas_hits atlas_misses tenants",
+            ),
+            (
+                Response::Shutdown { id: 13 },
+                "{\"id\":13,\"ok\":1,\"op\":\"shutdown\"}",
+                "id ok op",
+            ),
+        ];
+        for (response, line, keys) in &cases {
+            assert_eq!(response.to_string(), *line);
+            assert_reads_back(line, keys);
+        }
     }
 
     #[test]
-    fn moves_render_as_flat_objects() {
-        let mv = Move::Neighborhood {
-            center: 3,
-            remove: vec![1],
-            add: vec![5, 7],
-        };
-        let json = render_move(&mv);
-        assert_eq!(jsonio::str_field(&json, "kind"), Some("neighborhood"));
-        assert_eq!(jsonio::u64_field(&json, "center"), Some(3));
-        assert_eq!(jsonio::u64_list_field(&json, "add"), Some(vec![5, 7]));
-        let mv = Move::Coalition {
-            members: vec![0, 2],
-            remove_edges: vec![(0, 1)],
-            add_edges: vec![(0, 2)],
-        };
-        let json = render_move(&mv);
-        assert_eq!(
-            jsonio::u64_list_field(&json, "remove_edges"),
-            Some(vec![pack_edge(0, 1)])
+    fn hostile_text_cannot_break_a_line() {
+        // Error reasons echo client input, and an embedder can register
+        // any tenant name (the wire rejects these at parse time): the
+        // encoder must keep either from spoofing fields or unbalancing
+        // the line.
+        let hostile = "evil\",\"granted\":999999,\"x\":{\\[\n";
+        let clean = sanitize(hostile);
+        assert!(
+            !clean.contains(['"', '\\', '{', '[', '}', ']', '\n']),
+            "{clean}"
         );
+        let row = TenantRow {
+            name: hostile.into(),
+            granted: 7,
+            used: 2,
+            weight: 1,
+            queued: 0,
+            in_flight: 0,
+            waited_ms: 0,
+        };
+        let stats = Response::Stats {
+            id: 1,
+            resident: 0,
+            atlas_hits: 0,
+            atlas_misses: 0,
+            tenants: vec![row],
+        }
+        .to_string();
+        assert_reads_back(&stats, "id ok op resident atlas_hits atlas_misses tenants");
+        assert_eq!(jsonio::str_field(&stats, "tenant"), Some(clean.as_str()));
+        assert_eq!(jsonio::u64_field(&stats, "granted"), Some(7), "{stats}");
+        let error = Response::error(4, ErrorClass::BadRequest, hostile).to_string();
+        assert_reads_back(&error, "id ok error reason");
+        assert_eq!(jsonio::str_field(&error, "reason"), Some(clean.as_str()));
     }
 
     /// The move block of `docs/PROTOCOL.md` shows one rendered move of
@@ -781,7 +1175,7 @@ mod tests {
             },
         ];
         for mv in &moves {
-            let line = render_move(mv);
+            let line = mv.render_json();
             assert!(
                 doc.lines().any(|l| l == line),
                 "docs/PROTOCOL.md lacks the rendered move line {line}"

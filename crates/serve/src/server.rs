@@ -3,10 +3,13 @@
 //!
 //! One event-loop thread owns the listener and every connection. Each
 //! socket is non-blocking; the loop polls for readability, frames
-//! request lines out of per-connection read buffers, and either answers
-//! inline (the control ops: `grant`, `stats`, `shutdown`) or submits to
-//! the scheduler with a callback that appends the response to the
-//! connection's **outbox** and wakes the loop through a self-pipe.
+//! request lines out of per-connection read buffers, parses each into a
+//! [`Request`], and either answers inline (the control ops: `grant`,
+//! `stats`, `shutdown`; an `atlas_lookup` hit) or submits the parsed
+//! [`QuerySpec`](crate::scheduler::QuerySpec) to the scheduler with a
+//! callback that appends the [`Response`] to the connection's
+//! **outbox** — encoding it there, the one place a response becomes
+//! bytes — and wakes the loop through a self-pipe.
 //! Responses are correlated by `id`, not by order — a long check
 //! submitted first can answer after a short one submitted later, which
 //! is the whole point of the slicing scheduler. An idle connection
@@ -31,10 +34,10 @@
 //!
 //! [`reactor`]: crate::reactor
 
-use crate::atlas::{relabel_live_response, AtlasService};
-use crate::protocol::{self, error_response, BadRequest, Request};
+use crate::atlas::AtlasService;
+use crate::protocol::{self, BadRequest, ErrorClass, Request, Response};
 use crate::reactor::{self, PollFd, WakeReceiver, Waker, POLLIN, POLLOUT};
-use crate::scheduler::{QuerySpec, Scheduler, SchedulerConfig, Work};
+use crate::scheduler::{Scheduler, SchedulerConfig, Work};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -137,10 +140,14 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    fn push_line(&self, line: &str) {
+    /// Encodes `response` as one line onto the outbox: the one place a
+    /// response becomes bytes.
+    fn push_line(&self, response: &Response) {
         if self.closed.load(Ordering::Acquire) {
             return;
         }
+        // Encode before taking the lock the event loop flushes under.
+        let line = response.to_string();
         {
             let mut out = self.outbox.lock().expect("no poisoning");
             out.reserve(line.len() + 1);
@@ -277,12 +284,10 @@ impl Conn {
         self.read_buf.clear();
         // The line's id is untrusted (it may sit in the truncated tail),
         // so the response carries id 0 like any unreadable request.
-        self.shared.push_line(&error_response(
+        self.shared.push_line(&Response::error(
             0,
-            "bad_request",
-            &format!("request line exceeds {MAX_LINE} bytes"),
-            None,
-            None,
+            ErrorClass::BadRequest,
+            format!("request line exceeds {MAX_LINE} bytes"),
         ));
     }
 
@@ -530,12 +535,10 @@ fn handle_line(
     ctl: &Arc<Control>,
 ) {
     let Ok(text) = std::str::from_utf8(raw) else {
-        sink.push_line(&error_response(
+        sink.push_line(&Response::error(
             0,
-            "bad_request",
+            ErrorClass::BadRequest,
             "request line is not valid UTF-8",
-            None,
-            None,
         ));
         return;
     };
@@ -545,49 +548,16 @@ fn handle_line(
     }
     match protocol::parse_request(line) {
         Err(BadRequest { id, reason }) => {
-            sink.push_line(&error_response(id, "bad_request", &reason, None, None));
+            sink.push_line(&Response::error(id, ErrorClass::BadRequest, reason));
         }
         Ok(request) => dispatch(request, scheduler, atlas, ctl, sink),
     }
 }
 
-/// Submits solver work, wiring streaming and (for atlas fall-throughs)
-/// response relabeling into the connection outbox.
-fn submit(
-    scheduler: &Arc<Scheduler>,
-    sink: &Arc<ConnShared>,
-    spec: QuerySpec,
-    stream: bool,
-    relabel: bool,
-) {
-    let finish = {
-        let sink = Arc::clone(sink);
-        Box::new(move |line: String| {
-            if relabel {
-                sink.push_line(&relabel_live_response(&line));
-            } else {
-                sink.push_line(&line);
-            }
-        })
-    };
-    if stream {
-        let sink = Arc::clone(sink);
-        scheduler.submit_with_progress(
-            spec,
-            Box::new(move |frame: String| {
-                if relabel {
-                    sink.push_line(&relabel_live_response(&frame));
-                } else {
-                    sink.push_line(&frame);
-                }
-            }),
-            finish,
-        );
-    } else {
-        scheduler.submit(spec, finish);
-    }
-}
-
+/// Answers the control ops inline; submits queries to the scheduler with
+/// callbacks that push into the connection's outbox. A fresh
+/// `atlas_lookup` is answered from the corpus when it can be; a resume
+/// token means its live fall-through is already in flight.
 fn dispatch(
     request: Request,
     scheduler: &Arc<Scheduler>,
@@ -595,7 +565,7 @@ fn dispatch(
     ctl: &Arc<Control>,
     sink: &Arc<ConnShared>,
 ) {
-    let (spec, stream, relabel) = match request {
+    match request {
         Request::Grant {
             id,
             tenant,
@@ -609,181 +579,57 @@ fn dispatch(
                 scheduler.set_weight(&tenant, weight);
             }
             let t = scheduler.registry().get_or_create(&tenant);
-            // The echoed name passes through `sanitize` like every
-            // free-text field: a hostile embedder-registered name must
-            // not be able to spoof response fields.
-            sink.push_line(&format!(
-                "{{\"id\":{id},\"ok\":1,\"op\":\"grant\",\"tenant\":\"{}\",\
-                 \"granted\":{},\"weight\":{}}}",
-                protocol::sanitize(&tenant),
-                t.pool().granted(),
-                t.weight()
-            ));
-            return;
+            sink.push_line(&Response::Grant {
+                id,
+                granted: t.pool().granted(),
+                weight: t.weight(),
+                tenant,
+            });
         }
-        Request::Stats { id } => {
-            let rows: Vec<String> = scheduler
-                .tenant_rows()
-                .iter()
-                .map(protocol::render_tenant_row)
-                .collect();
-            sink.push_line(&format!(
-                "{{\"id\":{id},\"ok\":1,\"op\":\"stats\",\"resident\":{},\
-                 \"atlas_hits\":{},\"atlas_misses\":{},\"tenants\":[{}]}}",
-                scheduler.resident(),
-                atlas.hits(),
-                atlas.misses(),
-                rows.join(",")
-            ));
-            return;
-        }
-        Request::Shutdown { id } => {
-            sink.push_line(&format!("{{\"id\":{id},\"ok\":1,\"op\":\"shutdown\"}}"));
-            ctl.request_shutdown();
-            return;
-        }
-        Request::AtlasLookup {
+        Request::Stats { id } => sink.push_line(&Response::Stats {
             id,
-            tenant,
-            concept,
-            alpha,
-            graph,
-            cost_model,
-            resume,
-            deadline_ms,
+            tenants: scheduler.tenant_rows(),
+            resident: scheduler.resident(),
+            atlas_hits: atlas.hits(),
+            atlas_misses: atlas.misses(),
+        }),
+        Request::Shutdown { id } => {
+            sink.push_line(&Response::Shutdown { id });
+            ctl.request_shutdown();
+        }
+        Request::Query {
+            spec,
             stream,
+            lookup,
         } => {
-            // Fresh queries may hit the corpus; a resume token means a
-            // live fall-through is already in flight — continue it.
-            if resume.is_none() {
-                if let Some(line) = atlas.try_answer(id, concept, &graph, alpha, cost_model) {
-                    sink.push_line(&line);
-                    return;
-                }
-            }
-            (
-                QuerySpec {
-                    id,
-                    tenant,
-                    work: Work::Check {
+            let hit = match (&spec.work, &spec.resume) {
+                (
+                    Work::Check {
                         concept,
                         graph,
                         alpha,
                         cost_model,
                     },
-                    resume,
-                    deadline_ms,
-                },
-                stream,
-                true,
-            )
+                    None,
+                ) if lookup => atlas.try_answer(spec.id, *concept, graph, *alpha, *cost_model),
+                _ => None,
+            };
+            if let Some(hit) = hit {
+                sink.push_line(&hit);
+                return;
+            }
+            let label = move |r: Response| if lookup { r.live_lookup() } else { r };
+            let finish = {
+                let sink = Arc::clone(sink);
+                Box::new(move |r: Response| sink.push_line(&label(r)))
+            };
+            if stream {
+                let sink = Arc::clone(sink);
+                let progress = Box::new(move |r: Response| sink.push_line(&label(r)));
+                scheduler.submit_with_progress(spec, progress, finish);
+            } else {
+                scheduler.submit(spec, finish);
+            }
         }
-        Request::Check {
-            id,
-            tenant,
-            concept,
-            alpha,
-            graph,
-            cost_model,
-            resume,
-            deadline_ms,
-            stream,
-        } => (
-            QuerySpec {
-                id,
-                tenant,
-                work: Work::Check {
-                    concept,
-                    graph,
-                    alpha,
-                    cost_model,
-                },
-                resume,
-                deadline_ms,
-            },
-            stream,
-            false,
-        ),
-        Request::BestResponse {
-            id,
-            tenant,
-            agent,
-            alpha,
-            graph,
-            cost_model,
-            resume,
-            deadline_ms,
-            stream,
-        } => (
-            QuerySpec {
-                id,
-                tenant,
-                work: Work::BestResponse {
-                    agent,
-                    graph,
-                    alpha,
-                    cost_model,
-                },
-                resume,
-                deadline_ms,
-            },
-            stream,
-            false,
-        ),
-        Request::Trajectory {
-            id,
-            tenant,
-            alpha,
-            graph,
-            rounds,
-            cost_model,
-            resume,
-            deadline_ms,
-            stream,
-        } => (
-            QuerySpec {
-                id,
-                tenant,
-                work: Work::Trajectory {
-                    graph,
-                    alpha,
-                    rounds,
-                    cost_model,
-                },
-                resume,
-                deadline_ms,
-            },
-            stream,
-            false,
-        ),
-        Request::Dynamics {
-            id,
-            tenant,
-            concept,
-            alpha,
-            graph,
-            steps,
-            cost_model,
-            resume,
-            deadline_ms,
-            stream,
-        } => (
-            QuerySpec {
-                id,
-                tenant,
-                work: Work::Dynamics {
-                    concept,
-                    graph,
-                    alpha,
-                    steps,
-                    cost_model,
-                },
-                resume,
-                deadline_ms,
-            },
-            stream,
-            false,
-        ),
-    };
-    submit(scheduler, sink, spec, stream, relabel);
+    }
 }

@@ -151,7 +151,7 @@ fn kernels() -> Vec<Kernel> {
             bitset_speedup()
         }),
     ];
-    // The pruning-suite instances (stable ⇒ full scans). Each speedup
+    // The pinned pruning instances (stable ⇒ full scans). Each speedup
     // must clear the pruning layer's 3× acceptance floor.
     for (i, (inst, ..)) in instances().into_iter().enumerate() {
         let key = |kernel: &str| format!("{kernel}/{inst}");
@@ -268,8 +268,8 @@ fn kernels() -> Vec<Kernel> {
         kernel("cost_model_generalized/bne_path12", WallClock, |_, _| {
             cost_model_generalized_secs()
         }),
-        // The engine_vs_naive representative: 50 rounds of engine-backed
-        // round-robin dynamics on path16 (the engine's headline kernel).
+        // 50 rounds of engine-backed round-robin dynamics on path16 (the
+        // incremental engine's headline kernel).
         kernel("round_robin50/path16", WallClock, |_, _| {
             median_secs(3, || {
                 round_robin::run(&generators::path(16), alpha2(), 50).unwrap();
@@ -1006,8 +1006,8 @@ impl MixedBatch {
 /// Everything several kernels share, built and exactness-checked once
 /// before the table runs.
 struct Fixtures {
-    /// The pruning-suite instances, in `instances()` order — shared with
-    /// `benches/pruning.rs`.
+    /// The pinned pruning instances, in `instances()` order — shared
+    /// with the crate's scan-counter test.
     states: Vec<GameState>,
     batch: MixedBatch,
     /// A 48-eval-slice scheduler, fine enough to force the cycle40 check

@@ -1,32 +1,13 @@
 //! # bncg-bench
 //!
-//! Criterion benchmarks for the BNCG reproduction, organized one bench
-//! target per paper artifact:
-//!
-//! * `table1` — the verification kernel behind each Table 1 row
-//!   (exhaustive tree PoA per concept, lower-bound family certification,
-//!   d-ary regime evaluation);
-//! * `figures` — the kernels behind Figures 1b–8 (witness searches and
-//!   certifications) and Lemma 2.4's cycle windows;
-//! * `substrate` — the graph layer (BFS, distance matrices, rerooted
-//!   sums, enumeration, isomorphism, graph6);
-//! * `dynamics` — improving-move dynamics throughput.
-//!
-//! Run with `cargo bench --workspace`; each group uses reduced sample
-//! counts so a full sweep stays in CI-friendly time.
+//! The `ci_gate` perf-regression binary and the pinned kernels it
+//! shares with this crate's counter test. `ci_gate` asserts each
+//! kernel's exactness before it times it; the end-to-end benchmark is
+//! `perfbench/`, a workspace of its own.
 
-/// Shared α grid used across bench groups, mirroring the experiments.
-#[must_use]
-pub fn alpha_grid() -> Vec<bncg_core::Alpha> {
-    [1i64, 4, 16, 64]
-        .iter()
-        .map(|&v| bncg_core::Alpha::integer(v).expect("positive"))
-        .collect()
-}
-
-/// The pinned kernels shared by the `pruning` bench and the `ci_gate`
-/// perf-regression binary — one definition so the gate always measures
-/// exactly the instances the recorded numbers describe.
+/// The pinned kernels the `ci_gate` binary times and the counter test
+/// pins — one definition so the gate always measures exactly the
+/// instances the recorded numbers describe.
 pub mod pruning_kernels {
     use bncg_core::solver::{Solver, StabilityQuery};
     use bncg_core::{Alpha, CandidateStats, CheckBudget, Concept, GameState, Move};
@@ -77,8 +58,45 @@ pub mod pruning_kernels {
 
 #[cfg(test)]
 mod tests {
+    use super::pruning_kernels::{instances, solve};
+    use bncg_core::{Concept, GameState};
+
+    /// The pinned stable scans do exactly the recorded work: raw space
+    /// (`generated`), generator steps (`visited`), priced leaves
+    /// (`evaluated`) and skipped candidates, per instance and concept.
+    /// A pruning or generator change that moves any counter fails here
+    /// deterministically, where a timing could only drift.
     #[test]
-    fn grid_is_nonempty() {
-        assert_eq!(super::alpha_grid().len(), 4);
+    fn pinned_stable_scans_do_the_recorded_work() {
+        // (generated, visited, evaluated, skipped) for BNE, 2-BSE, 3-BSE.
+        let recorded = [
+            [
+                (524_272, 16, 0, 524_272),
+                (525_022, 0, 0, 525_022),
+                (7_434_862, 0, 0, 7_434_862),
+            ],
+            [
+                (524_272, 16, 0, 524_272),
+                (2_205_448, 0, 0, 2_205_448),
+                (1_155_032_280, 0, 0, 1_155_032_280),
+            ],
+        ];
+        let instances = instances();
+        assert_eq!(instances.len(), recorded.len(), "an instance has no row");
+        for ((name, g, alpha), counts) in instances.into_iter().zip(recorded) {
+            let state = GameState::new(g, alpha);
+            for (concept, want) in [Concept::Bne, Concept::KBse(2), Concept::KBse(3)]
+                .into_iter()
+                .zip(counts)
+            {
+                let (witness, s) = solve(concept, &state);
+                assert_eq!(witness, None, "{concept} must scan {name} to completion");
+                assert_eq!(
+                    (s.generated, s.visited, s.evaluated, s.skipped()),
+                    want,
+                    "{concept} counters drifted on {name}"
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Best responses are *optimization* queries (argmin over a move space),
 //! not stability queries, so they keep their own entry points rather than
-//! the [`crate::solver`] surface — but since this PR they speak the same
+//! the [`crate::solver`] surface — but they speak the same
 //! execution-policy dialect: [`best_response_with_policy`] runs the scan
 //! through the [`crate::scan`] poll protocol, so an [`ExecPolicy`]'s
 //! eval budget, deadline, and cancel token stop it **anytime**-style. A
@@ -32,7 +32,7 @@ use crate::generator::{BranchScan, NeighborhoodOracle, Step};
 use crate::jsonio;
 use crate::moves::Move;
 use crate::scan::{CtlLocal, ScanCtl};
-use crate::solver::ExecPolicy;
+use crate::solver::{unsupported_size, ExecPolicy};
 use crate::state::GameState;
 use bncg_graph::{BitsetGraph, Graph};
 use std::fmt;
@@ -352,24 +352,6 @@ pub fn check_enumeration_budget(n: usize, budget: CheckBudget) -> Result<(), Gam
     Ok(())
 }
 
-/// The structural representation limit of the metered scan: a position
-/// packs the `(addition mask, removal mask)` pair into
-/// one `u64`, so the `n − 1` mask bits must fit — the same shape as the
-/// solver's BNE limit. Without this check an oversized instance would
-/// overflow the mask shifts instead of erroring.
-fn check_mask_width(n: usize) -> Result<(), GameError> {
-    if n > 64 {
-        return Err(GameError::Unsupported {
-            reason: format!(
-                "best-response scans represent candidates as a packed \
-                 64-bit (addition, removal) mask pair and support n ≤ 64; \
-                 got n = {n} (use the sampled refuter for larger instances)"
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// Metered best response under an [`ExecPolicy`]: the caller's
 /// persistent [`GameState`] supplies the pre-move costs of every agent
 /// for free, so one activation costs only the candidate evaluations
@@ -479,7 +461,12 @@ fn metered(
             elapsed: started.elapsed(),
         });
     }
-    check_mask_width(n)?;
+    // A position packs the `(addition mask, removal mask)` pair into one
+    // `u64`, so an oversized instance must error here instead of
+    // overflowing the mask shifts — the solver's BNE limit, same shape.
+    if n > 64 {
+        return Err(unsupported_size("best-response", n, 64));
+    }
     let shared = AtomicU64::new(0);
     let deadline = policy.deadline.map(|d| started + d);
     let ctl = ScanCtl::new(

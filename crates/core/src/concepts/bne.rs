@@ -386,7 +386,7 @@ pub fn find_violation_in_dense(
 
 /// The raw (unpruned) scan, retained as ground truth: identical
 /// enumeration order to the pruned checker, no filters. Property tests
-/// and the `pruning` bench compare against this path — it is exactly the
+/// and the `ci_gate` kernels compare against this path — it is exactly the
 /// PR 1 engine-era BNE scan.
 ///
 /// # Errors

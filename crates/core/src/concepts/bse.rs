@@ -259,7 +259,7 @@ impl TargetScan {
 
 /// The raw (unpruned) target-graph scan, retained as ground truth:
 /// identical enumeration order, no filters — exactly the PR 1 engine-era
-/// checker. Property tests and the `pruning` bench compare against it.
+/// checker. Property tests compare against it.
 ///
 /// # Errors
 ///

@@ -28,7 +28,7 @@
 //!    [`EditSetPruner`] inequalities prove non-improving.
 //!
 //! The pre-dedup scan is retained as [`find_violation_in_reference`] for
-//! the property suite and the `pruning` bench. The exact scan's one
+//! the property suite and the `ci_gate` kernels. The exact scan's one
 //! entry point is the [`crate::solver`] surface, which drives the
 //! scanner anytime-style in size-major coalition order and reports its
 //! counters on the verdict; [`find_violation_restricted`] drives it
@@ -690,7 +690,7 @@ fn cover_removals(
 
 /// The raw pre-dedup scan, retained as ground truth: per-coalition mask
 /// enumeration requiring *every coalition member* to improve, exactly the
-/// PR 1 engine-era checker. Property tests and the `pruning` bench
+/// PR 1 engine-era checker. Property tests and the `ci_gate` kernels
 /// compare against this path.
 ///
 /// # Errors

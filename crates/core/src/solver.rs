@@ -882,7 +882,8 @@ fn validate_resume_unit(resumed: bool, start_unit: u64, units: u64) -> Result<()
     Ok(())
 }
 
-fn unsupported_size(what: &str, n: usize, max: usize) -> GameError {
+/// The structural size error of the mask-packed exact scans.
+pub(crate) fn unsupported_size(what: &str, n: usize, max: usize) -> GameError {
     GameError::Unsupported {
         reason: format!(
             "the exact {what} scan represents candidates as 64-bit masks and \

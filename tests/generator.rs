@@ -170,6 +170,7 @@ fn generated_bne_scan_matches_reference_and_dense_loop_exactly() {
     // trees, cycles and cliques whatever the seeded corpus draws.
     for (g, alpha) in [
         (generators::star(10), 2),
+        (generators::star(16), 4),
         (generators::cycle(8), 12),
         (generators::cycle(10), 20),
         (generators::clique(7), 1),
@@ -285,6 +286,17 @@ fn exact_bne_completes_on_pinned_n24_instances_under_a_finite_budget() {
     assert!(Concept::Bne
         .is_stable(&generators::star(24), alpha2)
         .unwrap());
+}
+
+/// The raw 3-BSE reference confirms the pruned scan's stable verdict on
+/// star16 at α = 2: the one pinned n = 16 coalition scan whose raw space
+/// (~7.4·10⁶ candidates) the reference can still afford.
+#[test]
+fn star16_3bse_reference_confirms_the_stable_verdict() {
+    let state = GameState::new(generators::star(16), Alpha::integer(2).unwrap());
+    assert_eq!(solve(Concept::KBse(3), &state).0, None);
+    let reference = concepts::kbse::find_violation_in_reference(&state, 3, huge()).unwrap();
+    assert_eq!(reference, None);
 }
 
 /// The enumeration-boundedness fix, measured: on the pinned star16

@@ -225,6 +225,7 @@ fn best_response_pruning_preserves_the_optimum() {
                 let others: Vec<u32> = (0..n).filter(|&v| v != u && !g.has_edge(u, v)).collect();
                 let old: Vec<AgentCost> = (0..n).map(|w| agent_cost(&g, w)).collect();
                 let mut best: AgentCost = old[u as usize];
+                let mut argmin: Option<Move> = None;
                 for add_mask in 0u64..1 << others.len() {
                     for rem_mask in 0u64..1 << neighbors.len() {
                         if rem_mask == 0 && add_mask == 0 {
@@ -255,10 +256,17 @@ fn best_response_pruning_preserves_the_optimum() {
                                 .all(|&a| agent_cost(&g2, a).better_than(&old[a as usize], alpha));
                         if feasible {
                             best = mine;
+                            argmin = Some(mv);
                         }
                     }
                 }
                 assert_eq!(br.cost, best, "pruned best response is suboptimal for {u}");
+                // Addition-major order with strict improvement: the first
+                // optimum wins, and round-robin applies exactly this move.
+                assert_eq!(
+                    br.best, argmin,
+                    "best response picked another optimum for {u}"
+                );
             }
         }
     });

@@ -116,11 +116,40 @@ fn dynamics_reach_states_the_checkers_certify() {
 
 #[test]
 fn stretched_trees_certify_proposition_3_8_threshold() {
-    for (d, k) in [(2usize, 1usize), (2, 2), (3, 1)] {
+    for (d, k) in [(2usize, 1usize), (2, 2), (3, 1), (3, 2)] {
         let tree = StretchedBinaryTree::build(d, k);
         let n = tree.graph.n();
         let threshold = Alpha::integer((7 * k * n) as i64).unwrap();
         assert!(concepts::bge::is_stable(&tree.graph, threshold));
+    }
+}
+
+/// Pinned instances keep their exact verdicts: Lemma 2.4's C6 inside
+/// its BSE window, Figure 7's restricted 2-BSE refutation (≤ 2
+/// removals) on one and four workers, and BGE first-improvement
+/// dynamics from seeded trees.
+#[test]
+fn pinned_artifact_instances_keep_their_verdicts() {
+    assert!(Concept::Bse
+        .is_stable(&generators::cycle(6), a("5"))
+        .unwrap());
+    let f7 = figure7(12);
+    for threads in [1, 4] {
+        let found =
+            concepts::kbse::find_violation_restricted(&f7.graph, f7.alpha, 2, 2, threads).unwrap();
+        assert_eq!(
+            found, None,
+            "no small coalition move at i = 12 ({threads} workers)"
+        );
+    }
+    for n in [15, 25] {
+        let start = generators::random_tree(n, &mut bncg::graph::test_rng(11));
+        let rule = bncg::dynamics::SelectionRule::First;
+        let t = bncg::dynamics::run(&start, a("3"), Concept::Bge, rule, 50_000).unwrap();
+        assert!(
+            t.converged,
+            "BGE dynamics must converge from the n = {n} tree"
+        );
     }
 }
 

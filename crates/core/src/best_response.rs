@@ -29,7 +29,7 @@ use crate::concepts::CheckBudget;
 use crate::cost::AgentCost;
 use crate::error::GameError;
 use crate::generator::{BranchScan, NeighborhoodOracle, Step};
-use crate::jsonio;
+use crate::jsonio::{TokenReader, TokenWriter};
 use crate::moves::Move;
 use crate::scan::{CtlLocal, ScanCtl};
 use crate::solver::{unsupported_size, ExecPolicy};
@@ -105,28 +105,23 @@ impl BestResponseFrontier {
         self.best.as_ref()
     }
 
-    /// Serializes the frontier as a flat JSON object (including the
-    /// enumeration-layout version, checked on parse).
+    /// The frontier as a flat JSON token (layout version checked on parse).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let best = match &self.best {
-            Some(Move::Neighborhood { remove, add, .. }) => {
-                let rem: Vec<u64> = remove.iter().map(|&v| u64::from(v)).collect();
-                let add: Vec<u64> = add.iter().map(|&v| u64::from(v)).collect();
-                format!(
-                    ",\"best\":1,\"rem\":{},\"add\":{}",
-                    jsonio::render_u64_list(&rem),
-                    jsonio::render_u64_list(&add)
-                )
-            }
+        let token = TokenWriter::new(BR_FRONTIER_LAYOUT)
+            .int("agent", u64::from(self.agent))
+            .int("instance", self.instance)
+            .int("pos", self.pos)
+            .int("evals", self.evals);
+        match &self.best {
+            None => token.int("best", 0),
+            Some(Move::Neighborhood { remove, add, .. }) => token
+                .int("best", 1)
+                .ints("rem", remove.iter().map(|&v| u64::from(v)))
+                .ints("add", add.iter().map(|&v| u64::from(v))),
             Some(_) => unreachable!("best responses are neighborhood moves"),
-            None => ",\"best\":0".to_string(),
-        };
-        format!(
-            "{{\"v\":{BR_FRONTIER_LAYOUT},\"agent\":{},\"instance\":{},\
-             \"pos\":{},\"evals\":{}{best}}}",
-            self.agent, self.instance, self.pos, self.evals
-        )
+        }
+        .finish(None)
     }
 }
 
@@ -140,60 +135,22 @@ impl FromStr for BestResponseFrontier {
     type Err = GameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let field = |key: &str| {
-            jsonio::u64_field(s, key).ok_or_else(|| GameError::Unsupported {
-                reason: format!("malformed best-response frontier: missing or invalid {key:?}"),
+        let r = TokenReader::new(s, "best-response frontier", BR_FRONTIER_LAYOUT)?;
+        let agent = r.int("agent")?;
+        let best = if r.flag("best")? {
+            Some(Move::Neighborhood {
+                center: agent,
+                remove: r.ints("rem")?,
+                add: r.ints("add")?,
             })
-        };
-        let layout = field("v")?;
-        if layout != BR_FRONTIER_LAYOUT {
-            return Err(GameError::Unsupported {
-                reason: format!(
-                    "best-response frontier has enumeration-layout version \
-                     {layout}, this build speaks version {BR_FRONTIER_LAYOUT} \
-                     — restart the scan instead of resuming"
-                ),
-            });
-        }
-        let agent = u32::try_from(field("agent")?).map_err(|_| GameError::Unsupported {
-            reason: "malformed best-response frontier: agent overflows u32".into(),
-        })?;
-        let best = match field("best")? {
-            0 => None,
-            1 => {
-                let list = |key: &str| -> Result<Vec<u32>, GameError> {
-                    jsonio::u64_list_field(s, key)
-                        .and_then(|xs| {
-                            xs.into_iter()
-                                .map(u32::try_from)
-                                .collect::<Result<_, _>>()
-                                .ok()
-                        })
-                        .ok_or_else(|| GameError::Unsupported {
-                            reason: format!(
-                                "malformed best-response frontier: missing or invalid {key:?}"
-                            ),
-                        })
-                };
-                Some(Move::Neighborhood {
-                    center: agent,
-                    remove: list("rem")?,
-                    add: list("add")?,
-                })
-            }
-            other => {
-                return Err(GameError::Unsupported {
-                    reason: format!(
-                        "malformed best-response frontier: \"best\" must be 0 or 1, got {other}"
-                    ),
-                })
-            }
+        } else {
+            None
         };
         Ok(BestResponseFrontier {
             agent,
-            instance: field("instance")?,
-            pos: field("pos")?,
-            evals: field("evals")?,
+            instance: r.int("instance")?,
+            pos: r.int("pos")?,
+            evals: r.int("evals")?,
             best,
         })
     }

@@ -59,16 +59,6 @@ impl AgentCost {
     pub fn better_than(&self, other: &AgentCost, alpha: Alpha) -> bool {
         self.compare(other, alpha) == Ordering::Less
     }
-
-    /// The finite part `α·edges + dist` as an exact fraction over
-    /// `alpha.den()`. Meaningful on its own only when `unreachable == 0`.
-    #[must_use]
-    pub fn finite_value(&self, alpha: Alpha) -> Ratio {
-        Ratio::new(
-            alpha.cost_key(self.edges, self.dist),
-            i128::from(alpha.den()),
-        )
-    }
 }
 
 /// An exact non-negative fraction used for social costs and ρ values.

@@ -1,7 +1,8 @@
-//! Minimal flat-JSON field extractors shared by the serializable resume
-//! tokens — the solver's [`crate::solver::Frontier`], the metered
-//! best-response [`crate::best_response::BestResponseFrontier`], and the
-//! round-robin trajectory checkpoint in `bncg-dynamics`.
+//! Minimal flat-JSON field extractors, and the one codec every resume
+//! token is written and read with: the solver's
+//! [`crate::solver::Frontier`], the metered best-response
+//! [`crate::best_response::BestResponseFrontier`], and the round-robin
+//! and dynamics trajectory checkpoints in `bncg-dynamics`.
 //!
 //! The workspace is offline (no `serde`), and every token is a flat JSON
 //! object whose values are unsigned integers, short known strings, or
@@ -10,8 +11,25 @@
 //! embedded braces or brackets, which is the (documented) assumption the
 //! nested-object extractors [`object_field`] and [`split_object`] rely
 //! on.
+//!
+//! ## The token codec
+//!
+//! [`TokenWriter`] and [`TokenReader`] hold the layout rules once:
+//!
+//! * `"v"`, the token type's layout version, comes first; a reader
+//!   refuses any other version, so a token from a build with a different
+//!   enumeration layout is rejected instead of reinterpreted;
+//! * the fields follow in the type's fixed order, and a token nested in
+//!   another (a checkpoint's interrupted `"scan"`) comes last;
+//! * the reader splits the nested token off before reading its host's
+//!   fields, which share names with it (`instance`, `evals`, …);
+//! * a missing or out-of-range field fails the whole token with one
+//!   error shape, naming the token type and the field.
 
+use crate::GameError;
 use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// Extracts `"key": <u64>` from a flat JSON object.
 #[must_use]
@@ -116,6 +134,113 @@ pub fn render_u64_list(values: &[u64]) -> String {
     out
 }
 
+/// The key a checkpoint's interrupted scan token is nested under.
+const NESTED: &str = "scan";
+
+/// Writes a resume token: `"v"` first, the fields in call order, and
+/// the nested token, if any, last.
+#[derive(Debug)]
+#[must_use]
+pub struct TokenWriter(String);
+
+impl TokenWriter {
+    /// Opens a token of layout version `layout`.
+    pub fn new(layout: u64) -> Self {
+        TokenWriter(format!("{{\"v\":{layout}"))
+    }
+
+    /// Appends `"key":value`.
+    pub fn int(self, key: &str, value: u64) -> Self {
+        self.raw(key, value)
+    }
+
+    /// Appends `"key":[…]`.
+    pub fn ints(self, key: &str, values: impl IntoIterator<Item = u64>) -> Self {
+        let values: Vec<u64> = values.into_iter().collect();
+        self.raw(key, render_u64_list(&values))
+    }
+
+    /// Appends `"key":"value"`; `value` must be escape-free.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.raw(key, format_args!("\"{value}\""))
+    }
+
+    /// Closes the token, with the `nested` token last under `"scan"`.
+    pub fn finish(self, nested: Option<String>) -> String {
+        let mut token = match nested {
+            Some(nested) => self.raw(NESTED, nested).0,
+            None => self.0,
+        };
+        token.push('}');
+        token
+    }
+
+    fn raw(mut self, key: &str, value: impl fmt::Display) -> Self {
+        let _ = write!(self.0, ",\"{key}\":{value}");
+        self
+    }
+}
+
+/// Reads a resume token written by [`TokenWriter`]. Every call fails
+/// with [`GameError::Unsupported`]; a field read's error reads
+/// `malformed <token>: missing or invalid "<field>"`.
+#[derive(Debug)]
+pub struct TokenReader<'j> {
+    what: &'static str,
+    head: Cow<'j, str>,
+    nested: Option<&'j str>,
+}
+
+impl<'j> TokenReader<'j> {
+    /// Opens `json` as a `what` token, with the token nested under
+    /// `"scan"` split off; `"v"` must be `layout`.
+    pub fn new(json: &'j str, what: &'static str, layout: u64) -> Result<Self, GameError> {
+        let (head, nested) = split_object(json, NESTED);
+        let reader = TokenReader { what, head, nested };
+        match reader.int::<u64>("v")? {
+            v if v == layout => Ok(reader),
+            v => Err(GameError::Unsupported {
+                reason: format!("{what} has layout version {v}, this build speaks {layout}"),
+            }),
+        }
+    }
+
+    /// The integer field `key`, which must fit `T`.
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, GameError> {
+        let value = u64_field(&self.head, key).and_then(|x| x.try_into().ok());
+        self.field(key, value)
+    }
+
+    /// The integer list `key`, whose every element must fit `T`.
+    pub fn ints<T: TryFrom<u64>>(&self, key: &str) -> Result<Vec<T>, GameError> {
+        let list = u64_list_field(&self.head, key)
+            .and_then(|xs| xs.into_iter().map(|x| x.try_into().ok()).collect());
+        self.field(key, list)
+    }
+
+    /// The `0`/`1` field `key`.
+    pub fn flag(&self, key: &str) -> Result<bool, GameError> {
+        let flag = u64_field(&self.head, key).filter(|&x| x <= 1);
+        self.field(key, flag.map(|x| x == 1))
+    }
+
+    /// The string field `key`.
+    pub fn str(&self, key: &str) -> Result<&str, GameError> {
+        self.field(key, str_field(&self.head, key))
+    }
+
+    /// The nested token, when there is one, read by its own type.
+    pub fn nested<T: FromStr<Err = GameError>>(&self) -> Result<Option<T>, GameError> {
+        self.nested.map(str::parse).transpose()
+    }
+
+    fn field<T>(&self, key: &str, value: Option<T>) -> Result<T, GameError> {
+        value.ok_or_else(|| GameError::Unsupported {
+            reason: format!("malformed {}: missing or invalid \"{key}\"", self.what),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +277,57 @@ mod tests {
         for xs in [vec![], vec![42], vec![1, 2, 3]] {
             let json = format!("{{\"xs\":{}}}", render_u64_list(&xs));
             assert_eq!(u64_list_field(&json, "xs"), Some(xs));
+        }
+    }
+
+    #[test]
+    fn codec_writes_v_first_and_the_nested_token_last() {
+        let inner = TokenWriter::new(2).int("evals", 5).finish(None);
+        let json = TokenWriter::new(1)
+            .str("name", "bne")
+            .int("evals", 9)
+            .ints("xs", [3, 5])
+            .ints("empty", [])
+            .finish(Some(inner.clone()));
+        assert_eq!(
+            json,
+            "{\"v\":1,\"name\":\"bne\",\"evals\":9,\"xs\":[3,5],\"empty\":[],\
+             \"scan\":{\"v\":2,\"evals\":5}}"
+        );
+        let r = TokenReader::new(&json, "test token", 1).unwrap();
+        assert_eq!(r.str("name").unwrap(), "bne");
+        assert_eq!(
+            r.int::<u64>("evals").unwrap(),
+            9,
+            "the host's field, not the nested one"
+        );
+        assert_eq!(r.ints::<u32>("xs").unwrap(), vec![3, 5]);
+        assert_eq!(r.ints::<u64>("empty").unwrap(), Vec::<u64>::new());
+        assert_eq!(r.nested.unwrap(), inner);
+    }
+
+    #[test]
+    fn codec_rejects_with_one_error_shape() {
+        let reason = |e: GameError| match e {
+            GameError::Unsupported { reason } => reason,
+            other => panic!("{other:?}"),
+        };
+        let json = "{\"v\":1,\"big\":4294967296,\"flag\":2,\"xs\":[1,x]}";
+        let r = TokenReader::new(json, "test token", 1).unwrap();
+        for e in [
+            r.int::<u32>("big").unwrap_err(),
+            r.int::<u64>("missing").unwrap_err(),
+            r.flag("flag").unwrap_err(),
+            r.ints::<u64>("xs").unwrap_err(),
+            r.str("big").unwrap_err(),
+        ] {
+            assert!(reason(e).starts_with("malformed test token: missing or invalid \""));
+        }
+        assert_eq!(r.int::<u64>("big").unwrap(), 1 << 32);
+        let stale = reason(TokenReader::new("{\"v\":9}", "test token", 1).unwrap_err());
+        assert!(stale.contains("layout version 9"), "{stale}");
+        for hostile in ["{\"v\":\"}", "nonsense", ""] {
+            assert!(TokenReader::new(hostile, "test token", 1).is_err());
         }
     }
 }

@@ -81,7 +81,7 @@ use crate::candidates::CandidateStats;
 use crate::concepts::{bae, bge, bne, bse, bswe, kbse, ps, re, Concept};
 use crate::cost_model::CostModelSpec;
 use crate::error::GameError;
-use crate::jsonio;
+use crate::jsonio::{TokenReader, TokenWriter};
 use crate::moves::Move;
 use crate::pool::BudgetPool;
 use crate::scan::{drive, DriveOutcome, ScanCtl, UnitScanner};
@@ -235,19 +235,16 @@ impl Frontier {
         self.evals
     }
 
-    /// Serializes the frontier as a flat JSON object (including the
-    /// enumeration-layout version, checked on parse).
+    /// The frontier as a flat JSON token (layout version checked on parse).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"v\":{FRONTIER_LAYOUT},\"concept\":\"{}\",\"instance\":{},\
-             \"unit\":{},\"pos\":{},\"evals\":{}}}",
-            self.concept.token(),
-            self.instance,
-            self.unit,
-            self.pos,
-            self.evals
-        )
+        TokenWriter::new(FRONTIER_LAYOUT)
+            .str("concept", &self.concept.token())
+            .int("instance", self.instance)
+            .int("unit", self.unit)
+            .int("pos", self.pos)
+            .int("evals", self.evals)
+            .finish(None)
     }
 }
 
@@ -261,33 +258,14 @@ impl FromStr for Frontier {
     type Err = GameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let concept: Concept = jsonio::str_field(s, "concept")
-            .ok_or_else(|| bad_frontier("missing \"concept\""))?
-            .parse()?;
-        let field = |key: &str| jsonio::u64_field(s, key).ok_or_else(|| bad_frontier(key));
-        let layout = field("v")?;
-        if layout != FRONTIER_LAYOUT {
-            return Err(GameError::Unsupported {
-                reason: format!(
-                    "frontier token has enumeration-layout version {layout}, \
-                     this build speaks version {FRONTIER_LAYOUT} — restart the \
-                     scan instead of resuming"
-                ),
-            });
-        }
+        let r = TokenReader::new(s, "frontier token", FRONTIER_LAYOUT)?;
         Ok(Frontier {
-            concept,
-            instance: field("instance")?,
-            unit: field("unit")?,
-            pos: field("pos")?,
-            evals: field("evals")?,
+            concept: r.str("concept")?.parse()?,
+            instance: r.int("instance")?,
+            unit: r.int("unit")?,
+            pos: r.int("pos")?,
+            evals: r.int("evals")?,
         })
-    }
-}
-
-fn bad_frontier(what: &str) -> GameError {
-    GameError::Unsupported {
-        reason: format!("malformed frontier token: missing or invalid {what}"),
     }
 }
 

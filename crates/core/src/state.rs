@@ -188,14 +188,6 @@ impl GameState {
         self.model.cost_scalar(g, u, buf)
     }
 
-    /// Prices agent `u` from a distance matrix under this state's model
-    /// — the routed form of [`crate::agent_cost_from_matrix`].
-    #[inline]
-    #[must_use]
-    pub fn price_matrix(&self, g: &Graph, d: &DistanceMatrix, u: u32) -> AgentCost {
-        self.model.cost_matrix(g, d, u)
-    }
-
     /// Number of agents.
     #[must_use]
     pub fn n(&self) -> usize {

@@ -56,7 +56,7 @@
 
 pub mod round_robin;
 
-use bncg_core::jsonio;
+use bncg_core::jsonio::{TokenReader, TokenWriter};
 use bncg_core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
 use bncg_core::{Alpha, CheckBudget, Concept, CostModelSpec, GameError, GameState, Move};
 use bncg_graph::Graph;
@@ -127,21 +127,14 @@ impl DynamicsCheckpoint {
         self.scan.as_ref()
     }
 
-    /// Serializes the checkpoint as a flat JSON object. The embedded
-    /// scan token is emitted **last** so the checkpoint's own fields win
-    /// the first-occurrence field extraction on parse (the two tokens
-    /// share key names like `instance` and `evals`).
+    /// The checkpoint as a flat JSON token, the embedded scan token last.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let scan = match &self.scan {
-            Some(f) => format!(",\"scan\":{}", f.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"v\":{CHECKPOINT_LAYOUT},\"instance\":{},\"steps\":{},\
-             \"evals\":{}{scan}}}",
-            self.instance, self.steps, self.evals
-        )
+        TokenWriter::new(CHECKPOINT_LAYOUT)
+            .int("instance", self.instance)
+            .int("steps", self.steps as u64)
+            .int("evals", self.evals)
+            .finish(self.scan.as_ref().map(Frontier::to_json))
     }
 }
 
@@ -155,33 +148,12 @@ impl FromStr for DynamicsCheckpoint {
     type Err = GameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // The scan object shares field names with the checkpoint, so
-        // split it off before extracting the checkpoint's own fields —
-        // first-occurrence parsing must never read into the nested
-        // token.
-        let (head, scan) = jsonio::split_object(s, "scan");
-        let scan = scan.map(str::parse::<Frontier>).transpose()?;
-        let head: &str = &head;
-        let field = |key: &str| {
-            jsonio::u64_field(head, key).ok_or_else(|| GameError::Unsupported {
-                reason: format!("malformed dynamics checkpoint: missing or invalid {key:?}"),
-            })
-        };
-        let layout = field("v")?;
-        if layout != CHECKPOINT_LAYOUT {
-            return Err(GameError::Unsupported {
-                reason: format!(
-                    "dynamics checkpoint has layout version {layout}, this \
-                     build speaks version {CHECKPOINT_LAYOUT} — restart the \
-                     run instead of resuming"
-                ),
-            });
-        }
+        let r = TokenReader::new(s, "dynamics checkpoint", CHECKPOINT_LAYOUT)?;
         Ok(DynamicsCheckpoint {
-            instance: field("instance")?,
-            steps: field("steps")? as usize,
-            evals: field("evals")?,
-            scan,
+            instance: r.int("instance")?,
+            steps: r.int("steps")?,
+            evals: r.int("evals")?,
+            scan: r.nested()?,
         })
     }
 }

@@ -29,7 +29,7 @@
 //! move sequence, same fingerprints, same converged/cycled verdict) an
 //! uninterrupted run reaches (property-tested in `tests/solver.rs`).
 
-use bncg_core::jsonio;
+use bncg_core::jsonio::{TokenReader, TokenWriter};
 use bncg_core::solver::ExecPolicy;
 use bncg_core::{
     best_response_resume, best_response_with_policy, check_enumeration_budget,
@@ -111,27 +111,18 @@ impl Checkpoint {
         self.scan.as_ref()
     }
 
-    /// Serializes the checkpoint as a flat JSON object. The embedded
-    /// scan token is emitted **last** so the checkpoint's own fields win
-    /// the first-occurrence field extraction on parse (the two tokens
-    /// share key names like `instance` and `evals`).
+    /// The checkpoint as a flat JSON token, the embedded scan token last.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let scan = match &self.scan {
-            Some(f) => format!(",\"scan\":{}", f.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"v\":{CHECKPOINT_LAYOUT},\"instance\":{},\"round\":{},\
-             \"agent\":{},\"moved\":{},\"moves\":{},\"evals\":{},\"seen\":{}{scan}}}",
-            self.instance,
-            self.round,
-            self.agent,
-            u8::from(self.moved),
-            self.moves,
-            self.evals,
-            jsonio::render_u64_list(&self.seen)
-        )
+        TokenWriter::new(CHECKPOINT_LAYOUT)
+            .int("instance", self.instance)
+            .int("round", self.round as u64)
+            .int("agent", u64::from(self.agent))
+            .int("moved", u64::from(self.moved))
+            .int("moves", self.moves as u64)
+            .int("evals", self.evals)
+            .ints("seen", self.seen.iter().copied())
+            .finish(self.scan.as_ref().map(BestResponseFrontier::to_json))
     }
 }
 
@@ -145,42 +136,16 @@ impl FromStr for Checkpoint {
     type Err = GameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // The scan object shares field names with the checkpoint, so
-        // split it off before extracting the checkpoint's own fields —
-        // first-occurrence parsing must never read into the nested
-        // token.
-        let (head, scan) = jsonio::split_object(s, "scan");
-        let scan = scan.map(str::parse::<BestResponseFrontier>).transpose()?;
-        let head: &str = &head;
-        let field = |key: &str| {
-            jsonio::u64_field(head, key).ok_or_else(|| GameError::Unsupported {
-                reason: format!("malformed trajectory checkpoint: missing or invalid {key:?}"),
-            })
-        };
-        let layout = field("v")?;
-        if layout != CHECKPOINT_LAYOUT {
-            return Err(GameError::Unsupported {
-                reason: format!(
-                    "trajectory checkpoint has layout version {layout}, this \
-                     build speaks version {CHECKPOINT_LAYOUT} — restart the \
-                     run instead of resuming"
-                ),
-            });
-        }
-        let seen = jsonio::u64_list_field(head, "seen").ok_or_else(|| GameError::Unsupported {
-            reason: "malformed trajectory checkpoint: missing or invalid \"seen\"".into(),
-        })?;
+        let r = TokenReader::new(s, "trajectory checkpoint", CHECKPOINT_LAYOUT)?;
         Ok(Checkpoint {
-            instance: field("instance")?,
-            round: field("round")? as usize,
-            agent: u32::try_from(field("agent")?).map_err(|_| GameError::Unsupported {
-                reason: "malformed trajectory checkpoint: agent overflows u32".into(),
-            })?,
-            moved: field("moved")? != 0,
-            moves: field("moves")? as usize,
-            evals: field("evals")?,
-            seen,
-            scan,
+            instance: r.int("instance")?,
+            round: r.int("round")?,
+            agent: r.int("agent")?,
+            moved: r.flag("moved")?,
+            moves: r.int("moves")?,
+            evals: r.int("evals")?,
+            seen: r.ints("seen")?,
+            scan: r.nested()?,
         })
     }
 }

@@ -13,13 +13,16 @@
 //! * **no escapes anywhere**: strings never contain `"`, `\`, braces, or
 //!   brackets (tenant names are validated against that alphabet, and
 //!   the encoder passes outbound free text through [`sanitize`]);
-//! * **`"resume"` carries the nested token verbatim** — a solver
-//!   [`Frontier`] for `check`, a [`BestResponseFrontier`] for
-//!   `best_response`, a [`round_robin::Checkpoint`] for `trajectory`, a
-//!   [`DynamicsCheckpoint`] for `dynamics`. Nested tokens share field
-//!   names with the request (`evals`, `instance`, …), so the parser
-//!   splits the resume object off ([`jsonio::split_object`]) *before*
-//!   reading the request's own fields and the split is
+//! * **`"resume"` carries a nested token**, parsed with the request into
+//!   the op's typed [`Token`] — a solver [`Frontier`] for `check`, a
+//!   [`BestResponseFrontier`] for `best_response`, a
+//!   [`round_robin::Checkpoint`] for `trajectory`, a
+//!   [`DynamicsCheckpoint`] for `dynamics` — so a malformed token is
+//!   refused as `bad_resume` when the line is read, and every token the
+//!   daemon echoes is its own rendering of the parsed one. Nested tokens
+//!   share field names with the request (`evals`, `instance`, …), so the
+//!   parser splits the resume object off ([`jsonio::split_object`])
+//!   *before* reading the request's own fields and the split is
 //!   position-independent (clients should still put `resume` last, as
 //!   every emitted token does).
 //!
@@ -30,7 +33,9 @@
 //! [`round_robin::Checkpoint`]: Checkpoint
 
 use crate::scheduler::{QuerySpec, Work};
-use bncg_core::{jsonio, Alpha, BestResponseFrontier, Concept, CostModelSpec, Frontier, Move};
+use bncg_core::{
+    jsonio, Alpha, BestResponseFrontier, Concept, CostModelSpec, Frontier, GameError, Move,
+};
 use bncg_dynamics::round_robin::Checkpoint;
 use bncg_dynamics::DynamicsCheckpoint;
 use bncg_graph::Graph;
@@ -104,11 +109,14 @@ impl Request {
 }
 
 /// A request the daemon refuses to run, answered with
-/// `{"id":…,"ok":0,"error":"bad_request","reason":…}`.
+/// `{"id":…,"ok":0,"error":…,"reason":…}`.
 #[derive(Debug, Clone)]
 pub struct BadRequest {
     /// The offending request's id (0 when even that was unreadable).
     pub id: u64,
+    /// [`ErrorClass::BadResume`] for a malformed `resume` token,
+    /// [`ErrorClass::BadRequest`] for anything else.
+    pub error: ErrorClass,
     /// Human-readable cause (sanitized before serialization).
     pub reason: String,
 }
@@ -124,10 +132,13 @@ pub struct BadRequest {
 /// line silently.
 pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
     let (head, resume) = jsonio::split_object(line, "resume");
-    let resume = resume.map(str::to_string);
     let head: &str = &head;
     let id = jsonio::u64_field(head, "id").unwrap_or(0);
-    let bad = |reason: String| BadRequest { id, reason };
+    let bad = |reason: String| BadRequest {
+        id,
+        error: ErrorClass::BadRequest,
+        reason,
+    };
     let op = jsonio::str_field(head, "op").ok_or_else(|| bad("missing \"op\"".into()))?;
     let tenant = || -> Result<String, BadRequest> {
         let name = jsonio::str_field(head, "tenant").unwrap_or(DEFAULT_TENANT);
@@ -189,6 +200,17 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
                     graph: graph()?,
                 },
             };
+            // A `resume` that is not a balanced object was not split off.
+            let resume = match resume {
+                None if head.contains("\"resume\":") => Err(GameError::Unsupported {
+                    reason: "\"resume\" is not a balanced object".into(),
+                }),
+                resume => resume.map(|token| Token::parse(&work, token)).transpose(),
+            }
+            .map_err(|e| BadRequest {
+                error: ErrorClass::BadResume,
+                ..bad(e.to_string())
+            })?;
             Ok(Request::Query {
                 spec: QuerySpec {
                     id,
@@ -350,8 +372,8 @@ impl ErrorClass {
     }
 }
 
-/// A suspended query's resume token, typed: what the scheduler carries
-/// between slices and what a progress frame reads its counters from.
+/// A query's resume token, typed from the request line to every line
+/// that carries it (progress counters, `shed`/`deadline` echoes).
 /// `Display` writes the token itself.
 #[derive(Debug, Clone)]
 pub enum Token {
@@ -359,14 +381,29 @@ pub enum Token {
     Check(Frontier),
     /// A `best_response` scan's frontier.
     BestResponse(BestResponseFrontier),
-    /// A `trajectory`'s round-robin checkpoint.
-    Trajectory(Checkpoint),
+    /// A `trajectory`'s round-robin checkpoint (boxed: it is large).
+    Trajectory(Box<Checkpoint>),
     /// A `dynamics` run's checkpoint.
     Dynamics(DynamicsCheckpoint),
 }
 
 impl Token {
-    fn op(&self) -> &'static str {
+    /// Parses `token` as the kind of token `work` resumes from.
+    ///
+    /// # Errors
+    ///
+    /// The token type's parse error: a missing or malformed field, or a
+    /// layout version this build does not speak.
+    pub fn parse(work: &Work, token: &str) -> Result<Token, GameError> {
+        Ok(match work {
+            Work::Check { .. } => Token::Check(token.parse()?),
+            Work::BestResponse { .. } => Token::BestResponse(token.parse()?),
+            Work::Trajectory { .. } => Token::Trajectory(Box::new(token.parse()?)),
+            Work::Dynamics { .. } => Token::Dynamics(token.parse()?),
+        })
+    }
+
+    pub(crate) fn op(&self) -> &'static str {
         match self {
             Token::Check(_) => "check",
             Token::BestResponse(_) => "best_response",
@@ -505,8 +542,8 @@ pub enum Response {
         reason: String,
         /// The advanced graph of a suspended trajectory or dynamics run.
         final_edges: Option<Graph>,
-        /// The resume token of a suspended query, verbatim.
-        resume: Option<String>,
+        /// The resume token of a suspended query.
+        resume: Option<Token>,
     },
 }
 
@@ -815,9 +852,83 @@ mod tests {
                 ..
             }
         ));
-        let token = spec.resume.unwrap();
-        assert_eq!(jsonio::u64_field(&token, "evals"), Some(55));
-        assert_eq!(jsonio::str_field(&token, "concept"), Some("bse"));
+        let Some(Token::Check(token)) = spec.resume else {
+            panic!("a check resumes from a solver frontier")
+        };
+        assert_eq!(token.evals(), 55);
+        assert_eq!(token.concept(), Concept::Bse);
+    }
+
+    /// One token of every kind, as the daemon rendered it before the
+    /// shared token codec existed: each must parse off a request line
+    /// and render back to the same bytes.
+    #[test]
+    fn tokens_reparse_to_their_captured_bytes() {
+        let cases = [
+            (
+                "check",
+                "{\"v\":1,\"concept\":\"bne\",\"instance\":5161074781288730101,\"unit\":21,\
+                 \"pos\":2,\"evals\":64}",
+            ),
+            (
+                "check",
+                "{\"v\":1,\"concept\":\"kbse2\",\"instance\":5161074781288730101,\"unit\":41,\
+                 \"pos\":2,\"evals\":82}",
+            ),
+            (
+                "best_response",
+                "{\"v\":1,\"agent\":0,\"instance\":16336122045506462097,\"pos\":65,\
+                 \"evals\":63,\"best\":1,\"rem\":[],\"add\":[7]}",
+            ),
+            (
+                "best_response",
+                "{\"v\":1,\"agent\":0,\"instance\":1428705414428936918,\"pos\":32768,\
+                 \"evals\":0,\"best\":0}",
+            ),
+            (
+                "trajectory",
+                "{\"v\":1,\"instance\":10240883479024335684,\"round\":1,\"agent\":1,\
+                 \"moved\":1,\"moves\":1,\"evals\":301,\
+                 \"seen\":[6869320145233986599,16559690108631573988],\"scan\":{\"v\":1,\
+                 \"agent\":1,\"instance\":10240883479024335684,\"pos\":65,\"evals\":47,\
+                 \"best\":1,\"rem\":[],\"add\":[5]}}",
+            ),
+            (
+                "trajectory",
+                "{\"v\":1,\"instance\":4994889152472239189,\"round\":2,\"agent\":1,\
+                 \"moved\":0,\"moves\":3,\"evals\":462,\"seen\":[6869320145233986599,\
+                 11178428825825422259,12096612611247428918,16559690108631573988]}",
+            ),
+            (
+                "dynamics",
+                "{\"v\":1,\"instance\":7282081228905141435,\"steps\":2,\"evals\":35,\
+                 \"scan\":{\"v\":1,\"concept\":\"bne\",\"instance\":7282081228905141435,\
+                 \"unit\":1,\"pos\":2,\"evals\":29}}",
+            ),
+            (
+                "dynamics",
+                "{\"v\":1,\"instance\":0,\"steps\":5,\"evals\":32}",
+            ),
+        ];
+        let line = |op: &str, token: &str| {
+            format!(
+                "{{\"id\":9,\"op\":\"{op}\",\"concept\":\"bne\",\"agent\":0,\"alpha\":\"2\",\
+                 \"n\":2,\"edges\":[1],\"resume\":{token}}}"
+            )
+        };
+        for (op, token) in cases {
+            let resume = query(&line(op, token)).0.resume.expect("a token");
+            assert_eq!(resume.op(), op);
+            assert_eq!(resume.to_string(), token);
+        }
+        // A token that does not parse is refused with the line.
+        for (op, token) in cases {
+            let truncated = &token[..token.rfind(',').expect("several fields")];
+            for hostile in ["{\"v\":\"}", "{\"v\":2}", truncated] {
+                let err = parse_request(&line(op, hostile)).unwrap_err();
+                assert_eq!((err.id, err.error), (9, ErrorClass::BadResume), "{hostile}");
+            }
+        }
     }
 
     #[test]
@@ -974,12 +1085,12 @@ mod tests {
                     id: 4,
                     source: None,
                     slices: 3,
-                    token: Token::Trajectory(
+                    token: Token::Trajectory(Box::new(
                         "{\"v\":1,\"instance\":0,\"round\":2,\"agent\":0,\"moved\":0,\
                          \"moves\":1,\"evals\":46,\"seen\":[]}"
                             .parse()
                             .unwrap(),
-                    ),
+                    )),
                 },
                 "{\"id\":4,\"ok\":1,\"op\":\"trajectory\",\"progress\":1,\"slices\":3,\
                  \"evals\":46,\"round\":2,\"moves\":1}",
@@ -1047,12 +1158,13 @@ mod tests {
                     error: ErrorClass::Shed,
                     reason: "tenant budget pool is drained".into(),
                     final_edges: Some(p6_plus),
-                    resume: Some(
+                    resume: Some(Token::Trajectory(Box::new(
                         "{\"v\":1,\"instance\":16550291332460309889,\"round\":1,\"agent\":4,\
                          \"moved\":1,\"moves\":1,\"evals\":22,\
                          \"seen\":[2248340315589134886,13140582344453966690]}"
-                            .into(),
-                    ),
+                            .parse()
+                            .unwrap(),
+                    ))),
                 }
                 .live_lookup(),
                 "{\"id\":7,\"ok\":0,\"error\":\"shed\",\"reason\":\"tenant budget pool is \

@@ -70,12 +70,6 @@ impl PollFd {
     pub fn wants_read(&self) -> bool {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
-
-    /// Whether a buffered write can make progress now.
-    #[must_use]
-    pub fn wants_write(&self) -> bool {
-        self.revents & (POLLOUT | POLLERR | POLLHUP | POLLNVAL) != 0
-    }
 }
 
 extern "C" {

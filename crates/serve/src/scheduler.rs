@@ -7,7 +7,7 @@
 //! [`best_response_with_policy`], the dynamics runners) capped at the
 //! scheduler's per-slice evaluation quantum. A slice that completes its
 //! query responds; a slice stopped by the quantum requeues the job at
-//! the back of **its tenant's own queue** with the serialized frontier
+//! the back of **its tenant's own queue** with the typed resume token
 //! it produced. Between slices nothing is held but the job struct
 //! itself: the solver's resume contract guarantees a sliced chain
 //! reaches the **identical** verdict, witness, and cumulative
@@ -48,11 +48,11 @@ use crate::protocol::{ErrorClass, Response, TenantRow, Token};
 use crate::tenant::{Tenant, TenantRegistry, TenantStats};
 use bncg_core::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
 use bncg_core::{
-    best_response_resume, best_response_with_policy, Alpha, BestResponseFrontier,
-    BestResponseVerdict, Concept, CostModelSpec, Frontier, GameError, GameState,
+    best_response_resume, best_response_with_policy, Alpha, BestResponseVerdict, Concept,
+    CostModelSpec, GameError, GameState,
 };
-use bncg_dynamics::round_robin::{self, Checkpoint};
-use bncg_dynamics::{self as dynamics, DynamicsCheckpoint, SelectionRule};
+use bncg_dynamics::round_robin;
+use bncg_dynamics::{self as dynamics, SelectionRule};
 use bncg_graph::Graph;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -168,8 +168,9 @@ pub struct QuerySpec {
     pub tenant: String,
     /// The payload.
     pub work: Work,
-    /// A resume token from an earlier shed response, verbatim.
-    pub resume: Option<String>,
+    /// A resume token from an earlier shed response. A token of
+    /// another op's kind is answered `bad_resume`.
+    pub resume: Option<Token>,
     /// Wall-clock allowance from submission, in milliseconds.
     pub deadline_ms: Option<u64>,
 }
@@ -182,7 +183,7 @@ struct Job {
     id: u64,
     tenant: Arc<Tenant>,
     work: Work,
-    resume: Option<String>,
+    resume: Option<Token>,
     slices: u64,
     deadline: Option<Instant>,
     enqueued: Instant,
@@ -332,7 +333,9 @@ impl Scheduler {
     }
 
     /// Enqueues a query; `respond` fires exactly once with the response
-    /// (immediately, when the scheduler is already stopping).
+    /// (immediately, when the scheduler is already stopping). A worker
+    /// calls it under the scheduler's state lock, so it must not call
+    /// back into the scheduler.
     pub fn submit(&self, spec: QuerySpec, respond: Box<dyn FnOnce(Response) + Send>) {
         self.submit_inner(spec, None, respond);
     }
@@ -475,19 +478,6 @@ impl Scheduler {
             .collect()
     }
 
-    /// Resident jobs per tenant name — queued **plus mid-slice**, so a
-    /// busy daemon never reports idle. One pass under the state lock.
-    #[must_use]
-    pub fn queue_depths(&self) -> HashMap<String, u64> {
-        let state = self.shared.state.lock().expect("no poisoning");
-        state
-            .queues
-            .iter()
-            .filter(|(_, q)| q.depth() > 0)
-            .map(|(name, q)| (name.clone(), q.depth()))
-            .collect()
-    }
-
     /// Stops the pool: queued jobs still get slices, but unfinished work
     /// is shed with its resume token instead of requeued, so the drain
     /// is bounded by one slice per resident query. Jobs that race into
@@ -541,13 +531,17 @@ fn worker_loop(shared: &Shared) {
         job.slices += 1;
         match drive(shared, &mut job) {
             SliceOutcome::Done(response) => {
-                // Respond before decrementing in-flight: the job stays
-                // visible in `resident()` until its answer is delivered.
-                let tenant = Arc::clone(&job.tenant);
-                (job.respond)(response);
+                // Count the job out and deliver under one hold of the
+                // state lock, so a `stats` sent on the answer never counts
+                // it. `respond` only takes an outbox lock, which is never
+                // held while calling into the scheduler.
                 let mut state = shared.state.lock().expect("no poisoning");
-                let q = state.queues.entry(tenant.name().to_string()).or_default();
+                let q = state
+                    .queues
+                    .entry(job.tenant.name().to_string())
+                    .or_default();
                 q.in_flight = q.in_flight.saturating_sub(1);
+                (job.respond)(response);
             }
             SliceOutcome::Requeue => {
                 job.enqueued = Instant::now();
@@ -609,7 +603,7 @@ fn drive(shared: &Shared, job: &mut Job) -> SliceOutcome {
     match step(job, &policy, shared.slice) {
         Ok(Stepped::Finished(response)) => SliceOutcome::Done(response),
         Ok(Stepped::Suspended(token)) => {
-            job.resume = Some(token.to_string());
+            job.resume = Some(token);
             if shared.stop.load(Ordering::Acquire) {
                 return suspend(job, ErrorClass::Shutdown, "daemon is shutting down");
             }
@@ -619,12 +613,12 @@ fn drive(shared: &Shared, job: &mut Job) -> SliceOutcome {
             if !job.tenant.pool().admits() {
                 return suspend(job, ErrorClass::Shed, "tenant budget pool is drained");
             }
-            if let Some(emit) = &job.progress {
+            if let (Some(emit), Some(token)) = (&job.progress, &job.resume) {
                 emit(Response::Progress {
                     id: job.id,
                     source: None,
                     slices: job.slices,
-                    token,
+                    token: token.clone(),
                 });
             }
             SliceOutcome::Requeue
@@ -649,14 +643,21 @@ enum Stepped {
     Suspended(Token),
 }
 
+/// A resume token of another op's kind: an embedder's [`QuerySpec`] can
+/// pair any token with any work.
+fn wrong_kind(token: &Token) -> GameError {
+    GameError::Unsupported {
+        reason: format!("a {} resume token cannot resume this query", token.op()),
+    }
+}
+
 /// One budgeted slice of actual work. `Err` is answered as
 /// `bad_request`/`bad_resume`.
 fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameError> {
     let id = job.id;
     let slices = job.slices;
-    let tenant = Arc::clone(&job.tenant);
-    let pool = tenant.pool();
-    let resume = job.resume.clone();
+    let pool = job.tenant.pool();
+    let resume = job.resume.as_ref();
     // The optimization and dynamics surfaces take the slice as a plain
     // eval budget (a check slices against the pool itself).
     let mut budgeted = policy.clone();
@@ -670,8 +671,10 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
         } => {
             let mut query =
                 StabilityQuery::new(*concept, graph, *alpha).with_cost_model(*cost_model);
-            if let Some(token) = &resume {
-                query = query.resume(token.parse::<Frontier>()?);
+            match resume {
+                None => {}
+                Some(Token::Check(frontier)) => query = query.resume(*frontier),
+                Some(other) => return Err(wrong_kind(other)),
             }
             let (witness, evals) =
                 match Solver::new(policy.clone()).check_sliced(&query, pool, slice)? {
@@ -701,15 +704,13 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
             cost_model,
         } => {
             let state = GameState::with_cost_model(graph.clone(), *alpha, *cost_model);
-            let (verdict, prior) = match &resume {
-                Some(token) => {
-                    let frontier: BestResponseFrontier = token.parse()?;
-                    (
-                        best_response_resume(&state, &budgeted, &frontier)?,
-                        frontier.evals(),
-                    )
-                }
+            let (verdict, prior) = match resume {
                 None => (best_response_with_policy(&state, *agent, &budgeted)?, 0),
+                Some(Token::BestResponse(frontier)) => (
+                    best_response_resume(&state, &budgeted, frontier)?,
+                    frontier.evals(),
+                ),
+                Some(other) => return Err(wrong_kind(other)),
             };
             // No batch-pool plumbing on the optimization surface — bill
             // the slice's cumulative-eval delta by hand (min 1, so even
@@ -736,19 +737,19 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
             rounds,
             cost_model,
         } => {
-            let (out, prior) = match &resume {
-                Some(token) => {
-                    let ckpt: Checkpoint = token.parse()?;
+            let (out, prior) = match resume {
+                Some(Token::Trajectory(ckpt)) => {
                     let out = round_robin::resume_under(
                         graph,
                         *alpha,
                         *cost_model,
                         *rounds,
                         &budgeted,
-                        &ckpt,
+                        ckpt,
                     )?;
                     (out, ckpt.evals())
                 }
+                Some(other) => return Err(wrong_kind(other)),
                 None => {
                     let out = round_robin::run_with_policy_under(
                         graph,
@@ -774,7 +775,7 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
                 }));
             };
             *graph = out.final_graph;
-            Ok(Stepped::Suspended(Token::Trajectory(ckpt)))
+            Ok(Stepped::Suspended(Token::Trajectory(Box::new(ckpt))))
         }
         Work::Dynamics {
             concept,
@@ -783,9 +784,8 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
             steps,
             cost_model,
         } => {
-            let (traj, prior_evals, prior_steps) = match &resume {
-                Some(token) => {
-                    let ckpt: DynamicsCheckpoint = token.parse()?;
+            let (traj, prior_evals, prior_steps) = match resume {
+                Some(Token::Dynamics(ckpt)) => {
                     let traj = dynamics::resume_with_policy_under(
                         graph,
                         *alpha,
@@ -794,10 +794,11 @@ fn step(job: &mut Job, policy: &ExecPolicy, slice: u64) -> Result<Stepped, GameE
                         SelectionRule::First,
                         *steps,
                         &budgeted,
-                        &ckpt,
+                        ckpt,
                     )?;
                     (traj, ckpt.evals(), ckpt.steps())
                 }
+                Some(other) => return Err(wrong_kind(other)),
                 None => {
                     let traj = dynamics::run_with_policy_under(
                         graph,
@@ -964,20 +965,59 @@ mod tests {
     #[test]
     fn bad_resume_tokens_are_rejected_not_run() {
         let sched = Scheduler::start(SchedulerConfig::default()).unwrap();
-        let response = sched.submit_blocking(QuerySpec {
-            resume: Some("{\"v\":99,\"concept\":\"bne\"}".into()),
-            ..check_c40("t", 4)
-        });
-        assert!(
-            matches!(
-                response,
-                Response::Error {
-                    error: ErrorClass::BadResume,
-                    ..
-                }
-            ),
-            "{response}"
-        );
+        let g = generators::path(6);
+        let alpha = Alpha::integer(2).unwrap();
+        let model = CostModelSpec::SumDistances;
+        let works = [
+            check_c40("t", 0).work,
+            Work::BestResponse {
+                agent: 0,
+                graph: g.clone(),
+                alpha,
+                cost_model: model,
+            },
+            Work::Trajectory {
+                graph: g.clone(),
+                alpha,
+                rounds: 10,
+                cost_model: model,
+            },
+            Work::Dynamics {
+                concept: Concept::Bne,
+                graph: g,
+                alpha,
+                steps: 10,
+                cost_model: model,
+            },
+        ];
+        let tokens = [
+            "{\"v\":1,\"concept\":\"bne\",\"instance\":1,\"unit\":0,\"pos\":0,\"evals\":0}",
+            "{\"v\":1,\"agent\":0,\"instance\":1,\"pos\":0,\"evals\":0,\"best\":0}",
+            "{\"v\":1,\"instance\":1,\"round\":1,\"agent\":0,\"moved\":0,\"moves\":0,\
+             \"evals\":0,\"seen\":[]}",
+            "{\"v\":1,\"instance\":1,\"steps\":0,\"evals\":0}",
+        ];
+        // An embedder can pair any token with any work: a token of the
+        // wrong kind, like one issued for another instance, is refused.
+        for (i, work) in works.iter().enumerate() {
+            for (j, token) in tokens.iter().enumerate() {
+                let kind = &works[j];
+                let response = sched.submit_blocking(QuerySpec {
+                    resume: Some(Token::parse(kind, token).unwrap()),
+                    ..spec(4, "t", work.clone())
+                });
+                assert!(
+                    matches!(
+                        response,
+                        Response::Error {
+                            error: ErrorClass::BadResume,
+                            ..
+                        }
+                    ),
+                    "work {i}, token {j}: {response}"
+                );
+            }
+        }
         sched.stop();
     }
 
@@ -1130,6 +1170,9 @@ mod tests {
                 }),
             );
         }
+        // The worker drains heavy checks while they are still being
+        // submitted; only completions after the light query exists count.
+        let heavy_before_submit = heavy_done.load(Ordering::SeqCst);
         let (light_tx, light_rx) = mpsc::channel::<(Response, u64)>();
         {
             let done = Arc::clone(&heavy_done);
@@ -1140,9 +1183,10 @@ mod tests {
                 }),
             );
         }
-        let (light, heavy_before_light) = light_rx
+        let (light, heavy_done_at_light) = light_rx
             .recv_timeout(Duration::from_secs(60))
             .expect("light tenant response");
+        let heavy_before_light = heavy_done_at_light - heavy_before_submit;
         assert!(matches!(light, Response::Verdict { .. }), "{light}");
         // Each C40 check is one 512-eval slice; equal weights mean the
         // rotation reaches "light" after at most a couple of heavy

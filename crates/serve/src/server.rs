@@ -547,8 +547,8 @@ fn handle_line(
         return;
     }
     match protocol::parse_request(line) {
-        Err(BadRequest { id, reason }) => {
-            sink.push_line(&Response::error(id, ErrorClass::BadRequest, reason));
+        Err(BadRequest { id, error, reason }) => {
+            sink.push_line(&Response::error(id, error, reason));
         }
         Ok(request) => dispatch(request, scheduler, atlas, ctl, sink),
     }

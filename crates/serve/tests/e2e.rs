@@ -329,6 +329,59 @@ fn deadline_zero_answers_promptly() {
 }
 
 #[test]
+fn hostile_resume_tokens_are_refused_and_valid_ones_echo_exactly() {
+    // A frontier of the C40 BNE scan at α = 370, as the daemon renders it.
+    let token = "{\"v\":1,\"concept\":\"bne\",\"instance\":5161074781288730101,\
+                 \"unit\":21,\"pos\":2,\"evals\":64}";
+    let hostile = [
+        "{\"v\":\"}",
+        "{\"v\":1,\"concept\":\"bne\",\"instance\":\\\"5161074781288730101,\
+         \"unit\":21,\"pos\":2,\"evals\":64}",
+    ];
+    let server = small_server();
+    let mut client = Client::connect(&server);
+    client.send("{\"id\":1,\"op\":\"grant\",\"tenant\":\"dry\",\"evals\":0}");
+    client.recv();
+    let c40 = render_edges(&generators::cycle(40));
+    // A late query (deadline_ms:0) and a drained tenant's query.
+    let queries = [
+        ("deadline", "\"tenant\":\"late\",\"deadline_ms\":0"),
+        ("shed", "\"tenant\":\"dry\""),
+    ];
+    let mut id = 1;
+    for (class, fields) in queries {
+        for resume in hostile.iter().chain([&token]) {
+            id += 1;
+            client.send(&format!(
+                "{{\"id\":{id},\"op\":\"check\",{fields},\"concept\":\"bne\",\
+                 \"alpha\":\"370\",\"n\":40,\"edges\":{c40},\"resume\":{resume}}}"
+            ));
+            let line = client.recv();
+            assert_eq!(
+                line.matches('"').count() % 2,
+                0,
+                "unbalanced quotes: {line}"
+            );
+            assert_eq!(jsonio::u64_field(&line, "id"), Some(id), "{line}");
+            assert_eq!(jsonio::u64_field(&line, "ok"), Some(0), "{line}");
+            if *resume == token {
+                assert_eq!(jsonio::str_field(&line, "error"), Some(class), "{line}");
+                assert_eq!(jsonio::object_field(&line, "resume"), Some(token), "{line}");
+            } else {
+                assert_eq!(
+                    jsonio::str_field(&line, "error"),
+                    Some("bad_resume"),
+                    "{line}"
+                );
+                assert!(jsonio::str_field(&line, "reason").is_some(), "{line}");
+                assert_eq!(jsonio::object_field(&line, "resume"), None, "{line}");
+            }
+        }
+    }
+    server.stop();
+}
+
+#[test]
 fn oversized_line_tail_is_never_parsed_as_requests() {
     // Regression: the old front end read a request line through a
     // `take(MAX_LINE)` cap and left the oversized line's tail in the

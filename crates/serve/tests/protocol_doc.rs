@@ -1,21 +1,24 @@
 //! `docs/PROTOCOL.md` against the wire: replays the request lines of
-//! two captured sessions — "A real session" and the first block of
-//! "A weighted, streamed session" — through an in-process daemon
-//! started with the configuration each section names, and compares
-//! every response line byte for byte.
+//! three captured sessions — "A real session", the first block of
+//! "A weighted, streamed session" and "A cost-model session" — through
+//! an in-process daemon started with the configuration each section
+//! names, and compares every response line byte for byte.
 //!
 //! Abbreviated edge arrays (`[…path12…]`) expand to the named
 //! generator's packed edges. Two things are not compared exactly:
 //! `waited_ms` (wall-clock queue wait) is masked, and a `final_edges`
 //! array the doc cuts short with `…` must match up to the cut.
 
+use bncg_atlas::{build, Atlas, BuildSpec, DynAtlas, MemoryBacking, RamBacking};
 use bncg_graph::generators;
 use bncg_serve::protocol::render_edges;
 use bncg_serve::scheduler::SchedulerConfig;
 use bncg_serve::server::{Server, ServerConfig};
+use bncg_serve::AtlasService;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 const DOC: &str = include_str!("../../../docs/PROTOCOL.md");
 
@@ -85,13 +88,9 @@ fn doc_matches(doc: &str, wire: &str) -> bool {
 }
 
 /// Replays `block` over one connection to a daemon started with
-/// `scheduler`, one request at a time, and compares every response.
-fn replay(block: &str, scheduler: SchedulerConfig) {
-    let server = Server::start(ServerConfig {
-        scheduler,
-        ..ServerConfig::default()
-    })
-    .expect("start daemon");
+/// `config`, one request at a time, and compares every response.
+fn replay(block: &str, config: ServerConfig) {
+    let server = Server::start(config).expect("start daemon");
     let mut sock = TcpStream::connect(server.addr()).expect("connect");
     // A missing response line fails the test instead of hanging it.
     sock.set_read_timeout(Some(Duration::from_secs(60)))
@@ -100,21 +99,6 @@ fn replay(block: &str, scheduler: SchedulerConfig) {
     let session = exchanges(block);
     assert!(!session.is_empty(), "no requests in the block");
     for (request, expected) in session {
-        // A worker decrements its in-flight count just after pushing the
-        // response, so a `stats` sent on receipt can still see the last
-        // job resident. The doc shows the settled daemon; wait for it,
-        // and fail rather than hang if a resident count leaks.
-        if request.contains("\"op\":\"stats\"") {
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while server.scheduler().resident() > 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "{} jobs still resident before {request}",
-                    server.scheduler().resident()
-                );
-                std::thread::yield_now();
-            }
-        }
         sock.write_all(format!("{request}\n").as_bytes())
             .expect("send");
         for doc in expected {
@@ -130,17 +114,23 @@ fn replay(block: &str, scheduler: SchedulerConfig) {
     server.stop();
 }
 
-#[test]
-fn the_real_session_replays_byte_for_byte() {
-    replay(
-        session_block("A real session"),
-        SchedulerConfig {
-            workers: 2,
-            slice: 64,
+/// A daemon configuration with `workers` and `slice`, no journal and
+/// no atlas.
+fn daemon(workers: usize, slice: u64) -> ServerConfig {
+    ServerConfig {
+        scheduler: SchedulerConfig {
+            workers,
+            slice,
             default_grant: u64::MAX,
             journal: None,
         },
-    );
+        ..ServerConfig::default()
+    }
+}
+
+#[test]
+fn the_real_session_replays_byte_for_byte() {
+    replay(session_block("A real session"), daemon(2, 64));
 }
 
 #[test]
@@ -149,16 +139,24 @@ fn the_weighted_streamed_session_replays_byte_for_byte() {
         std::env::temp_dir().join(format!("bncg-protocol-doc-journal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("journal dir");
-    replay(
-        session_block("A weighted, streamed session"),
-        SchedulerConfig {
-            workers: 2,
-            slice: 256,
-            default_grant: u64::MAX,
-            journal: Some(dir.clone()),
-        },
-    );
+    let mut config = daemon(2, 256);
+    config.scheduler.journal = Some(dir.clone());
+    replay(session_block("A weighted, streamed session"), config);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pins a shed check's token (id 7), the model-bound `bad_resume`
+/// reason (id 9) and the resumed chain's `evals`/`slices` (id 10). The
+/// doc's corpus is `atlas build --max-n 6`, built here in memory.
+#[test]
+fn the_cost_model_session_replays_byte_for_byte() {
+    let backing: Box<dyn MemoryBacking + Send + Sync> = Box::new(RamBacking::new());
+    let mut atlas: DynAtlas = Atlas::open(backing).expect("open a RAM atlas");
+    let report = build(&mut atlas, &BuildSpec::standard(6), u64::MAX, None).expect("build");
+    assert!(report.complete, "an unmetered build completes");
+    let mut config = daemon(2, 64);
+    config.atlas = Arc::new(AtlasService::with_atlas(atlas));
+    replay(session_block("A cost-model session"), config);
 }
 
 #[test]

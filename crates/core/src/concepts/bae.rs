@@ -9,8 +9,13 @@ use bncg_graph::Graph;
 
 /// Finds a mutually profitable edge addition, or `None` if `g` is in BAE.
 ///
-/// Runs in `O(n³)` using the pre-move distance matrix: the post-add
-/// distance row of an endpoint is `min(d(u,·), 1 + d(v,·))`.
+/// On a tree under the default cost model each non-edge `{u, v}` is
+/// priced in `O(d(u, v))` from the state's tree summary
+/// ([`TreeSummary::add_costs`](crate::delta::TreeSummary::add_costs)),
+/// `O(n²)` on a stable star and `O(W)` for any tree with Wiener index
+/// `W`, with no distance matrix. Every other default-model state runs
+/// in `O(n³)` over the pre-move distance matrix: the post-add distance
+/// row of an endpoint is `min(d(u,·), 1 + d(v,·))`.
 ///
 /// # Examples
 ///
@@ -33,12 +38,13 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`], reusing
-/// its cached matrix and pre-move costs (no recomputation at all). The
-/// matrix pricing is a sum-of-distances identity, so a state under
-/// another cost model prices each candidate through its evaluator.
+/// its cached tree summary or matrix and its pre-move costs (no
+/// recomputation at all). Both pricings are sum-of-distances identities,
+/// so a state under another cost model prices each candidate through its
+/// evaluator.
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
-    let (g, alpha, d) = (state.graph(), state.alpha(), state.distances());
+    let (g, alpha) = (state.graph(), state.alpha());
     if !state.cost_model().is_default() {
         let mut ev = state.evaluator();
         return g
@@ -50,6 +56,14 @@ pub fn find_violation_in(state: &GameState) -> Option<Move> {
             });
     }
     let old = state.costs();
+    if let Some(tree) = state.tree() {
+        return g.non_edges().find_map(|(u, v)| {
+            let [cu, cv] = tree.add_costs(g, u, v);
+            (cu.better_than(&old[u as usize], alpha) && cv.better_than(&old[v as usize], alpha))
+                .then_some(Move::BilateralAdd { u, v })
+        });
+    }
+    let d = state.distances();
     for (u, v) in g.non_edges() {
         let cu = cost_after_add(g, d, u, v);
         if !cu.better_than(&old[u as usize], alpha) {

@@ -28,8 +28,8 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`]: all three
-/// sub-checkers share one cached matrix and cost vector (previously each
-/// rebuilt its own).
+/// sub-checkers share one cost vector and one tree summary or cached
+/// matrix (previously each rebuilt its own).
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
     re::find_violation_in(state)

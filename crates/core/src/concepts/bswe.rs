@@ -14,8 +14,9 @@ use bncg_graph::Graph;
 /// Candidates are scanned agent by agent, dropped neighbor by dropped
 /// neighbor, new partner by new partner; there are `O(n·m)` of them. On
 /// trees under the default cost model each is priced in `O(1)` by a
-/// [`TreeSwapPricer`] over the pre-move distance matrix (`O(n²)` total);
-/// every other state applies each candidate and re-runs BFS for the two
+/// [`TreeSwapPricer`] over the state's tree summary and one `O(n)`
+/// distance row per agent (`O(n²)` total, no distance matrix); every
+/// other state applies each candidate and re-runs BFS for the two
 /// consenting agents through the state's evaluator.
 ///
 /// # Examples
@@ -39,16 +40,17 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`]: the tree
-/// fast path reads the cached matrix; every other state BFS-es only the
-/// two consenting agents through the state's evaluator, priced under the
-/// state's cost model.
+/// fast path reads the state's tree summary; every other state BFS-es
+/// only the two consenting agents through the state's evaluator, priced
+/// under the state's cost model.
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
     let g = state.graph();
-    // The `O(1)` pricing is a sum-of-distances identity on trees.
-    if state.is_tree() && state.cost_model().is_default() {
+    // The `O(1)` pricing is a sum-of-distances identity on trees; the
+    // state keeps a tree summary exactly under the default model.
+    if let Some(tree) = state.tree() {
         let (alpha, old) = (state.alpha(), state.costs());
-        let pricer = TreeSwapPricer::new(g, state.distances());
+        let mut pricer = TreeSwapPricer::new(g, tree);
         // `None` marks a disconnecting swap, never improving from a tree.
         return first_improving_swap(g, |agent, dropped, new| {
             pricer

@@ -187,8 +187,9 @@ impl Concept {
     }
 
     /// [`Concept::find_violation`] against a caller-maintained
-    /// [`GameState`]: every checker reuses the state's cached distance
-    /// matrix and pre-move costs, and no checker rebuilds a full
+    /// [`GameState`]: every checker reuses the state's caches (its tree
+    /// summary or distance matrix, and its pre-move costs), and no
+    /// checker rebuilds a full
     /// [`bncg_graph::DistanceMatrix`] per candidate move. One sequential
     /// [`Solver`] call capped at [`CheckBudget::DEFAULT_MAX_EVALS`]
     /// evaluations; an `Exhausted` verdict maps to

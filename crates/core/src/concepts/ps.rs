@@ -28,7 +28,8 @@ pub fn find_violation(g: &Graph, alpha: Alpha) -> Option<Move> {
 }
 
 /// [`find_violation`] against a caller-maintained [`GameState`]: both
-/// sub-checkers share one cached matrix and cost vector.
+/// sub-checkers share one cost vector and one tree summary or cached
+/// matrix.
 #[must_use]
 pub fn find_violation_in(state: &GameState) -> Option<Move> {
     re::find_violation_in(state).or_else(|| bae::find_violation_in(state))

@@ -6,9 +6,11 @@
 //! distance matrix and edge swaps on trees from component sums, avoiding
 //! the post-move BFS; property tests assert both engines agree. Tree
 //! swaps have two fast forms: [`tree_swap_costs`] sums the components
-//! in one `O(n)` pass and serves as the reference, and
-//! [`TreeSwapPricer`] derives the same sums in `O(1)` from per-node
-//! totals computed once per tree.
+//! in one `O(n)` pass over the matrix and serves as the reference, and
+//! [`TreeSwapPricer`] derives the same sums in `O(1)` from a
+//! [`TreeSummary`] (per-node totals computed once per tree) without any
+//! matrix. [`TreeSummary::add_costs`] likewise prices a single-edge
+//! addition on a tree in `O(d(u, v))` from the same summary.
 //!
 //! The batched exponential scans price surviving leaves through a third
 //! path — the word-parallel [`crate::cost::agent_cost_bits`] kernel on a
@@ -156,12 +158,251 @@ pub fn tree_swap_costs(
     ))
 }
 
-/// Fast engine: post-swap costs on a **tree** in `O(1)` per candidate,
-/// equal to [`tree_swap_costs`] on every input.
+/// The `O(n)` summary the matrix-free tree kernels price from: the tree
+/// rooted at node 0 ([`RootedTree`]), every node's distance sum
+/// `S(x) = Σ_y d(x, y)` and its downward sum `down(v) = Σ_{y ∈ T_v} d(v, y)`.
 ///
-/// Built once per tree in `O(n)`: the tree is rooted at node 0 and the
-/// pricer keeps every node's distance sum `S(x) = Σ_y d(x, y)` and
-/// downward sum `down(v) = Σ_{y ∈ T_v} d(v, y)`. For the swap
+/// A [`crate::GameState`] on a tree under the default cost model keeps
+/// one summary and takes its agents' costs from `S`, so the polynomial
+/// checks on trees never build the `n × n` [`DistanceMatrix`]:
+///
+/// * [`TreeSummary::add_costs`] prices a bilateral addition in `O(L)`,
+///   `L = d(u, v)`, equal to [`cost_after_add`] for both endpoints;
+/// * [`TreeSwapPricer`] prices a swap in `O(1)` from one `O(n)` distance
+///   row per swapping agent, equal to [`tree_swap_costs`].
+///
+/// # Examples
+///
+/// ```
+/// use bncg_core::delta::{cost_after_add, TreeSummary};
+/// use bncg_graph::{generators, DistanceMatrix};
+///
+/// let g = generators::path(6);
+/// let t = TreeSummary::new(&g).expect("a path is a tree");
+/// let d = DistanceMatrix::new(&g);
+/// let [cu, cv] = t.add_costs(&g, 0, 4);
+/// assert_eq!(cu, cost_after_add(&g, &d, 0, 4));
+/// assert_eq!(cv, cost_after_add(&g, &d, 4, 0));
+/// assert_eq!(t.distance(0, 4), 4);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TreeSummary {
+    tree: RootedTree,
+    sums: Vec<u64>,
+    down: Vec<u64>,
+}
+
+impl TreeSummary {
+    /// Roots `g` at node 0 and computes both sum vectors, in `O(n)`;
+    /// `None` if `g` is not a tree.
+    #[must_use]
+    pub fn new(g: &Graph) -> Option<Self> {
+        let tree = RootedTree::new(g, 0).ok()?;
+        let sums = tree.dist_sums();
+        let down = tree.subtree_dist_sums();
+        Some(TreeSummary { tree, sums, down })
+    }
+
+    /// Every node's distance sum `S(x) = Σ_y d(x, y)`, indexed by node.
+    #[must_use]
+    pub fn dist_sums(&self) -> &[u64] {
+        &self.sums
+    }
+
+    /// `d(u, v)`, by climbing both nodes to their lowest common ancestor:
+    /// `O(d(u, v))`.
+    #[must_use]
+    pub fn distance(&self, u: u32, v: u32) -> u32 {
+        let lca = self.lca(u, v);
+        let t = &self.tree;
+        t.layer(u) + t.layer(v) - 2 * t.layer(lca)
+    }
+
+    fn lca(&self, mut u: u32, mut v: u32) -> u32 {
+        let t = &self.tree;
+        while t.layer(u) > t.layer(v) {
+            u = t.parent(u);
+        }
+        while t.layer(v) > t.layer(u) {
+            v = t.parent(v);
+        }
+        while u != v {
+            u = t.parent(u);
+            v = t.parent(v);
+        }
+        u
+    }
+
+    /// The costs of `u` and of `v` after the bilateral addition of the
+    /// non-edge `{u, v}`, in `O(L)` for `L = d(u, v)`.
+    ///
+    /// Number the `u`–`v` path `p_0 = u, …, p_L = v` and let `s_i` be
+    /// the size of the part hanging off `p_i` (`p_i` and everything
+    /// reached from it without a path edge). A node hanging off `p_i`
+    /// moves from `u`'s distance `i + h` to `min(i, L + 1 − i) + h`, so
+    /// `u` saves `Σ_i s_i · max(0, 2i − L − 1)` and, symmetrically, `v`
+    /// saves `Σ_i s_i · max(0, L − 2i − 1)`. The walk climbs both ends to
+    /// their lowest common ancestor: off a non-apex path node hangs its
+    /// subtree minus the subtree of the path node below it, and off the
+    /// apex hangs everything not under its (at most two) path children.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `{u, v}` is an edge or `u == v`.
+    #[must_use]
+    pub fn add_costs(&self, g: &Graph, u: u32, v: u32) -> [AgentCost; 2] {
+        debug_assert!(u != v && !g.has_edge(u, v), "addition needs a non-edge");
+        let t = &self.tree;
+        let apex = self.lca(u, v);
+        let up_u = i64::from(t.layer(u) - t.layer(apex));
+        let len = up_u + i64::from(t.layer(v) - t.layer(apex));
+        let (mut save_u, mut save_v) = (0u64, 0u64);
+        let mut credit = |i: i64, s: u32| {
+            // At most one of the two weights is positive.
+            let w = 2 * i - len - 1;
+            if w > 0 {
+                save_u += u64::from(s) * w as u64;
+            } else if w < -2 {
+                save_v += u64::from(s) * (-2 - w) as u64;
+            }
+        };
+        let below_u = self.climb(u, apex, 0, 1, &mut credit);
+        let below_v = self.climb(v, apex, len, -1, &mut credit);
+        credit(up_u, g.n() as u32 - below_u - below_v);
+        let after = |a: u32, saved: u64| AgentCost {
+            unreachable: 0,
+            edges: g.degree(a) as u32 + 1,
+            dist: self.sums[a as usize] - saved,
+        };
+        [after(u, save_u), after(v, save_v)]
+    }
+
+    /// Feeds `credit(i, s_i)` for the path nodes from `end` (path index
+    /// `i`, moving by `step`) up to, not including, `apex`; returns the
+    /// size of the apex's path child on that side (0 if `end == apex`).
+    fn climb(
+        &self,
+        end: u32,
+        apex: u32,
+        mut i: i64,
+        step: i64,
+        credit: &mut impl FnMut(i64, u32),
+    ) -> u32 {
+        let t = &self.tree;
+        let (mut x, mut below) = (end, 0u32);
+        while x != apex {
+            let size = t.subtree_size(x);
+            credit(i, size - below);
+            below = size;
+            x = t.parent(x);
+            i += step;
+        }
+        below
+    }
+
+    /// Writes `d(src, ·)` into `out` (resized to `n`), in `O(n)`: down
+    /// the BFS order, a child is one hop closer than its parent if `src`
+    /// lies in its subtree and one hop further otherwise.
+    fn write_row(&self, src: u32, out: &mut Vec<u32>) {
+        let t = &self.tree;
+        out.clear();
+        out.resize(t.n(), 0);
+        out[t.root() as usize] = t.layer(src);
+        for &c in &t.bfs_order()[1..] {
+            let dp = out[t.parent(c) as usize];
+            // No underflow: a parent of a subtree holding `src` is at
+            // least one hop from it.
+            out[c as usize] = if t.is_in_subtree(src, c) {
+                dp - 1
+            } else {
+                dp + 1
+            };
+        }
+    }
+
+    /// The swap `agent: old → new` priced from `d(agent, new)`; see
+    /// [`TreeSwapPricer`] for the derivation.
+    fn swap_costs_at(
+        &self,
+        g: &Graph,
+        agent: u32,
+        old: u32,
+        new: u32,
+        d_agent_new: u32,
+    ) -> (AgentCost, AgentCost) {
+        let t = &self.tree;
+        let n = g.n() as u64;
+        let (a, o, w) = (agent as usize, old as usize, new as usize);
+        let (c, down_c) = if t.parent(old) == agent {
+            (u64::from(t.subtree_size(old)), self.down[o])
+        } else {
+            let size_agent = u64::from(t.subtree_size(agent));
+            (n - size_agent, self.sums[o] - size_agent - self.down[a])
+        };
+        let rest = self.sums[a] - c - down_c;
+        let inside = self.sums[w] - (n - c) * u64::from(d_agent_new) - rest;
+        (
+            AgentCost {
+                unreachable: 0,
+                edges: g.degree(agent) as u32,
+                dist: rest + c + inside,
+            },
+            AgentCost {
+                unreachable: 0,
+                edges: g.degree(new) as u32 + 1,
+                dist: inside + (n - c) + rest,
+            },
+        )
+    }
+
+    /// Whether `new` lies on `old`'s side of the edge `{agent, old}` —
+    /// the swap keeps the tree connected exactly then. A preorder
+    /// interval test: `old`'s side is `T_old` when `old` is `agent`'s
+    /// child, and everything outside `T_agent` when it is the parent.
+    fn on_old_side(&self, agent: u32, old: u32, new: u32) -> bool {
+        let t = &self.tree;
+        if t.parent(old) == agent {
+            t.is_in_subtree(new, old)
+        } else {
+            !t.is_in_subtree(new, agent)
+        }
+    }
+
+    /// The post-swap costs of `agent` and `new`, or `None` for a
+    /// disconnecting swap — [`TreeSwapPricer::swap_costs`] for one
+    /// candidate, with `d(agent, new)` from an `O(d(agent, new))` climb
+    /// instead of a cached row.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `{agent, old}` is not an edge or
+    /// `new` is `agent` or one of its neighbors.
+    #[must_use]
+    pub fn swap_costs(
+        &self,
+        g: &Graph,
+        agent: u32,
+        old: u32,
+        new: u32,
+    ) -> Option<(AgentCost, AgentCost)> {
+        debug_assert!(g.has_edge(agent, old), "swap requires the old edge");
+        debug_assert!(
+            !g.has_edge(agent, new) && agent != new,
+            "swap target must be a non-neighbor"
+        );
+        self.on_old_side(agent, old, new)
+            .then(|| self.swap_costs_at(g, agent, old, new, self.distance(agent, new)))
+    }
+}
+
+/// Fast engine: post-swap costs on a **tree** in `O(1)` per candidate,
+/// equal to [`tree_swap_costs`] on every input, with no distance matrix.
+///
+/// It reads a [`TreeSummary`] (the tree rooted at node 0, every node's
+/// distance sum `S(x) = Σ_y d(x, y)` and downward sum
+/// `down(v) = Σ_{y ∈ T_v} d(v, y)`) and one `O(n)` distance row of the
+/// swapping agent, rebuilt whenever the agent changes — so a scan that
+/// walks candidates agent by agent pays `O(n)` per agent. For the swap
 /// `agent: old → new`, let `C` be `old`'s side of `{agent, old}`, with
 /// `c = |C|` and `D = Σ_{y∈C} d(old, y)`:
 ///
@@ -171,49 +412,45 @@ pub fn tree_swap_costs(
 ///   `T_agent`, so `c = n − size(agent)` and
 ///   `D = S(old) − size(agent) − down(agent)`.
 ///
-/// Then `rest = Σ_{x∉C} d(agent, x) = S(agent) − c − D` and
-/// `in = Σ_{y∈C} d(new, y) = S(new) − (n − c)(d(new, old) + 1) − rest`,
-/// and the component sums of [`tree_swap_costs`] follow without a pass
-/// over the matrix. Every subtraction removes a part of the sum it is
-/// taken from, so none underflows.
+/// Whether `new ∈ C` is a preorder-interval test. When it holds, the
+/// path from `agent` to `new` runs through `old`, so
+/// `d(old, new) = d(agent, new) − 1`. Then
+/// `rest = Σ_{x∉C} d(agent, x) = S(agent) − c − D` and
+/// `in = Σ_{y∈C} d(new, y) = S(new) − (n − c)·d(agent, new) − rest`,
+/// and the component sums of [`tree_swap_costs`] follow. Every
+/// subtraction removes a part of the sum it is taken from, so none
+/// underflows.
 ///
 /// # Examples
 ///
 /// ```
-/// use bncg_core::delta::{tree_swap_costs, TreeSwapPricer};
+/// use bncg_core::delta::{tree_swap_costs, TreeSummary, TreeSwapPricer};
 /// use bncg_graph::{generators, DistanceMatrix};
 ///
 /// let g = generators::path(6);
+/// let t = TreeSummary::new(&g).expect("a path is a tree");
+/// let mut pricer = TreeSwapPricer::new(&g, &t);
 /// let d = DistanceMatrix::new(&g);
-/// let pricer = TreeSwapPricer::new(&g, &d);
 /// assert_eq!(pricer.swap_costs(0, 1, 3), tree_swap_costs(&g, &d, 0, 1, 3));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreeSwapPricer<'a> {
     g: &'a Graph,
-    d: &'a DistanceMatrix,
-    tree: RootedTree,
-    sums: Vec<u64>,
-    down: Vec<u64>,
+    t: &'a TreeSummary,
+    /// The agent whose distance row `row` holds (`u32::MAX`: none yet).
+    agent: u32,
+    row: Vec<u32>,
 }
 
 impl<'a> TreeSwapPricer<'a> {
-    /// Roots `g` and precomputes the per-node sums, in `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is not a tree.
+    /// A pricer for swaps on the tree `g` summarized by `t`.
     #[must_use]
-    pub fn new(g: &'a Graph, d: &'a DistanceMatrix) -> Self {
-        let tree = RootedTree::new(g, 0).expect("TreeSwapPricer requires a tree");
-        let sums = tree.dist_sums();
-        let down = tree.subtree_dist_sums();
+    pub fn new(g: &'a Graph, t: &'a TreeSummary) -> Self {
         TreeSwapPricer {
             g,
-            d,
-            tree,
-            sums,
-            down,
+            t,
+            agent: u32::MAX,
+            row: Vec::new(),
         }
     }
 
@@ -225,39 +462,21 @@ impl<'a> TreeSwapPricer<'a> {
     /// Panics (in debug builds) if `{agent, old}` is not an edge or
     /// `new` is `agent` or one of its neighbors.
     #[must_use]
-    pub fn swap_costs(&self, agent: u32, old: u32, new: u32) -> Option<(AgentCost, AgentCost)> {
+    pub fn swap_costs(&mut self, agent: u32, old: u32, new: u32) -> Option<(AgentCost, AgentCost)> {
         debug_assert!(self.g.has_edge(agent, old), "swap requires the old edge");
         debug_assert!(
             !self.g.has_edge(agent, new) && agent != new,
             "swap target must be a non-neighbor"
         );
-        let d_old_new = self.d.dist(old, new);
-        // `new` must sit on the `old` side of the split.
-        if d_old_new >= self.d.dist(agent, new) {
+        if !self.t.on_old_side(agent, old, new) {
             return None;
         }
-        let n = self.g.n() as u64;
-        let (a, o, w) = (agent as usize, old as usize, new as usize);
-        let (c, down_c) = if self.tree.parent(old) == agent {
-            (u64::from(self.tree.subtree_size(old)), self.down[o])
-        } else {
-            let size_agent = u64::from(self.tree.subtree_size(agent));
-            (n - size_agent, self.sums[o] - size_agent - self.down[a])
-        };
-        let rest = self.sums[a] - c - down_c;
-        let inside = self.sums[w] - (n - c) * (u64::from(d_old_new) + 1) - rest;
-        Some((
-            AgentCost {
-                unreachable: 0,
-                edges: self.g.degree(agent) as u32,
-                dist: rest + c + inside,
-            },
-            AgentCost {
-                unreachable: 0,
-                edges: self.g.degree(new) as u32 + 1,
-                dist: inside + (n - c) + rest,
-            },
-        ))
+        if self.agent != agent {
+            self.t.write_row(agent, &mut self.row);
+            self.agent = agent;
+        }
+        let d_agent_new = self.row[new as usize];
+        Some(self.t.swap_costs_at(self.g, agent, old, new, d_agent_new))
     }
 }
 
@@ -409,7 +628,8 @@ mod tests {
             let perm = generators::random_permutation(n, &mut rng);
             let g = g.relabeled(&perm);
             let d = DistanceMatrix::new(&g);
-            let pricer = TreeSwapPricer::new(&g, &d);
+            let t = TreeSummary::new(&g).unwrap();
+            let mut pricer = TreeSwapPricer::new(&g, &t);
             for agent in 0..n as u32 {
                 for &old in g.neighbors(agent) {
                     for new in 0..n as u32 {

@@ -29,9 +29,12 @@
 //!
 //! The polynomial concepts (RE, BAE, PS, BSwE, BGE) are executed
 //! eagerly: they never exhaust, their evaluation counts are not metered,
-//! and no stop condition bounds them. They are cheap on small instances
-//! but not on large ones — a stable star(1024) BGE check runs for
-//! seconds. The exponential concepts (BNE, k-BSE, BSE) run through the
+//! and no stop condition bounds them. On a tree they price every
+//! candidate from the state's `O(n)` tree summary and never build the
+//! distance matrix, so a stable star(1024) BGE check takes tens of
+//! milliseconds; on any other graph BAE prices each non-edge in `O(n)`
+//! over the matrix, `O(n³)` in all, which is not cheap on large dense
+//! instances. The exponential concepts (BNE, k-BSE, BSE) run through the
 //! pruned scans, sharded across `threads` std scoped threads with the
 //! deterministic lowest-unit-wins witness protocol.
 //!

@@ -13,6 +13,13 @@
 //! * the all-pairs [`DistanceMatrix`], and
 //! * the per-agent [`AgentCost`] vector.
 //!
+//! A tree under the default cost model keeps a third, the `O(n)`
+//! [`TreeSummary`], takes its costs from the summary's rerooted distance
+//! sums, and builds the `O(n²)` matrix only when something first asks
+//! for it ([`GameState::distances`]). The polynomial checks (RE, BAE,
+//! PS, BSwE, BGE) and the evaluator's add and swap fast paths price tree
+//! moves from the summary, so on a tree none of them builds the matrix.
+//!
 //! # The incremental-evaluation contract
 //!
 //! 1. **Evaluation is pure and exact.** [`GameState::evaluate_move`] (and
@@ -21,9 +28,11 @@
 //!    the successor graph would produce — the engine only swaps the
 //!    *algorithm*, never the *semantics*. Single-edge additions are priced
 //!    in `O(n)` straight from the cached matrix (`d'(u,w) =
-//!    min(d(u,w), 1 + d(v,w))`); everything else applies the move to a
-//!    private scratch graph and re-runs BFS **only for the consenting
-//!    agents**, never a full matrix rebuild.
+//!    min(d(u,w), 1 + d(v,w))`), or in `O(d(u, v))` from the summary
+//!    on a tree, and tree swaps in `O(d(agent, new))` from the summary;
+//!    everything else applies the move to a private scratch graph and
+//!    re-runs BFS **only for the consenting agents**, never a full
+//!    matrix rebuild.
 //! 2. **Application is incremental.** [`GameState::apply_move`] replays the
 //!    move one edge toggle at a time through
 //!    [`DistanceMatrix::apply_edge_toggle`], which re-expands only the
@@ -70,10 +79,11 @@
 use crate::alpha::Alpha;
 use crate::cost::{AgentCost, Ratio};
 use crate::cost_model::{CostModel, CostModelSpec};
-use crate::delta::{cost_after_add, tree_swap_costs};
+use crate::delta::{cost_after_add, TreeSummary};
 use crate::error::GameError;
 use crate::moves::Move;
 use bncg_graph::{BitsetGraph, DistanceMatrix, Graph};
+use std::sync::OnceLock;
 
 /// A game state with incrementally maintained distance and cost caches.
 ///
@@ -83,8 +93,12 @@ pub struct GameState {
     g: Graph,
     alpha: Alpha,
     model: CostModelSpec,
-    dist: DistanceMatrix,
+    /// Set at construction for every state but a default-model tree,
+    /// which builds it on the first [`GameState::distances`] call.
+    dist: OnceLock<DistanceMatrix>,
     costs: Vec<AgentCost>,
+    /// Present exactly for a tree under the default model.
+    tree: Option<TreeSummary>,
     is_tree: bool,
 }
 
@@ -122,7 +136,10 @@ impl MoveDelta {
 
 impl GameState {
     /// Builds the state and its caches under the default
-    /// [`CostModelSpec::SumDistances`] objective: one BFS per node,
+    /// [`CostModelSpec::SumDistances`] objective. A tree is rooted once
+    /// and every cost read off its rerooted distance sums, `O(n)`, with
+    /// the matrix left for the first [`GameState::distances`] call; any
+    /// other graph gets the matrix at once, one BFS per node,
     /// `O(n·(n+m))`.
     #[must_use]
     pub fn new(g: Graph, alpha: Alpha) -> Self {
@@ -133,21 +150,47 @@ impl GameState {
     /// The default model is byte-identical to [`GameState::new`]; a
     /// non-default model changes what the cost cache holds (and
     /// therefore every stability verdict), folds its tag into
-    /// [`GameState::fingerprint`], and disables the evaluation fast
-    /// paths that are proven only for the paper's objective.
+    /// [`GameState::fingerprint`], disables the evaluation fast
+    /// paths that are proven only for the paper's objective, and always
+    /// builds the matrix at once.
     #[must_use]
     pub fn with_cost_model(g: Graph, alpha: Alpha, model: CostModelSpec) -> Self {
-        let dist = DistanceMatrix::new(&g);
-        let costs = (0..g.n() as u32)
-            .map(|u| model.cost_matrix(&g, &dist, u))
-            .collect();
-        let is_tree = g.is_tree();
+        let tree = if model.is_default() {
+            TreeSummary::new(&g)
+        } else {
+            None
+        };
+        let dist = OnceLock::new();
+        let costs = match &tree {
+            Some(t) => t
+                .dist_sums()
+                .iter()
+                .enumerate()
+                .map(|(u, &sum)| AgentCost {
+                    unreachable: 0,
+                    edges: g.degree(u as u32) as u32,
+                    dist: sum,
+                })
+                .collect(),
+            None => {
+                let d = dist.get_or_init(|| DistanceMatrix::new(&g));
+                (0..g.n() as u32)
+                    .map(|u| model.cost_matrix(&g, d, u))
+                    .collect()
+            }
+        };
+        let is_tree = if model.is_default() {
+            tree.is_some()
+        } else {
+            g.is_tree()
+        };
         GameState {
             g,
             alpha,
             model,
             dist,
             costs,
+            tree,
             is_tree,
         }
     }
@@ -194,10 +237,27 @@ impl GameState {
         self.g.n()
     }
 
-    /// The cached all-pairs distance matrix (always exact).
+    /// The all-pairs distance matrix (always exact). Every state but a
+    /// tree under the default cost model builds it at construction; such
+    /// a tree builds it on the first call, `O(n²)`, and keeps it from
+    /// then on (as does [`GameState::apply_move`], which updates it).
     #[must_use]
     pub fn distances(&self) -> &DistanceMatrix {
-        &self.dist
+        self.dist.get_or_init(|| DistanceMatrix::new(&self.g))
+    }
+
+    /// The `O(n)` tree summary the matrix-free tree kernels price from,
+    /// present exactly when the graph is a tree and the cost model is the
+    /// default one.
+    #[must_use]
+    pub fn tree(&self) -> Option<&TreeSummary> {
+        self.tree.as_ref()
+    }
+
+    /// Whether the distance matrix has been built.
+    #[cfg(test)]
+    pub(crate) fn matrix_built(&self) -> bool {
+        self.dist.get().is_some()
     }
 
     /// The cached cost of agent `u` (always exact).
@@ -245,7 +305,9 @@ impl GameState {
         }
     }
 
-    /// Social cost of the state from the cached matrix, without any BFS.
+    /// Social cost of the state from the caches, without any BFS:
+    /// the rerooted distance sums on a default-model tree, the matrix
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -266,7 +328,13 @@ impl GameState {
                 .sum();
             return Ok(Ratio::new(total, i128::from(self.alpha.den())));
         }
-        let total = self.dist.total_distance().ok_or(GameError::Disconnected)?;
+        let total = match &self.tree {
+            Some(t) => t.dist_sums().iter().sum(),
+            None => self
+                .distances()
+                .total_distance()
+                .ok_or(GameError::Disconnected)?,
+        };
         let edges_paid = 2 * self.g.m() as u64;
         Ok(Ratio::new(
             i128::from(self.alpha.num()) * i128::from(edges_paid)
@@ -276,7 +344,7 @@ impl GameState {
     }
 
     /// The social cost ratio `ρ` against the optimum for this `n` and `α`,
-    /// from the cached matrix (same definition as
+    /// from the caches (same definition as
     /// [`social_cost_ratio`](crate::social_cost_ratio)).
     ///
     /// # Errors
@@ -363,6 +431,9 @@ impl GameState {
 
     /// Applies a move, updating graph, distance matrix, and cost cache
     /// incrementally (per-toggle delta-BFS instead of a full rebuild).
+    /// A state whose matrix is not built yet builds it first; a
+    /// default-model state that is a tree afterwards re-roots its tree
+    /// summary, `O(n)`.
     ///
     /// # Errors
     ///
@@ -373,6 +444,10 @@ impl GameState {
         // watch every intermediate single-toggle state.
         let applied = mv.apply_in_place(&mut self.g)?;
         applied.undo(&mut self.g);
+        if self.dist.get().is_none() {
+            self.dist = OnceLock::from(DistanceMatrix::new(&self.g));
+        }
+        let dist = self.dist.get_mut().expect("built just above");
         let mut affected = vec![false; self.g.n()];
         for &(u, v, added) in applied.toggles() {
             if added {
@@ -382,7 +457,7 @@ impl GameState {
                     .remove_edge(u, v)
                     .expect("replaying validated toggle");
             }
-            for s in self.dist.apply_edge_toggle(&self.g, u, v) {
+            for s in dist.apply_edge_toggle(&self.g, u, v) {
                 affected[s as usize] = true;
             }
             // Degrees changed even where distances did not.
@@ -392,7 +467,7 @@ impl GameState {
         if self.model.is_default() {
             for (s, touched) in affected.iter().enumerate() {
                 if *touched {
-                    self.costs[s] = self.model.cost_matrix(&self.g, &self.dist, s as u32);
+                    self.costs[s] = self.model.cost_matrix(&self.g, dist, s as u32);
                 }
             }
         } else {
@@ -402,11 +477,15 @@ impl GameState {
             // untouched, and generalized utilities share the cache, so
             // non-default models refresh the whole cost vector.
             for s in 0..self.g.n() {
-                self.costs[s] = self.model.cost_matrix(&self.g, &self.dist, s as u32);
+                self.costs[s] = self.model.cost_matrix(&self.g, dist, s as u32);
             }
         }
-        self.is_tree =
-            self.g.n() >= 1 && self.g.m() == self.g.n() - 1 && self.dist.row_sum(0).is_some();
+        self.is_tree = self.g.n() >= 1 && self.g.m() == self.g.n() - 1 && dist.row_sum(0).is_some();
+        self.tree = if self.is_tree && self.model.is_default() {
+            TreeSummary::new(&self.g)
+        } else {
+            None
+        };
         Ok(())
     }
 }
@@ -466,7 +545,8 @@ impl MoveEvaluator<'_> {
         // apply/price/undo path for every move shape.
         if state.model.is_default() {
             // Fast path 1: single bilateral addition, priced straight from
-            // the cached matrix with no graph mutation at all.
+            // the tree summary or the cached matrix with no graph
+            // mutation at all.
             if let Move::BilateralAdd { u, v } = *mv {
                 let n = state.g.n();
                 if u as usize >= n {
@@ -480,12 +560,19 @@ impl MoveEvaluator<'_> {
                         "cannot add existing or degenerate edge {{{u}, {v}}}"
                     )));
                 }
+                // The tree summary prices both endpoints in one walk;
+                // the matrix prices each in `O(n)`, so only on demand.
+                let on_tree = state.tree.as_ref().map(|t| t.add_costs(&state.g, u, v));
                 let mut deltas = Vec::with_capacity(2);
-                for (a, b) in [(u, v), (v, u)] {
+                for (i, (a, b)) in [(u, v), (v, u)].into_iter().enumerate() {
+                    let after = match on_tree {
+                        Some(costs) => costs[i],
+                        None => cost_after_add(&state.g, state.distances(), a, b),
+                    };
                     let d = AgentDelta {
                         agent: a,
                         before: state.costs[a as usize],
-                        after: cost_after_add(&state.g, &state.dist, a, b),
+                        after,
                     };
                     let improves = d.after.better_than(&d.before, alpha);
                     deltas.push(d);
@@ -496,36 +583,35 @@ impl MoveEvaluator<'_> {
                 return Ok(finish(deltas, alpha));
             }
             // Fast path 2: swaps on trees via component sums over the
-            // cached matrix (`O(n)` per candidate instead of two BFS runs;
-            // the pair comes from one pass, so there is nothing to
-            // short-circuit).
+            // tree summary (`O(d(agent, new))` per candidate instead of
+            // two BFS runs; the pair comes from one pass, so there is
+            // nothing to short-circuit).
             if let Move::Swap { agent, old, new } = *mv {
-                if state.is_tree
-                    && state.g.has_edge(agent, old)
-                    && new != agent
-                    && (new as usize) < state.g.n()
-                    && !state.g.has_edge(agent, new)
-                    && old != new
-                {
-                    if let Some((c_agent, c_new)) =
-                        tree_swap_costs(&state.g, &state.dist, agent, old, new)
+                if let Some(t) = &state.tree {
+                    if state.g.has_edge(agent, old)
+                        && new != agent
+                        && (new as usize) < state.g.n()
+                        && !state.g.has_edge(agent, new)
+                        && old != new
                     {
-                        let deltas = vec![
-                            AgentDelta {
-                                agent,
-                                before: state.costs[agent as usize],
-                                after: c_agent,
-                            },
-                            AgentDelta {
-                                agent: new,
-                                before: state.costs[new as usize],
-                                after: c_new,
-                            },
-                        ];
-                        return Ok(finish(deltas, alpha));
+                        if let Some((c_agent, c_new)) = t.swap_costs(&state.g, agent, old, new) {
+                            let deltas = vec![
+                                AgentDelta {
+                                    agent,
+                                    before: state.costs[agent as usize],
+                                    after: c_agent,
+                                },
+                                AgentDelta {
+                                    agent: new,
+                                    before: state.costs[new as usize],
+                                    after: c_new,
+                                },
+                            ];
+                            return Ok(finish(deltas, alpha));
+                        }
+                        // Disconnecting swap: fall through to the generic
+                        // engine, which prices the unreachability exactly.
                     }
-                    // Disconnecting swap: fall through to the generic
-                    // engine, which prices the unreachability exactly.
                 }
             }
         }
@@ -738,6 +824,107 @@ mod tests {
         );
         let disconnected = GameState::new(Graph::new(3), a("1"));
         assert_eq!(disconnected.social_cost(), Err(GameError::Disconnected));
+    }
+
+    #[test]
+    fn polynomial_checks_on_a_tree_state_never_build_the_matrix() {
+        use crate::concepts::Concept;
+        use crate::solver::{ExecPolicy, Solver, StabilityQuery, Verdict};
+        let solver = Solver::new(ExecPolicy::default());
+        let trees = [
+            generators::random_tree(200, &mut bncg_graph::test_rng(1004)),
+            generators::star(200),
+        ];
+        let (mut stable, mut unstable) = (0, 0);
+        for g in &trees {
+            for alpha in ["1/2", "2", "200"] {
+                let state = GameState::new(g.clone(), a(alpha));
+                for concept in [
+                    Concept::Re,
+                    Concept::Bae,
+                    Concept::Ps,
+                    Concept::Bswe,
+                    Concept::Bge,
+                ] {
+                    match solver.check(&StabilityQuery::on(concept, &state)).unwrap() {
+                        Verdict::Stable { .. } => stable += 1,
+                        _ => unstable += 1,
+                    }
+                    assert!(!state.matrix_built(), "{concept} at α = {alpha}");
+                }
+                state.social_cost().unwrap();
+                let mut ev = state.evaluator();
+                let (u, v) = g.non_edges().next().unwrap();
+                ev.evaluate(&Move::BilateralAdd { u, v }).unwrap();
+                let old = g.neighbors(u)[0];
+                ev.evaluate(&Move::Swap {
+                    agent: u,
+                    old,
+                    new: v,
+                })
+                .unwrap();
+                assert!(!state.matrix_built(), "social cost or evaluator");
+            }
+        }
+        assert!(
+            stable > 0 && unstable > 0,
+            "{stable} stable, {unstable} unstable"
+        );
+        // Every other state builds the matrix at once.
+        assert!(GameState::new(generators::cycle(200), a("2")).matrix_built());
+        let robust = CostModelSpec::AdversaryRobust;
+        assert!(GameState::with_cost_model(trees[0].clone(), a("2"), robust).matrix_built());
+    }
+
+    #[test]
+    fn moves_on_a_lazy_tree_state_match_a_fresh_state() {
+        let g = generators::random_tree(80, &mut bncg_graph::test_rng(1005));
+        let mut state = GameState::new(g.clone(), a("2"));
+        assert!(!state.matrix_built());
+        // A swap that keeps the tree, an addition that closes a cycle,
+        // and a removal on that cycle that makes a tree again.
+        let t = state.tree().unwrap();
+        let swap = (0..80u32)
+            .flat_map(|agent| g.neighbors(agent).iter().map(move |&old| (agent, old)))
+            .flat_map(|(agent, old)| (0..80u32).map(move |new| (agent, old, new)))
+            .find(|&(agent, old, new)| {
+                new != agent
+                    && !g.has_edge(agent, new)
+                    && t.swap_costs(&g, agent, old, new).is_some()
+            })
+            .map(|(agent, old, new)| Move::Swap { agent, old, new })
+            .unwrap();
+        let mut moves = vec![swap];
+        let after_swap = moves[0].apply(&g).unwrap();
+        let (u, v) = after_swap
+            .non_edges()
+            .find(|&(u, v)| DistanceMatrix::new(&after_swap).dist(u, v) >= 3)
+            .unwrap();
+        moves.push(Move::BilateralAdd { u, v });
+        let d = DistanceMatrix::new(&after_swap);
+        let toward = *after_swap
+            .neighbors(u)
+            .iter()
+            .find(|&&x| d.dist(x, v) + 1 == d.dist(u, v))
+            .unwrap();
+        moves.push(Move::Remove {
+            agent: u,
+            target: toward,
+        });
+        for (i, mv) in moves.iter().enumerate() {
+            state.apply_move(mv).unwrap();
+            let fresh = GameState::new(state.graph().clone(), a("2"));
+            assert_eq!(*state.distances(), *fresh.distances(), "move {i}: {mv}");
+            assert_eq!(state.costs(), fresh.costs(), "move {i}: {mv}");
+            assert_eq!(state.is_tree(), fresh.is_tree(), "move {i}: {mv}");
+            assert_eq!(state.tree(), fresh.tree(), "move {i}: {mv}");
+            assert_eq!(
+                state.social_cost().unwrap(),
+                fresh.social_cost().unwrap(),
+                "move {i}: {mv}"
+            );
+        }
+        assert!(state.is_tree(), "the removal reopens the cycle");
     }
 
     #[test]

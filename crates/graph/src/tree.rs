@@ -29,16 +29,21 @@ pub struct RootedTree {
     root: u32,
     parent: Vec<u32>,
     layer: Vec<u32>,
-    children: Vec<Vec<u32>>,
+    /// `children(u)` is `order[kids[u].0 .. kids[u].1]`: a BFS appends
+    /// the children of each node contiguously, so the order doubles as
+    /// the flat child array.
+    kids: Vec<(u32, u32)>,
     subtree_size: Vec<u32>,
     /// Nodes in BFS order from the root (parents precede children).
     order: Vec<u32>,
+    /// Preorder positions: `T_u` is `[tin(u), tin(u) + subtree_size(u))`.
     tin: Vec<u32>,
-    tout: Vec<u32>,
 }
 
 impl RootedTree {
-    /// Roots the tree `g` at `root`.
+    /// Roots the tree `g` at `root`, in `O(n)`: one BFS, one bottom-up
+    /// pass for the subtree sizes and one top-down pass for the
+    /// preorder positions.
     ///
     /// # Errors
     ///
@@ -49,12 +54,14 @@ impl RootedTree {
         if root as usize >= n {
             return Err(GraphError::NodeOutOfRange { node: root, n });
         }
-        if !g.is_tree() {
+        // `n − 1` edges and connected is a tree; the BFS checks the
+        // second half.
+        if g.m() != n - 1 {
             return Err(GraphError::NotATree);
         }
         let mut parent = vec![u32::MAX; n];
         let mut layer = vec![0u32; n];
-        let mut children = vec![Vec::new(); n];
+        let mut kids = vec![(0u32, 0u32); n];
         let mut order = Vec::with_capacity(n);
         parent[root as usize] = root;
         order.push(root);
@@ -62,39 +69,34 @@ impl RootedTree {
         while head < order.len() {
             let u = order[head];
             head += 1;
+            let first = order.len() as u32;
             for &v in g.neighbors(u) {
-                if parent[v as usize] == u32::MAX && v != root {
+                if parent[v as usize] == u32::MAX {
                     parent[v as usize] = u;
                     layer[v as usize] = layer[u as usize] + 1;
-                    children[u as usize].push(v);
                     order.push(v);
                 }
             }
+            kids[u as usize] = (first, order.len() as u32);
         }
-        debug_assert_eq!(order.len(), n);
+        if order.len() != n {
+            return Err(GraphError::NotATree);
+        }
 
         let mut subtree_size = vec![1u32; n];
-        for &u in order.iter().rev() {
-            if u != root {
-                subtree_size[parent[u as usize] as usize] += subtree_size[u as usize];
-            }
+        for &u in order[1..].iter().rev() {
+            subtree_size[parent[u as usize] as usize] += subtree_size[u as usize];
         }
 
-        // Euler intervals via iterative DFS for ancestor queries.
+        // Preorder positions top-down: a node's children take
+        // consecutive blocks right after it, each as wide as its subtree.
         let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut clock = 0u32;
-        let mut stack: Vec<(u32, bool)> = vec![(root, false)];
-        while let Some((u, processed)) = stack.pop() {
-            if processed {
-                tout[u as usize] = clock;
-            } else {
-                tin[u as usize] = clock;
-                clock += 1;
-                stack.push((u, true));
-                for &c in &children[u as usize] {
-                    stack.push((c, false));
-                }
+        for &u in &order {
+            let (lo, hi) = kids[u as usize];
+            let mut next = tin[u as usize] + 1;
+            for &c in &order[lo as usize..hi as usize] {
+                tin[c as usize] = next;
+                next += subtree_size[c as usize];
             }
         }
 
@@ -102,11 +104,10 @@ impl RootedTree {
             root,
             parent,
             layer,
-            children,
+            kids,
             subtree_size,
             order,
             tin,
-            tout,
         })
     }
 
@@ -127,12 +128,14 @@ impl RootedTree {
     /// # Panics
     ///
     /// Panics if `u` is out of range.
+    #[inline]
     #[must_use]
     pub fn parent(&self, u: u32) -> u32 {
         self.parent[u as usize]
     }
 
     /// Layer (distance from the root) of `u` — `ℓ(u)` in the paper.
+    #[inline]
     #[must_use]
     pub fn layer(&self, u: u32) -> u32 {
         self.layer[u as usize]
@@ -141,10 +144,12 @@ impl RootedTree {
     /// Children of `u`.
     #[must_use]
     pub fn children(&self, u: u32) -> &[u32] {
-        &self.children[u as usize]
+        let (lo, hi) = self.kids[u as usize];
+        &self.order[lo as usize..hi as usize]
     }
 
     /// Size of the subtree `T_u` (including `u`).
+    #[inline]
     #[must_use]
     pub fn subtree_size(&self, u: u32) -> u32 {
         self.subtree_size[u as usize]
@@ -156,9 +161,8 @@ impl RootedTree {
         &self.order
     }
 
-    /// Preorder (Euler entry) positions, indexed by node: the subtree
-    /// `T_u` occupies exactly the positions
-    /// `[tin(u), tin(u) + subtree_size(u))`.
+    /// Preorder positions, indexed by node: the subtree `T_u` occupies
+    /// exactly the positions `[tin(u), tin(u) + subtree_size(u))`.
     #[must_use]
     pub(crate) fn preorder_positions(&self) -> &[u32] {
         &self.tin
@@ -183,11 +187,11 @@ impl RootedTree {
     }
 
     /// Whether `v` lies in the subtree rooted at `u` (`v ∈ T_u`), using the
-    /// Euler intervals — `O(1)`.
+    /// preorder intervals — `O(1)`.
+    #[inline]
     #[must_use]
     pub fn is_in_subtree(&self, v: u32, u: u32) -> bool {
-        self.tin[u as usize] <= self.tin[v as usize]
-            && self.tout[v as usize] <= self.tout[u as usize]
+        self.tin[v as usize].wrapping_sub(self.tin[u as usize]) < self.subtree_size[u as usize]
     }
 
     /// Collects the nodes of the subtree `T_u` in BFS order.

@@ -226,7 +226,8 @@ fn tree_swap_engine_matches_generic() {
     prop("tree_swap_engine_matches_generic", |rng| {
         let g = random_tree(12, rng);
         let d = DistanceMatrix::new(&g);
-        let pricer = delta::TreeSwapPricer::new(&g, &d);
+        let tree = delta::TreeSummary::new(&g).unwrap();
+        let mut pricer = delta::TreeSwapPricer::new(&g, &tree);
         for agent in 0..g.n() as u32 {
             for &old in g.neighbors(agent) {
                 for new in 0..g.n() as u32 {

@@ -6,6 +6,7 @@
 //! exists).
 
 use crate::report::{fnum, Report};
+use bncg_core::concepts::single_edge;
 use bncg_core::solver::{Solver, StabilityQuery};
 use bncg_core::{
     agent_cost, agent_cost_from_matrix, concepts, delta, Alpha, CandidateStats, Concept,
@@ -49,56 +50,41 @@ pub fn delta_engines(report: &mut Report, quick: bool) -> Result<(), GameError> 
         let d = DistanceMatrix::new(&tree);
         let old: Vec<_> = (0..n as u32).map(|u| agent_cost(&tree, u)).collect();
 
-        // Collect the candidate space once.
-        let adds: Vec<(u32, u32)> = tree.non_edges().collect();
-        let mut swaps: Vec<(u32, u32, u32)> = Vec::new();
-        for u in 0..n as u32 {
-            for &v in tree.neighbors(u) {
-                for w in 0..n as u32 {
-                    if w != u && !tree.has_edge(u, w) {
-                        swaps.push((u, v, w));
-                    }
-                }
-            }
-        }
-        let candidates = adds.len() * 2 + swaps.len();
+        // The BAE and BSwE candidate spaces, collected once; an addition
+        // prices both endpoints.
+        let moves: Vec<Move> = [Concept::Bae, Concept::Bswe]
+            .into_iter()
+            .flat_map(|c| single_edge::moves(&tree, c))
+            .collect();
+        let candidates = moves.len() + tree.non_edges().count();
 
         // Fast engine pass.
         let t0 = Instant::now();
         let mut fast_improving = 0usize;
-        for &(u, v) in &adds {
-            if delta::cost_after_add(&tree, &d, u, v).better_than(&old[u as usize], alpha)
-                && delta::cost_after_add(&tree, &d, v, u).better_than(&old[v as usize], alpha)
-            {
-                fast_improving += 1;
-            }
-        }
-        for &(u, v, w) in &swaps {
-            if let Some((cu, cw)) = delta::tree_swap_costs(&tree, &d, u, v, w) {
-                if cu.better_than(&old[u as usize], alpha)
-                    && cw.better_than(&old[w as usize], alpha)
-                {
-                    fast_improving += 1;
+        for mv in &moves {
+            let improving = match *mv {
+                Move::BilateralAdd { u, v } => {
+                    delta::cost_after_add(&tree, &d, u, v).better_than(&old[u as usize], alpha)
+                        && delta::cost_after_add(&tree, &d, v, u)
+                            .better_than(&old[v as usize], alpha)
                 }
-            }
+                Move::Swap { agent, old: o, new } => {
+                    delta::tree_swap_costs(&tree, &d, agent, o, new).is_some_and(|(ca, cn)| {
+                        ca.better_than(&old[agent as usize], alpha)
+                            && cn.better_than(&old[new as usize], alpha)
+                    })
+                }
+                _ => unreachable!("BAE and BSwE candidates are additions and swaps"),
+            };
+            fast_improving += usize::from(improving);
         }
         let fast_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         // Generic engine pass.
         let t1 = Instant::now();
         let mut generic_improving = 0usize;
-        for &(u, v) in &adds {
-            if delta::move_improves_all_cached(&tree, alpha, &Move::BilateralAdd { u, v }, &old)? {
-                generic_improving += 1;
-            }
-        }
-        for &(u, v, w) in &swaps {
-            let mv = Move::Swap {
-                agent: u,
-                old: v,
-                new: w,
-            };
-            if delta::move_improves_all_cached(&tree, alpha, &mv, &old)? {
+        for mv in &moves {
+            if delta::move_improves_all_cached(&tree, alpha, mv, &old)? {
                 generic_improving += 1;
             }
         }

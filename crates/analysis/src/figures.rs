@@ -124,7 +124,7 @@ fn curated_properness(
         (Concept::Bge, Concept::Ps) => {
             let g = graph6::decode("GhCGOO").map_err(GameError::Graph)?;
             let alpha = parse("6");
-            let not_in_sub = !concepts::bge::is_stable(&g, alpha);
+            let not_in_sub = !Concept::Bge.is_stable(&g, alpha)?;
             Some((g, alpha, not_in_sub))
         }
         // BGE-stable 6-node graph with an improving neighborhood move.
@@ -217,7 +217,7 @@ pub fn fig2(report: &mut Report, _quick: bool) -> Result<(), GameError> {
     section.note(format!(
         "certified: unilateral NE = {}, bilateral PS = {}",
         witness.state.is_ne(witness.alpha)?,
-        concepts::ps::is_stable(witness.state.graph(), witness.alpha)
+        Concept::Ps.is_stable(witness.state.graph(), witness.alpha)?
     ));
     let table = section.table(["edge", "owner"]);
     let g = witness.state.graph().clone();
@@ -261,13 +261,10 @@ pub fn fig3(report: &mut Report, quick: bool) -> Result<(), GameError> {
         // Binary search the frontier on integers in [1, 7kn].
         let mut lo = 1i64;
         let mut hi = (7 * k * n) as i64;
-        debug_assert!(concepts::bge::is_stable(
-            &tree.graph,
-            Alpha::integer(hi).expect("α"),
-        ));
+        debug_assert!(Concept::Bge.is_stable(&tree.graph, Alpha::integer(hi).expect("α"))?);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if concepts::bge::is_stable(&tree.graph, Alpha::integer(mid).expect("α")) {
+            if Concept::Bge.is_stable(&tree.graph, Alpha::integer(mid).expect("α"))? {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -338,8 +335,8 @@ pub fn fig5(report: &mut Report, _quick: bool) -> Result<(), GameError> {
     let fig = figure5();
     let section =
         report.section("Figure 5 / Proposition A.4: in BAE ∩ BGE, not in BNE (α = 104.5)");
-    let bae = concepts::bae::is_stable(&fig.graph, fig.alpha);
-    let bge = concepts::bge::is_stable(&fig.graph, fig.alpha);
+    let bae = Concept::Bae.is_stable(&fig.graph, fig.alpha)?;
+    let bge = Concept::Bge.is_stable(&fig.graph, fig.alpha)?;
     let mv = fig.violation.as_ref().expect("figure move");
     let improving = delta::move_improves_all(&fig.graph, fig.alpha, mv)?;
     assert!(bae && bge && improving);
@@ -418,7 +415,7 @@ pub fn fig7(report: &mut Report, quick: bool) -> Result<(), GameError> {
 pub fn fig8(report: &mut Report, _quick: bool) -> Result<(), GameError> {
     let fig = figure8_witness();
     let section = report.section("Figure 8 / Proposition 2.1 reverse: BAE but not unilateral AE");
-    let bae = concepts::bae::is_stable(&fig.graph, fig.alpha);
+    let bae = Concept::Bae.is_stable(&fig.graph, fig.alpha)?;
     let mut all_assignments_unstable = true;
     for state in UnilateralState::all_assignments(&fig.graph)? {
         if state.find_add_violation(fig.alpha).is_none() {

@@ -6,7 +6,7 @@
 //! against the lemma bounds.
 
 use crate::report::{fnum, Report};
-use bncg_core::{bounds, concepts, Alpha, GameError};
+use bncg_core::{bounds, Alpha, Concept, GameError};
 use bncg_graph::{enumerate, root_at_median};
 
 /// Depth of BSwE trees vs. Lemma 3.4's `(1 + 2α/n)·log₂ n` and the
@@ -29,14 +29,14 @@ pub fn bswe_depth(report: &mut Report, quick: bool) -> Result<(), GameError> {
         let mut max_depth_ps = 0u32;
         for tree in enumerate::free_trees(n).map_err(GameError::Graph)? {
             let depth = root_at_median(&tree).map_err(GameError::Graph)?.depth();
-            if concepts::bswe::is_stable(&tree, alpha) {
+            if Concept::Bswe.is_stable(&tree, alpha)? {
                 max_depth_bswe = max_depth_bswe.max(depth);
                 assert!(
                     bounds::lemma_3_4_holds(&tree, alpha)?,
                     "Lemma 3.4 violated at α = {v}"
                 );
             }
-            if concepts::ps::is_stable(&tree, alpha) {
+            if Concept::Ps.is_stable(&tree, alpha)? {
                 max_depth_ps = max_depth_ps.max(depth);
             }
         }

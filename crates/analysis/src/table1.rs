@@ -219,7 +219,7 @@ pub fn row_bge(report: &mut Report, quick: bool) -> Result<(), GameError> {
     for v in alphas {
         let alpha = alpha_int(v);
         let star = theorem_3_10_instance(v as usize, v as usize);
-        let certified = concepts::bge::is_stable(&star.graph, alpha);
+        let certified = Concept::Bge.is_stable(&star.graph, alpha)?;
         assert!(certified, "Theorem 3.10 instance must be BGE at α = {v}");
         let rho = social_cost_ratio(&star.graph, alpha)?.as_f64();
         table.row([

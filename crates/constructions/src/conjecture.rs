@@ -16,7 +16,7 @@
 //!    giving every edge a "content" owner are enumerated.
 
 use bncg_core::unilateral::UnilateralState;
-use bncg_core::{agent_cost, concepts, Alpha, GameError, Move};
+use bncg_core::{agent_cost, Alpha, Concept, GameError, Move};
 use bncg_graph::{enumerate, Graph};
 
 /// A certified counterexample to the Corbo–Parkes conjecture.
@@ -110,7 +110,7 @@ fn check_graph(g: &Graph, alpha: Alpha) -> Result<Option<ConjectureWitness>, Gam
         return Ok(None);
     };
     // NE ⟹ BAE (Prop. 2.1): skip graphs that fail BAE.
-    if !concepts::bae::is_stable(g, alpha) {
+    if !Concept::Bae.is_stable(g, alpha)? {
         return Ok(None);
     }
     // Valid owners per edge: endpoints that do NOT want to drop.
@@ -189,10 +189,9 @@ mod tests {
             &witness.removal
         )
         .unwrap());
-        assert!(!concepts::ps::is_stable(
-            witness.state.graph(),
-            witness.alpha
-        ));
+        assert!(!Concept::Ps
+            .is_stable(witness.state.graph(), witness.alpha)
+            .unwrap());
     }
 
     #[test]

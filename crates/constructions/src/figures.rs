@@ -222,11 +222,11 @@ mod tests {
         let fig = figure5();
         let (g, alpha) = (&fig.graph, fig.alpha);
         assert!(
-            concepts::bae::is_stable(g, alpha),
+            Concept::Bae.is_stable(g, alpha).unwrap(),
             "Figure 5 must be in BAE"
         );
         assert!(
-            concepts::bge::is_stable(g, alpha),
+            Concept::Bge.is_stable(g, alpha).unwrap(),
             "Figure 5 must be in BGE"
         );
         let mv = fig.violation.as_ref().unwrap();
@@ -349,7 +349,7 @@ mod tests {
         let fig = figure8_witness();
         let (g, alpha) = (&fig.graph, fig.alpha);
         assert!(
-            concepts::bae::is_stable(g, alpha),
+            Concept::Bae.is_stable(g, alpha).unwrap(),
             "double star must be in BAE"
         );
         // Unilateral add instability holds for every assignment; check all.

@@ -236,7 +236,7 @@ pub fn theorem_3_12_ii_instance(eta: usize, eps: f64) -> StretchedTreeStar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bncg_core::concepts;
+    use bncg_core::Concept;
     use bncg_graph::{root_at_median, DistanceMatrix};
 
     fn a(v: i64) -> Alpha {
@@ -305,7 +305,7 @@ mod tests {
             let n = t.graph.n();
             let alpha = a((7 * k * n) as i64);
             assert!(
-                concepts::bge::is_stable(&t.graph, alpha),
+                Concept::Bge.is_stable(&t.graph, alpha).unwrap(),
                 "stretched tree (d={d}, k={k}) must be BGE at α = 7kn"
             );
         }
@@ -315,7 +315,10 @@ mod tests {
     fn small_alpha_destabilizes_stretched_trees() {
         // Far below the threshold the deep leaves rewire.
         let t = StretchedBinaryTree::build(3, 2);
-        assert!(concepts::bge::find_violation(&t.graph, a(2)).is_some());
+        assert!(Concept::Bge
+            .find_violation(&t.graph, a(2))
+            .unwrap()
+            .is_some());
     }
 
     #[test]
@@ -325,7 +328,7 @@ mod tests {
         let alpha = a(600);
         assert!(star.graph.is_tree());
         assert!(
-            concepts::bge::is_stable(&star.graph, alpha),
+            Concept::Bge.is_stable(&star.graph, alpha).unwrap(),
             "Theorem 3.10 instance must be in BGE"
         );
         // Its ρ must exceed 1 (it is a bad equilibrium, though the

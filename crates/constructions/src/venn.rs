@@ -8,7 +8,7 @@
 //! search over small connected graphs and an α grid containing the
 //! figure's values.
 
-use bncg_core::{concepts, Alpha, GameError};
+use bncg_core::{Alpha, Concept, GameError};
 use bncg_graph::{enumerate, Graph};
 
 /// One of the eight regions of the RE/BAE/BSwE Venn diagram.
@@ -110,9 +110,9 @@ pub fn find_all_witnesses(
     for g in &corpus {
         for &alpha in alphas {
             let region = VennRegion {
-                re: concepts::re::is_stable(g, alpha),
-                bae: concepts::bae::is_stable(g, alpha),
-                bswe: concepts::bswe::is_stable(g, alpha),
+                re: Concept::Re.is_stable(g, alpha)?,
+                bae: Concept::Bae.is_stable(g, alpha)?,
+                bswe: Concept::Bswe.is_stable(g, alpha)?,
             };
             let slot = found
                 .iter_mut()
@@ -148,9 +148,15 @@ mod tests {
                 .as_ref()
                 .unwrap_or_else(|| panic!("region {region} must be realized by the corpus"));
             // Re-certify the membership pattern.
-            assert_eq!(concepts::re::is_stable(&w.graph, w.alpha), region.re);
-            assert_eq!(concepts::bae::is_stable(&w.graph, w.alpha), region.bae);
-            assert_eq!(concepts::bswe::is_stable(&w.graph, w.alpha), region.bswe);
+            assert_eq!(Concept::Re.is_stable(&w.graph, w.alpha).unwrap(), region.re);
+            assert_eq!(
+                Concept::Bae.is_stable(&w.graph, w.alpha).unwrap(),
+                region.bae
+            );
+            assert_eq!(
+                Concept::Bswe.is_stable(&w.graph, w.alpha).unwrap(),
+                region.bswe
+            );
         }
     }
 

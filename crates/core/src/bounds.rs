@@ -216,7 +216,7 @@ fn ceil_ratio(a: i64, b: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concepts;
+    use crate::concepts::Concept;
     use crate::cost::{agent_cost, social_cost_ratio};
     use bncg_graph::{enumerate, generators};
 
@@ -261,7 +261,7 @@ mod tests {
             for tree in enumerate::free_trees(n).unwrap() {
                 for alpha in ["1", "2", "4", "10"] {
                     let alpha = a(alpha);
-                    if concepts::bswe::is_stable(&tree, alpha) {
+                    if Concept::Bswe.is_stable(&tree, alpha).unwrap() {
                         assert!(
                             lemma_3_3_holds(&tree, alpha).unwrap(),
                             "Lemma 3.3 violated (n={n}, α={alpha})"
@@ -286,7 +286,7 @@ mod tests {
             for tree in enumerate::free_trees(n).unwrap() {
                 for alpha in ["1", "3", "9"] {
                     let alpha = a(alpha);
-                    if concepts::Concept::KBse(3)
+                    if Concept::KBse(3)
                         .find_violation(&tree, alpha)
                         .unwrap()
                         .is_none()

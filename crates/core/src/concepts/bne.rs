@@ -618,8 +618,8 @@ mod tests {
             for alpha in ["1/2", "1", "2", "6"] {
                 let alpha = a(alpha);
                 if Concept::Bne.is_stable(&g, alpha).unwrap() {
-                    assert!(crate::concepts::bge::is_stable(&g, alpha));
-                    assert!(crate::concepts::bae::is_stable(&g, alpha));
+                    assert!(Concept::Bge.is_stable(&g, alpha).unwrap());
+                    assert!(Concept::Bae.is_stable(&g, alpha).unwrap());
                 }
             }
         }

@@ -819,7 +819,7 @@ mod tests {
                 let alpha = a(alpha);
                 assert_eq!(
                     kbse(1).find_violation(&g, alpha).unwrap().is_none(),
-                    crate::concepts::re::is_stable(&g, alpha),
+                    Concept::Re.is_stable(&g, alpha).unwrap(),
                     "1-BSE must coincide with RE (Prop. A.2 argument)"
                 );
             }
@@ -988,7 +988,7 @@ mod tests {
         let alpha = a("1");
         assert_eq!(
             kbse(2).find_violation(&g, alpha).unwrap().is_some(),
-            crate::concepts::bge::find_violation(&g, alpha).is_some()
+            Concept::Bge.find_violation(&g, alpha).unwrap().is_some()
                 || find_violation_restricted(&g, alpha, 2, 6, 1)
                     .unwrap()
                     .is_some()

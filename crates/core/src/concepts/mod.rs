@@ -3,26 +3,23 @@
 //!
 //! | Concept | Stable against | Checker |
 //! |---|---|---|
-//! | [`re`] Remove Equilibrium (= NE, Prop. A.2) | single own-edge removal | exact, polynomial |
-//! | [`bae`] Bilateral Add Equilibrium | bilateral single addition | exact, polynomial |
-//! | [`ps`] Pairwise Stability | RE ∩ BAE | exact, polynomial |
-//! | [`bswe`] Bilateral Swap Equilibrium | consensual edge swap | exact, polynomial |
-//! | [`bge`] Bilateral Greedy Equilibrium | PS ∩ BSwE | exact, polynomial |
-//! | [`bne`] Bilateral Neighborhood Equilibrium | one-agent neighborhood rewiring | exact to `n ≤ 64` (branch-and-bound generator, evaluation-budgeted) + sampled refuter |
-//! | [`kbse`] Bilateral k-Strong Equilibrium | coalitions of size ≤ k | exact + restricted refuter |
-//! | [`bse`] Bilateral Strong Equilibrium | arbitrary coalitions | exact to `n ≤ 11` |
+//! | RE, Remove Equilibrium (= NE, Prop. A.2) | single own-edge removal | [`single_edge`]: removals |
+//! | BAE, Bilateral Add Equilibrium | bilateral single addition | [`single_edge`]: additions |
+//! | PS, Pairwise Stability | RE ∩ BAE | [`single_edge`]: removals ∪ additions |
+//! | BSwE, Bilateral Swap Equilibrium | consensual edge swap | [`single_edge`]: swaps |
+//! | BGE, Bilateral Greedy Equilibrium | PS ∩ BSwE | [`single_edge`]: removals ∪ additions ∪ swaps |
+//! | BNE, Bilateral Neighborhood Equilibrium | one-agent neighborhood rewiring | [`bne`]: exact to `n ≤ 64` (branch-and-bound generator, evaluation-budgeted) + sampled refuter |
+//! | k-BSE, Bilateral k-Strong Equilibrium | coalitions of size ≤ k | [`kbse`]: exact + restricted refuter |
+//! | BSE, Bilateral Strong Equilibrium | arbitrary coalitions | [`bse`]: exact to `n ≤ 11` |
 //!
-//! Every checker returns the *witness move* on instability, so callers can
-//! replay and re-verify it with the generic engine.
+//! Every concept is checked through [`Concept`], which returns the
+//! *witness move* on instability, so callers can replay and re-verify it
+//! with the generic engine.
 
-pub mod bae;
-pub mod bge;
 pub mod bne;
 pub mod bse;
-pub mod bswe;
 pub mod kbse;
-pub mod ps;
-pub mod re;
+pub mod single_edge;
 
 use crate::alpha::Alpha;
 use crate::error::GameError;
@@ -93,8 +90,9 @@ impl Default for CheckBudget {
     }
 }
 
-/// A solution concept of the bilateral game, for uniform dispatch in
-/// experiments and dynamics.
+/// A solution concept of the bilateral game: the one checking surface
+/// for all eight concepts. PS and BGE check the unions of the move kinds
+/// of RE, BAE and BSwE in one scan ([`single_edge`]).
 ///
 /// # Examples
 ///
@@ -178,11 +176,6 @@ impl Concept {
     /// # Ok::<(), bncg_core::GameError>(())
     /// ```
     pub fn find_violation(&self, g: &Graph, alpha: Alpha) -> Result<Option<Move>, GameError> {
-        // Cheap structural shortcut: trees are in RE unconditionally, so
-        // the RE checker never needs the engine's caches built.
-        if *self == Concept::Re && g.is_tree() {
-            return Ok(None);
-        }
         self.find_violation_in(&GameState::new(g.clone(), alpha))
     }
 

@@ -27,13 +27,14 @@
 //!   ([`Solver::check_many_pooled`] spans one pool across chunked
 //!   sweeps).
 //!
-//! The polynomial concepts (RE, BAE, PS, BSwE, BGE) are executed
-//! eagerly: they never exhaust, their evaluation counts are not metered,
-//! and no stop condition bounds them. On a tree they price every
-//! candidate from the state's `O(n)` tree summary and never build the
+//! The polynomial concepts (RE, BAE, PS, BSwE, BGE) are one call: a
+//! scan of [`single_edge::moves`] with the pricer the state affords. It
+//! runs eagerly: it never exhausts, its evaluation counts are not
+//! metered, and no stop condition bounds it. On a tree it prices every
+//! candidate from the state's `O(n)` tree summary and never builds the
 //! distance matrix, so a stable star(1024) BGE check takes tens of
-//! milliseconds; on any other graph BAE prices each non-edge in `O(n)`
-//! over the matrix, `O(n³)` in all, which is not cheap on large dense
+//! milliseconds; on any other graph an addition is priced in `O(n)` over
+//! the matrix, `O(n³)` in all, which is not cheap on large dense
 //! instances. The exponential concepts (BNE, k-BSE, BSE) run through the
 //! pruned scans, sharded across `threads` std scoped threads with the
 //! deterministic lowest-unit-wins witness protocol.
@@ -81,7 +82,7 @@
 
 use crate::alpha::Alpha;
 use crate::candidates::CandidateStats;
-use crate::concepts::{bae, bge, bne, bse, bswe, kbse, ps, re, Concept};
+use crate::concepts::{bne, bse, kbse, single_edge, Concept};
 use crate::cost_model::CostModelSpec;
 use crate::error::GameError;
 use crate::jsonio::{TokenReader, TokenWriter};
@@ -584,8 +585,8 @@ impl Solver {
     /// `sched_slicing_overhead` gate kernel).
     ///
     /// Polynomial concepts complete eagerly within their first slice
-    /// and are not metered (they return before the shed logic, as in
-    /// every other entry point); fair-share layers charge them a flat
+    /// and are not metered (the shed logic skips them, as in every
+    /// other entry point); fair-share layers charge them a flat
     /// rate via [`BudgetPool::charge`] so they cannot bypass the pool.
     ///
     /// # Errors
@@ -701,32 +702,6 @@ impl Solver {
             None => (0, 0, 0),
         };
 
-        // Polynomial concepts complete eagerly; they never exhaust.
-        let poly = match query.concept {
-            Concept::Re => Some(re::find_violation_in(state)),
-            Concept::Bae => Some(bae::find_violation_in(state)),
-            Concept::Ps => Some(ps::find_violation_in(state)),
-            Concept::Bswe => Some(bswe::find_violation_in(state)),
-            Concept::Bge => Some(bge::find_violation_in(state)),
-            _ => None,
-        };
-        if let Some(found) = poly {
-            return Ok(match found {
-                Some(witness) => Verdict::Unstable {
-                    witness,
-                    evals: 0,
-                    stats: CandidateStats::default(),
-                    elapsed: started.elapsed(),
-                },
-                None => Verdict::Stable {
-                    evals: 0,
-                    pruned: 0,
-                    stats: CandidateStats::default(),
-                    elapsed: started.elapsed(),
-                },
-            });
-        }
-
         let threads = threads.max(1);
         let shared_evals = AtomicU64::new(0);
         let deadline = self.policy.deadline.map(|d| started + d);
@@ -775,7 +750,15 @@ impl Solver {
                     scanner.units(),
                 )
             }
-            _ => unreachable!("polynomial concepts returned above"),
+            // One unmetered scan: it completes eagerly, never exhausts and
+            // is never shed.
+            Concept::Re | Concept::Bae | Concept::Ps | Concept::Bswe | Concept::Bge => {
+                let witness = single_edge::find_violation_in(state, query.concept);
+                (
+                    (DriveOutcome::Completed(witness), CandidateStats::default()),
+                    0,
+                )
+            }
         };
 
         let elapsed = started.elapsed();

@@ -375,6 +375,7 @@ fn cost_without(g: &Graph, u: u32, owned: u32) -> AgentCost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concepts::Concept;
     use bncg_graph::generators;
 
     fn a(s: &str) -> Alpha {
@@ -460,7 +461,7 @@ mod tests {
             let g = generators::random_connected(6, 0.35, &mut rng);
             for alpha in ["1/2", "1", "2", "6"] {
                 let alpha = a(alpha);
-                let bilateral = crate::concepts::re::is_stable(&g, alpha);
+                let bilateral = Concept::Re.is_stable(&g, alpha).unwrap();
                 let unilateral_all = UnilateralState::all_assignments(&g)
                     .unwrap()
                     .iter()
@@ -484,7 +485,7 @@ mod tests {
                 for s in UnilateralState::all_assignments(&g).unwrap().iter().take(8) {
                     if s.is_add_stable(alpha) {
                         assert!(
-                            crate::concepts::bae::is_stable(&g, alpha),
+                            Concept::Bae.is_stable(&g, alpha).unwrap(),
                             "Prop 2.1 violated at α = {alpha}"
                         );
                     }

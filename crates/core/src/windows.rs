@@ -14,7 +14,7 @@
 //! exact rational endpoints instead of sampled grids.
 
 use crate::alpha::Alpha;
-use crate::concepts::Concept;
+use crate::concepts::{single_edge, Concept};
 use crate::cost::{agent_cost, AgentCost};
 use crate::error::GameError;
 use crate::moves::Move;
@@ -136,57 +136,18 @@ pub struct StabilityWindow {
 /// # Ok::<(), bncg_core::GameError>(())
 /// ```
 pub fn stability_windows(g: &Graph, concept: Concept) -> Result<Vec<StabilityWindow>, GameError> {
-    let wants_removals = matches!(concept, Concept::Re | Concept::Ps | Concept::Bge);
-    let wants_adds = matches!(concept, Concept::Bae | Concept::Ps | Concept::Bge);
-    let wants_swaps = matches!(concept, Concept::Bswe | Concept::Bge);
-    if !(wants_removals || wants_adds || wants_swaps) {
+    if concept.is_exponential() {
         return Err(GameError::CheckTooLarge {
             reason: format!(
                 "stability windows are only enumerable for polynomial concepts, not {concept}"
             ),
         });
     }
-    let n = g.n() as u32;
-    let old: Vec<AgentCost> = (0..n).map(|u| agent_cost(g, u)).collect();
+    let old: Vec<AgentCost> = g.nodes().map(|u| agent_cost(g, u)).collect();
     let mut improving: Vec<OpenInterval> = Vec::new();
-    let mut push_move = |mv: Move| -> Result<(), GameError> {
-        let g2 = mv.apply(g)?;
-        if let Some(interval) = move_interval(&g2, &mv, &old) {
+    for mv in single_edge::moves(g, concept) {
+        if let Some(interval) = move_interval(&mv.apply(g)?, &mv, &old) {
             improving.push(interval);
-        }
-        Ok(())
-    };
-    if wants_removals {
-        for (u, v) in g.edges() {
-            push_move(Move::Remove {
-                agent: u,
-                target: v,
-            })?;
-            push_move(Move::Remove {
-                agent: v,
-                target: u,
-            })?;
-        }
-    }
-    if wants_adds {
-        for (u, v) in g.non_edges() {
-            push_move(Move::BilateralAdd { u, v })?;
-        }
-    }
-    if wants_swaps {
-        for agent in 0..n {
-            let neighbors: Vec<u32> = g.neighbors(agent).to_vec();
-            for &dropped in &neighbors {
-                for new in 0..n {
-                    if new != agent && new != dropped && !g.has_edge(agent, new) {
-                        push_move(Move::Swap {
-                            agent,
-                            old: dropped,
-                            new,
-                        })?;
-                    }
-                }
-            }
         }
     }
     Ok(windows_from_intervals(improving))

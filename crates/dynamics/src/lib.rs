@@ -56,6 +56,7 @@
 
 pub mod round_robin;
 
+use bncg_core::concepts::single_edge;
 use bncg_core::jsonio::{TokenReader, TokenWriter};
 use bncg_core::solver::{ExecPolicy, Frontier, Solver, StabilityQuery, Verdict};
 use bncg_core::{Alpha, CheckBudget, Concept, CostModelSpec, GameError, GameState, Move};
@@ -526,72 +527,23 @@ fn run_impl<R: Rng + ?Sized>(
 }
 
 /// Enumerates every violating move of a *polynomial* concept (RE, BAE, PS,
-/// BSwE, BGE) in `state`: each candidate is priced by the engine (matrix
-/// fast path for additions, consenting-agent BFS otherwise) against the
-/// cached pre-move costs. The exponential concepts fall back to the
-/// single move the exact checker reports.
+/// BSwE, BGE) in `state`, in [`single_edge::moves`] order: each candidate
+/// is priced by the engine (matrix fast path for additions,
+/// consenting-agent BFS otherwise) against the cached pre-move costs.
+/// The exponential concepts fall back to the single move the exact
+/// checker reports.
 ///
 /// # Errors
 ///
 /// Forwards guard errors from the exponential checkers.
 pub fn enumerate_violations(state: &GameState, concept: Concept) -> Result<Vec<Move>, GameError> {
-    let g = state.graph();
-    let mut out = Vec::new();
+    if concept.is_exponential() {
+        return Ok(concept.find_violation_in(state)?.into_iter().collect());
+    }
     let mut ev = state.evaluator();
-    let mut push_if_improving = |mv: Move, out: &mut Vec<Move>| -> Result<(), GameError> {
+    let mut out = Vec::new();
+    for mv in single_edge::moves(state.graph(), concept) {
         if ev.improves_all(&mv)? {
-            out.push(mv);
-        }
-        Ok(())
-    };
-    let wants_removals = matches!(concept, Concept::Re | Concept::Ps | Concept::Bge);
-    let wants_adds = matches!(concept, Concept::Bae | Concept::Ps | Concept::Bge);
-    let wants_swaps = matches!(concept, Concept::Bswe | Concept::Bge);
-    if wants_removals {
-        for (u, v) in g.edges() {
-            push_if_improving(
-                Move::Remove {
-                    agent: u,
-                    target: v,
-                },
-                &mut out,
-            )?;
-            push_if_improving(
-                Move::Remove {
-                    agent: v,
-                    target: u,
-                },
-                &mut out,
-            )?;
-        }
-    }
-    if wants_adds {
-        for (u, v) in g.non_edges() {
-            push_if_improving(Move::BilateralAdd { u, v }, &mut out)?;
-        }
-    }
-    if wants_swaps {
-        for agent in 0..g.n() as u32 {
-            let neighbors: Vec<u32> = g.neighbors(agent).to_vec();
-            for &old_nb in &neighbors {
-                for new in 0..g.n() as u32 {
-                    if new != agent && new != old_nb && !g.has_edge(agent, new) {
-                        push_if_improving(
-                            Move::Swap {
-                                agent,
-                                old: old_nb,
-                                new,
-                            },
-                            &mut out,
-                        )?;
-                    }
-                }
-            }
-        }
-    }
-    if !(wants_removals || wants_adds || wants_swaps) {
-        // Exponential concept: delegate to its checker.
-        if let Some(mv) = concept.find_violation_in(state)? {
             out.push(mv);
         }
     }
@@ -730,23 +682,76 @@ mod tests {
         }
     }
 
+    /// Every single-edge move of `concept` on `g` that improves all its
+    /// consenting agents: removals (edge order, both endpoints), then
+    /// additions, then swaps (agent, dropped neighbor, new partner),
+    /// written out here independently of the library's move iterator.
+    fn brute_force_violations(g: &Graph, alpha: Alpha, concept: Concept) -> Vec<Move> {
+        let n = g.n() as u32;
+        let mut candidates = Vec::new();
+        if matches!(concept, Concept::Re | Concept::Ps | Concept::Bge) {
+            for (u, v) in g.edges() {
+                candidates.push(Move::Remove {
+                    agent: u,
+                    target: v,
+                });
+                candidates.push(Move::Remove {
+                    agent: v,
+                    target: u,
+                });
+            }
+        }
+        if matches!(concept, Concept::Bae | Concept::Ps | Concept::Bge) {
+            for u in 0..n {
+                for v in u + 1..n {
+                    if !g.has_edge(u, v) {
+                        candidates.push(Move::BilateralAdd { u, v });
+                    }
+                }
+            }
+        }
+        if matches!(concept, Concept::Bswe | Concept::Bge) {
+            for agent in 0..n {
+                for &old in g.neighbors(agent) {
+                    for new in 0..n {
+                        if new != agent && !g.has_edge(agent, new) {
+                            candidates.push(Move::Swap { agent, old, new });
+                        }
+                    }
+                }
+            }
+        }
+        candidates.retain(|mv| bncg_core::delta::move_improves_all(g, alpha, mv).unwrap());
+        candidates
+    }
+
     #[test]
     fn enumerated_violations_are_exactly_the_improving_moves() {
         let mut rng = bncg_graph::test_rng(35);
         for _ in 0..10 {
             let g = generators::random_connected(7, 0.3, &mut rng);
-            for concept in [Concept::Re, Concept::Bae, Concept::Bswe] {
-                let all =
-                    enumerate_violations(&GameState::new(g.clone(), a("1")), concept).unwrap();
-                for mv in &all {
-                    assert!(bncg_core::delta::move_improves_all(&g, a("1"), mv).unwrap());
+            for alpha in ["1/2", "1", "3"].map(a) {
+                let state = GameState::new(g.clone(), alpha);
+                for concept in [
+                    Concept::Re,
+                    Concept::Bae,
+                    Concept::Ps,
+                    Concept::Bswe,
+                    Concept::Bge,
+                ] {
+                    let all = enumerate_violations(&state, concept).unwrap();
+                    assert_eq!(
+                        all,
+                        brute_force_violations(&g, alpha, concept),
+                        "{concept} at α = {alpha} on {g:?}"
+                    );
+                    // The checker's witness is the first of them.
+                    assert_eq!(
+                        concept.find_violation_in(&state).unwrap().as_ref(),
+                        all.first(),
+                        "checker and enumerator disagree under {concept}"
+                    );
                 }
-                // Consistency with the checker's verdict.
-                assert_eq!(
-                    all.is_empty(),
-                    concept.is_stable(&g, a("1")).unwrap(),
-                    "checker and enumerator disagree under {concept}"
-                );
             }
         }
     }

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release --example disprove_conjecture`.
 
 use bncg::constructions::conjecture::find_ne_not_ps;
-use bncg::core::{concepts, Alpha};
+use bncg::core::{Alpha, Concept};
 use bncg::graph::graph6;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  bilateral pairwise stability: {}",
-        concepts::ps::is_stable(g, witness.alpha)
+        Concept::Ps.is_stable(g, witness.alpha)?
     );
     println!("  profitable bilateral deviation: {}", witness.removal);
     println!("\nIn the bilateral game both endpoints pay for an edge, so the");

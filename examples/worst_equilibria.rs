@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example worst_equilibria`.
 
 use bncg::constructions::stretched::theorem_3_10_instance;
-use bncg::core::{bounds, concepts, social_cost_ratio, Alpha, Concept};
+use bncg::core::{bounds, social_cost_ratio, Alpha, Concept};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Theorem 3.10: stretched tree stars are bad BGE equilibria\n");
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for alpha_v in [240usize, 480, 960] {
         let alpha = Alpha::integer(alpha_v as i64)?;
         let star = theorem_3_10_instance(alpha_v, alpha_v);
-        let stable = concepts::bge::is_stable(&star.graph, alpha);
+        let stable = Concept::Bge.is_stable(&star.graph, alpha)?;
         let rho = social_cost_ratio(&star.graph, alpha)?.as_f64();
         println!(
             "{alpha_v:>6} {:>6} {rho:>8.3} {:>14.3} {stable:>10}",

@@ -3,7 +3,7 @@
 //! the ablation experiments, and the extra topology generators in game
 //! context.
 
-use bncg::core::{best_response, concepts, Alpha, Concept};
+use bncg::core::{best_response, Alpha, Concept};
 use bncg::dynamics::round_robin;
 use bncg::graph::generators;
 
@@ -66,8 +66,8 @@ fn complete_bipartite_and_wheel_have_expected_stability() {
     // At α > 1 a same-side pair is at distance 2 and edges are redundant:
     // removal reasoning belongs to RE — the wheel sheds rim edges at high α.
     let w6 = generators::wheel(6);
-    assert!(concepts::re::is_stable(&w6, a("1")));
-    assert!(!concepts::re::is_stable(&w6, a("3")));
+    assert!(Concept::Re.is_stable(&w6, a("1")).unwrap());
+    assert!(!Concept::Re.is_stable(&w6, a("3")).unwrap());
 }
 
 #[test]
@@ -80,8 +80,11 @@ fn brooms_fold_under_swaps_but_not_pairwise() {
     // witness for BGE ⊊ PS).
     let g = generators::broom(4, 3);
     let alpha = a("6");
-    assert!(concepts::ps::is_stable(&g, alpha));
-    let swap = concepts::bswe::find_violation(&g, alpha).expect("swap must exist");
+    assert!(Concept::Ps.is_stable(&g, alpha).unwrap());
+    let swap = Concept::Bswe
+        .find_violation(&g, alpha)
+        .unwrap()
+        .expect("swap must exist");
     assert!(bncg::core::delta::move_improves_all(&g, alpha, &swap).unwrap());
     // A broom is a caterpillar with one tufted end; the generators agree.
     let as_caterpillar = generators::caterpillar(5, &[0, 0, 0, 0, 3]);

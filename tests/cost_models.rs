@@ -332,6 +332,7 @@ fn polynomial_moves(concept: Concept, g: &Graph) -> Vec<Move> {
         })
     });
     match concept {
+        Concept::Re => removals.collect(),
         Concept::Bae => adds.collect(),
         Concept::Bswe => swaps.collect(),
         Concept::Ps => removals.chain(adds).collect(),
@@ -343,28 +344,41 @@ fn polynomial_moves(concept: Concept, g: &Graph) -> Vec<Move> {
 #[test]
 fn polynomial_checks_price_moves_under_the_querys_model() {
     prop("polynomial checks ≡ brute force per model", |rng| {
+        // A tree (matrix-free default pricing, RE vacuous) and a graph
+        // with cycles (matrix additions, evaluator swaps, RE's bridge
+        // skip under every model).
         let n = rng.gen_range(5..=9usize);
-        let g = generators::random_tree(n, rng);
+        let tree = generators::random_tree(n, rng);
+        let n = rng.gen_range(4..=9usize);
+        let cyclic = generators::random_connected(n, 0.3, rng);
         let alphas = ["1/2", "1", "2", "5"].map(|a| a.parse::<Alpha>().expect("α"));
-        for model in MODELS {
-            for alpha in alphas {
-                let state = GameState::with_cost_model(g.clone(), alpha, model);
-                for concept in [Concept::Bae, Concept::Bswe, Concept::Ps, Concept::Bge] {
-                    // The spec: the first candidate in scan order that
-                    // the generic evaluator finds improving for everyone.
-                    let mut ev = state.evaluator();
-                    let expected = polynomial_moves(concept, &g)
-                        .into_iter()
-                        .find(|mv| ev.improves_all(mv).expect("valid move"));
-                    let got = Solver::new(ExecPolicy::default())
-                        .check(&StabilityQuery::new(concept, &g, alpha).with_cost_model(model))
-                        .expect("polynomial checks always complete")
-                        .into_violation()
-                        .expect("unbudgeted");
-                    assert_eq!(
-                        got, expected,
-                        "{concept} under {model} (α = {alpha}) on {g:?}"
-                    );
+        for g in [tree, cyclic] {
+            for model in MODELS {
+                for alpha in alphas {
+                    let state = GameState::with_cost_model(g.clone(), alpha, model);
+                    for concept in [
+                        Concept::Re,
+                        Concept::Bae,
+                        Concept::Bswe,
+                        Concept::Ps,
+                        Concept::Bge,
+                    ] {
+                        // The spec: the first candidate in scan order that
+                        // the generic evaluator finds improving for everyone.
+                        let mut ev = state.evaluator();
+                        let expected = polynomial_moves(concept, &g)
+                            .into_iter()
+                            .find(|mv| ev.improves_all(mv).expect("valid move"));
+                        let got = Solver::new(ExecPolicy::default())
+                            .check(&StabilityQuery::new(concept, &g, alpha).with_cost_model(model))
+                            .expect("polynomial checks always complete")
+                            .into_violation()
+                            .expect("unbudgeted");
+                        assert_eq!(
+                            got, expected,
+                            "{concept} under {model} (α = {alpha}) on {g:?}"
+                        );
+                    }
                 }
             }
         }

@@ -8,9 +8,7 @@
 //! fixed number of pseudo-random cases drawn from the workspace RNG, which
 //! keeps failures reproducible from the printed seed.
 
-use bncg::core::{
-    agent_cost, concepts, delta, optimum_cost, social_cost, Alpha, Concept, GameState, Move,
-};
+use bncg::core::{agent_cost, delta, optimum_cost, social_cost, Alpha, Concept, GameState, Move};
 use bncg::graph::{generators, graph6, iso, DistanceMatrix, Graph};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -314,11 +312,11 @@ fn lattice_subsets_hold_on_random_instances() {
         let alpha = random_alpha(rng);
         // One state serves every checker of the ladder.
         let state = GameState::new(g.clone(), alpha);
-        let ps = concepts::ps::find_violation_in(&state).is_none();
-        let re = concepts::re::find_violation_in(&state).is_none();
-        let bae = concepts::bae::find_violation_in(&state).is_none();
-        let bge = concepts::bge::find_violation_in(&state).is_none();
-        let bswe = concepts::bswe::find_violation_in(&state).is_none();
+        let ps = Concept::Ps.find_violation_in(&state).unwrap().is_none();
+        let re = Concept::Re.find_violation_in(&state).unwrap().is_none();
+        let bae = Concept::Bae.find_violation_in(&state).unwrap().is_none();
+        let bge = Concept::Bge.find_violation_in(&state).unwrap().is_none();
+        let bswe = Concept::Bswe.find_violation_in(&state).unwrap().is_none();
         assert_eq!(ps, re && bae);
         assert_eq!(bge, ps && bswe);
         if Concept::Bne.is_stable_in(&state).unwrap() {
@@ -399,7 +397,7 @@ fn bilateral_re_iff_unilateral_re_for_all_assignments() {
     prop("bilateral_re_iff_unilateral_re", |rng| {
         let g = random_connected(6, rng);
         let alpha = random_alpha(rng);
-        let bilateral = concepts::re::is_stable(&g, alpha);
+        let bilateral = Concept::Re.is_stable(&g, alpha).unwrap();
         let unilateral_all = bncg::core::unilateral::UnilateralState::all_assignments(&g)
             .unwrap()
             .iter()

@@ -49,14 +49,17 @@ fn table_one_asymptotic_ordering_appears_at_scale() {
     let alpha = a("480");
     // Spider family: PS-stable at this α (adds too expensive).
     let spider = generators::spider(16, 16); // n = 257
-    assert!(concepts::ps::is_stable(&spider, alpha));
+    assert!(Concept::Ps.is_stable(&spider, alpha).unwrap());
     let rho_spider = social_cost_ratio(&spider, alpha).unwrap().as_f64();
     // BGE family from Theorem 3.10.
     let star = theorem_3_10_instance(alpha_v, alpha_v);
-    assert!(concepts::bge::is_stable(&star.graph, alpha));
+    assert!(Concept::Bge.is_stable(&star.graph, alpha).unwrap());
     let rho_star = social_cost_ratio(&star.graph, alpha).unwrap().as_f64();
     // The spider is NOT swap-stable — swaps dissolve the bad PS state.
-    assert!(concepts::bswe::find_violation(&spider, alpha).is_some());
+    assert!(Concept::Bswe
+        .find_violation(&spider, alpha)
+        .unwrap()
+        .is_some());
     assert!(
         rho_spider > rho_star,
         "PS's worst family ({rho_spider:.2}) must beat BGE's ({rho_star:.2})"
@@ -66,7 +69,7 @@ fn table_one_asymptotic_ordering_appears_at_scale() {
 #[test]
 fn figure_witnesses_hold_through_the_facade() {
     let f5 = figure5();
-    assert!(concepts::bge::is_stable(&f5.graph, f5.alpha));
+    assert!(Concept::Bge.is_stable(&f5.graph, f5.alpha).unwrap());
     assert!(delta::move_improves_all(&f5.graph, f5.alpha, f5.violation.as_ref().unwrap()).unwrap());
 
     let f6 = figure6();
@@ -120,7 +123,7 @@ fn stretched_trees_certify_proposition_3_8_threshold() {
         let tree = StretchedBinaryTree::build(d, k);
         let n = tree.graph.n();
         let threshold = Alpha::integer((7 * k * n) as i64).unwrap();
-        assert!(concepts::bge::is_stable(&tree.graph, threshold));
+        assert!(Concept::Bge.is_stable(&tree.graph, threshold).unwrap());
     }
 }
 

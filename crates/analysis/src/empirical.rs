@@ -52,8 +52,8 @@ pub struct PoaPoint {
     pub model: CostModelSpec,
 }
 
-/// Exhaustive PoA over all free trees on `n` nodes: a one-α
-/// [`tree_poa_grid`] under the default model and policy.
+/// Exhaustive PoA over all free trees on `n` nodes at one α, under the
+/// default model and policy.
 ///
 /// # Errors
 ///
@@ -70,7 +70,7 @@ pub fn tree_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, Ga
 /// # Errors
 ///
 /// Forwards the enumeration guard and checker guards.
-pub fn graph_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, GameError> {
+pub(crate) fn graph_poa(n: usize, alpha: Alpha, concept: Concept) -> Result<PoaPoint, GameError> {
     let model = CostModelSpec::SumDistances;
     let mut points = graph_poa_grid(n, &[alpha], concept, model, &ExecPolicy::default(), None)?;
     Ok(points.remove(0))
@@ -216,7 +216,7 @@ fn poa_over_pooled(
 /// # Errors
 ///
 /// Forwards the enumeration guard and solver errors.
-pub fn tree_poa_grid(
+pub(crate) fn tree_poa_grid(
     n: usize,
     alphas: &[Alpha],
     concept: Concept,
@@ -233,7 +233,7 @@ pub fn tree_poa_grid(
 /// # Errors
 ///
 /// Forwards the enumeration guard and solver errors.
-pub fn graph_poa_grid(
+pub(crate) fn graph_poa_grid(
     n: usize,
     alphas: &[Alpha],
     concept: Concept,

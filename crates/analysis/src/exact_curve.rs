@@ -17,7 +17,7 @@ use bncg_graph::{enumerate, graph6, Graph, RootedTree};
 
 /// One maximal α-interval on which the same tree attains the PoA.
 #[derive(Debug, Clone)]
-pub struct CurveSegment {
+pub(crate) struct CurveSegment {
     /// Left endpoint (`None` = 0); segments are closed at breakpoints in
     /// the same semantics as stability windows.
     pub lo: Option<Alpha>,
@@ -33,7 +33,7 @@ pub struct CurveSegment {
 impl CurveSegment {
     /// Evaluates the segment's PoA at a price inside it.
     #[must_use]
-    pub fn rho_at(&self, n: usize, alpha: Alpha) -> Option<f64> {
+    pub(crate) fn rho_at(&self, n: usize, alpha: Alpha) -> Option<f64> {
         let d = self.worst_distance? as f64;
         let a = alpha.as_f64();
         let n1 = (n - 1) as f64;
@@ -48,7 +48,10 @@ impl CurveSegment {
 ///
 /// Forwards the enumeration guard and the windows module's
 /// polynomial-concept restriction.
-pub fn exact_tree_poa_curve(n: usize, concept: Concept) -> Result<Vec<CurveSegment>, GameError> {
+pub(crate) fn exact_tree_poa_curve(
+    n: usize,
+    concept: Concept,
+) -> Result<Vec<CurveSegment>, GameError> {
     let trees = enumerate::free_trees(n).map_err(GameError::Graph)?;
     // Per tree: total distance + exact stability windows.
     let mut data: Vec<(Graph, u64, Vec<StabilityWindow>)> = Vec::with_capacity(trees.len());
@@ -127,7 +130,7 @@ pub fn exact_tree_poa_curve(n: usize, concept: Concept) -> Result<Vec<CurveSegme
 ///
 /// # Errors
 ///
-/// Forwards [`exact_tree_poa_curve`] errors.
+/// Forwards the tree enumeration guard.
 pub fn curve_report(report: &mut Report, quick: bool) -> Result<(), GameError> {
     let n = if quick { 8 } else { 9 };
     for concept in [Concept::Ps, Concept::Bge] {

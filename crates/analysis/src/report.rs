@@ -211,7 +211,7 @@ fn json_string_array(out: &mut String, items: &[String]) {
 
 /// Formats an `f64` compactly for report cells.
 #[must_use]
-pub fn fnum(x: f64) -> String {
+pub(crate) fn fnum(x: f64) -> String {
     if x.is_nan() {
         "–".to_string()
     } else if (x - x.round()).abs() < 1e-9 && x.abs() < 1e15 {

@@ -11,6 +11,12 @@ use bncg_graph::{enumerate, root_at_median};
 
 /// Depth of BSwE trees vs. Lemma 3.4's `(1 + 2α/n)·log₂ n` and the
 /// resulting diameter picture, exhaustively over all trees on `n` nodes.
+/// Every BSwE tree is also checked against Lemmas 3.3 and 3.5, whose
+/// hypothesis is exactly a swap-stable tree.
+///
+/// # Panics
+///
+/// Panics if a BSwE tree violates Lemma 3.3, 3.4 or 3.5.
 ///
 /// # Errors
 ///
@@ -32,8 +38,16 @@ pub fn bswe_depth(report: &mut Report, quick: bool) -> Result<(), GameError> {
             if Concept::Bswe.is_stable(&tree, alpha)? {
                 max_depth_bswe = max_depth_bswe.max(depth);
                 assert!(
+                    bounds::lemma_3_3_holds(&tree, alpha)?,
+                    "Lemma 3.3 violated at α = {v}"
+                );
+                assert!(
                     bounds::lemma_3_4_holds(&tree, alpha)?,
                     "Lemma 3.4 violated at α = {v}"
+                );
+                assert!(
+                    bounds::lemma_3_5_holds(&tree, alpha)?,
+                    "Lemma 3.5 violated at α = {v}"
                 );
             }
             if Concept::Ps.is_stable(&tree, alpha)? {

@@ -514,6 +514,7 @@ pub fn row_bse(
             "α = n·log n",
             2,
             alpha1,
+            "Theorem 3.19",
             bounds::theorem_3_19_bound(),
         );
         // Regime 2: α = n^{1−ε} with ε = 1/2, d = ⌈n^ε⌉ (Thm 3.20: 3 + 2/ε).
@@ -525,12 +526,21 @@ pub fn row_bse(
             "α = √n",
             d2,
             alpha2,
+            "Theorem 3.20",
             bounds::theorem_3_20_bound(0.5),
         );
         // Regime 3: α = n, d = ⌈log₂ log₂ n⌉ (Theorem 3.21 envelope).
         let alpha3 = alpha_int(n as i64);
         let d3 = (log2n.log2().ceil() as usize).max(2);
-        push_dary_row(table, n, "α = n", d3, alpha3, bounds::theorem_3_21_bound(n));
+        push_dary_row(
+            table,
+            n,
+            "α = n",
+            d3,
+            alpha3,
+            "Theorem 3.21",
+            bounds::theorem_3_21_bound(n),
+        );
     }
     Ok(())
 }
@@ -541,20 +551,26 @@ fn push_dary_row(
     regime: &str,
     d: usize,
     alpha: Alpha,
+    theorem: &str,
     bound: f64,
 ) {
     let g = generators::almost_complete_dary_tree(d, n);
     let t = RootedTree::new(&g, 0).expect("d-ary tree is a tree");
     let sums = t.dist_sums();
+    let lemma_bound = bounds::lemma_3_18_bound(d, n, alpha);
     let mut worst = 0.0f64;
     for u in 0..n as u32 {
         let cost = alpha.as_f64() * g.degree(u) as f64 + sums[u as usize] as f64;
+        assert!(
+            cost <= lemma_bound + 1e-6,
+            "Lemma 3.18 violated (n={n}, d={d}, u={u})"
+        );
         let normalized = cost / (alpha.as_f64() + n as f64 - 1.0);
         worst = worst.max(normalized);
     }
     assert!(
         worst <= bound + 1e-6,
-        "Lemma 3.18 regime bound violated (n={n}, d={d})"
+        "{theorem} bound violated (n={n}, d={d})"
     );
     table.row([
         n.to_string(),

@@ -111,7 +111,7 @@ impl<B: MemoryBacking> Atlas<B> {
     /// # Errors
     ///
     /// [`GameError::Unsupported`] on backing failure or a corrupt line.
-    pub fn for_each_record(
+    pub(crate) fn for_each_record(
         &self,
         visit: &mut dyn FnMut(u64, &AtlasRecord),
     ) -> Result<(), GameError> {

@@ -172,7 +172,7 @@ impl MemoryBacking for RamBacking {
 }
 
 /// Default segment rotation threshold: lines per `seg-*.jsonl` file.
-pub const DEFAULT_SEGMENT_RECORDS: u64 = 100_000;
+pub(crate) const DEFAULT_SEGMENT_RECORDS: u64 = 100_000;
 
 /// On-disk format version stamped into the `MANIFEST`.
 const FORMAT_VERSION: u64 = 1;

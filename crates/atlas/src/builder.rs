@@ -51,7 +51,7 @@ impl AlphaSpec {
     /// # Errors
     ///
     /// [`GameError::InvalidAlpha`] if `n = 0` (no such instance).
-    pub fn resolve(&self, n: u32) -> Result<Alpha, GameError> {
+    pub(crate) fn resolve(&self, n: u32) -> Result<Alpha, GameError> {
         match self {
             AlphaSpec::Fixed(a) => Ok(*a),
             AlphaSpec::N => Alpha::integer(i64::from(n)),
@@ -134,7 +134,7 @@ impl BuildSpec {
     /// # Errors
     ///
     /// Propagates [`AlphaSpec::resolve`] failures.
-    pub fn resolved_grid(&self, n: u32) -> Result<Vec<Alpha>, GameError> {
+    pub(crate) fn resolved_grid(&self, n: u32) -> Result<Vec<Alpha>, GameError> {
         let mut grid = self
             .grid
             .iter()

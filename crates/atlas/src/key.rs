@@ -24,7 +24,7 @@ const SAFE: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01
 ///
 /// Returns [`GameError::Unsupported`] if `graph6` contains a byte
 /// outside the graph6 range `63..=126`.
-pub fn safe_key(graph6: &str) -> Result<String, GameError> {
+pub(crate) fn safe_key(graph6: &str) -> Result<String, GameError> {
     graph6
         .bytes()
         .map(|b| {
@@ -45,7 +45,7 @@ pub fn safe_key(graph6: &str) -> Result<String, GameError> {
 ///
 /// Returns [`GameError::Unsupported`] if `key` contains a character
 /// outside the safe alphabet.
-pub fn graph6_of_key(key: &str) -> Result<String, GameError> {
+pub(crate) fn graph6_of_key(key: &str) -> Result<String, GameError> {
     key.bytes()
         .map(|b| {
             SAFE.iter()

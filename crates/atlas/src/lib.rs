@@ -44,7 +44,7 @@ pub mod record;
 pub mod verify;
 
 pub use atlas::{Atlas, Hit};
-pub use backing::{DiskBacking, MemoryBacking, RamBacking, DEFAULT_SEGMENT_RECORDS};
+pub use backing::{DiskBacking, MemoryBacking, RamBacking};
 pub use builder::{build, AlphaSpec, BuildReport, BuildSpec, Cursor};
 pub use record::{AtlasRecord, StoredVerdict};
 pub use verify::{verify as verify_atlas, VerifyReport};

@@ -174,7 +174,7 @@ impl AtlasRecord {
     /// byte-identical to every pre-existing corpus index. `|` cannot
     /// occur in any component, so the composite is collision-free.
     #[must_use]
-    pub fn index_key(&self) -> String {
+    pub(crate) fn index_key(&self) -> String {
         let mut key = index_key(&self.key, self.concept, self.alpha);
         if !self.model.is_default() {
             key.push('|');
@@ -202,7 +202,7 @@ impl AtlasRecord {
 /// Builds the composite in-memory index key for a (safe key, concept, α)
 /// triple. See [`AtlasRecord::index_key`].
 #[must_use]
-pub fn index_key(safe_key: &str, concept: Concept, alpha: Alpha) -> String {
+pub(crate) fn index_key(safe_key: &str, concept: Concept, alpha: Alpha) -> String {
     format!("{safe_key}|{}|{alpha}", concept.token())
 }
 

@@ -138,7 +138,7 @@ pub fn figure7(i: usize) -> FigureInstance {
 /// The number of rows Figure 7 uses for a given coalition bound `k`
 /// (`i = 20k`).
 #[must_use]
-pub fn figure7_rows_for_k(k: usize) -> usize {
+pub(crate) fn figure7_rows_for_k(k: usize) -> usize {
     20 * k
 }
 

@@ -87,7 +87,7 @@ impl StretchedBinaryTree {
     /// definition. Returns `d = 0` (a single node) if even depth 1 exceeds
     /// `t`.
     #[must_use]
-    pub fn with_target_size(k: usize, t: usize) -> Self {
+    pub(crate) fn with_target_size(k: usize, t: usize) -> Self {
         let mut d = 0usize;
         loop {
             let next_n = ((1usize << (d + 2)) - 2) * k + 1;
@@ -183,7 +183,7 @@ pub fn lemma_3_11_certificate(star: &StretchedTreeStar, alpha: Alpha) -> bool {
 /// large to materialize (the inequality only needs `n`, `depth(G)`, `|T|`,
 /// and `k`).
 #[must_use]
-pub fn lemma_3_11_certificate_params(
+pub(crate) fn lemma_3_11_certificate_params(
     n: usize,
     depth: u32,
     t_size: usize,
@@ -226,13 +226,6 @@ pub fn theorem_3_12_i_instance(alpha_int: usize, eta: usize, eps: f64) -> Stretc
     StretchedTreeStar::build(k, t.max(2 * k + 1), eta.max(2 * t.max(2 * k + 1) + 1))
 }
 
-/// Parameters for Theorem 3.12(ii): `k = 1`, `t = η^ε`.
-#[must_use]
-pub fn theorem_3_12_ii_instance(eta: usize, eps: f64) -> StretchedTreeStar {
-    let t = (eta as f64).powf(eps).round() as usize;
-    StretchedTreeStar::build(1, t.max(3), eta.max(2 * t.max(3) + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +234,12 @@ mod tests {
 
     fn a(v: i64) -> Alpha {
         Alpha::integer(v).unwrap()
+    }
+
+    /// Parameters for Theorem 3.12(ii): `k = 1`, `t = η^ε`.
+    fn theorem_3_12_ii_instance(eta: usize, eps: f64) -> StretchedTreeStar {
+        let t = (eta as f64).powf(eps).round() as usize;
+        StretchedTreeStar::build(1, t.max(3), eta.max(2 * t.max(3) + 1))
     }
 
     #[test]

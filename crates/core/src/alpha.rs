@@ -98,7 +98,7 @@ impl Alpha {
     ///
     /// Panics if `q == 0`.
     #[must_use]
-    pub fn cmp_ratio(&self, p: i64, q: i64) -> Ordering {
+    pub(crate) fn cmp_ratio(&self, p: i64, q: i64) -> Ordering {
         assert!(q > 0, "comparison denominator must be positive");
         (i128::from(self.num) * i128::from(q)).cmp(&(i128::from(p) * i128::from(self.den)))
     }
@@ -106,7 +106,7 @@ impl Alpha {
     /// Exact test `α · k < value` for integer `k ≥ 0` and integer `value`,
     /// i.e. whether a distance saving of `value` pays for `k` extra edges.
     #[must_use]
-    pub fn times_lt(&self, k: u64, value: u64) -> bool {
+    pub(crate) fn times_lt(&self, k: u64, value: u64) -> bool {
         i128::from(self.num) * i128::from(k) < i128::from(self.den) * i128::from(value)
     }
 

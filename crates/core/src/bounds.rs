@@ -7,28 +7,8 @@
 //! (`ℓ(v) ≤ ℓ(u) + 2α/n` becomes `(ℓ(v) − ℓ(u))·n·den ≤ 2·num`).
 
 use crate::alpha::Alpha;
-use crate::cost::Ratio;
 use crate::error::GameError;
 use bncg_graph::{Graph, RootedTree};
-
-/// Proposition 3.1: for connected `G` in RE and any node `u`,
-/// `ρ(G) ≤ (α + dist(u)) / (α + n − 1)`. Returns the exact right-hand side.
-#[must_use]
-pub fn proposition_3_1_bound(alpha: Alpha, n: usize, dist_u: u64) -> Ratio {
-    let num = i128::from(alpha.num());
-    let den = i128::from(alpha.den());
-    Ratio::new(num + den * i128::from(dist_u), num + den * (n as i128 - 1))
-}
-
-/// Corollary 3.2: `ρ(G) ≤ 1 + n²/α` for connected RE graphs.
-#[must_use]
-pub fn corollary_3_2_bound(alpha: Alpha, n: usize) -> Ratio {
-    let num = i128::from(alpha.num());
-    let den = i128::from(alpha.den());
-    let n = n as i128;
-    // 1 + n²·den/num
-    Ratio::new(num + n * n * den, num)
-}
 
 /// Theorem 3.6: trees in BSwE satisfy `ρ(G) ≤ 2 + 2·log₂ α`.
 #[must_use]
@@ -48,13 +28,6 @@ pub fn theorem_3_10_lower(alpha: Alpha) -> f64 {
 #[must_use]
 pub fn theorem_3_12_i_lower(eps: f64, alpha: Alpha) -> f64 {
     eps / 168.0 * alpha.as_f64().log2() - 3.0 / 28.0
-}
-
-/// Theorem 3.12(ii): BNE lower bound `ρ ≥ ¼·ε·log₂ α − 9/8` for
-/// `η^{1/2+ε} ≤ α ≤ η`.
-#[must_use]
-pub fn theorem_3_12_ii_lower(eps: f64, alpha: Alpha) -> f64 {
-    0.25 * eps * alpha.as_f64().log2() - 9.0 / 8.0
 }
 
 /// Theorem 3.13: trees in BNE with `α ≤ √n` (and `n > 15`) have `ρ ≤ 4`.
@@ -217,11 +190,34 @@ fn ceil_ratio(a: i64, b: i64) -> i64 {
 mod tests {
     use super::*;
     use crate::concepts::Concept;
-    use crate::cost::{agent_cost, social_cost_ratio};
+    use crate::cost::{agent_cost, social_cost_ratio, Ratio};
     use bncg_graph::{enumerate, generators};
 
     fn a(s: &str) -> Alpha {
         s.parse().unwrap()
+    }
+
+    /// Proposition 3.1: for connected `G` in RE and any node `u`,
+    /// `ρ(G) ≤ (α + dist(u)) / (α + n − 1)`. Returns the exact right-hand side.
+    fn proposition_3_1_bound(alpha: Alpha, n: usize, dist_u: u64) -> Ratio {
+        let num = i128::from(alpha.num());
+        let den = i128::from(alpha.den());
+        Ratio::new(num + den * i128::from(dist_u), num + den * (n as i128 - 1))
+    }
+
+    /// Corollary 3.2: `ρ(G) ≤ 1 + n²/α` for connected RE graphs.
+    fn corollary_3_2_bound(alpha: Alpha, n: usize) -> Ratio {
+        let num = i128::from(alpha.num());
+        let den = i128::from(alpha.den());
+        let n = n as i128;
+        // 1 + n²·den/num
+        Ratio::new(num + n * n * den, num)
+    }
+
+    /// Theorem 3.12(ii): BNE lower bound `ρ ≥ ¼·ε·log₂ α − 9/8` for
+    /// `η^{1/2+ε} ≤ α ≤ η`.
+    fn theorem_3_12_ii_lower(eps: f64, alpha: Alpha) -> f64 {
+        0.25 * eps * alpha.as_f64().log2() - 9.0 / 8.0
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!    `slack(x) = D(x) − (n − 1)`, where `D(x)` is its current distance
 //!    sum. An agent that nets `g − l > 0` extra edges pays `α·(g − l)`
 //!    more to buy, hence can only improve if `α·(g − l) < slack(x)`.
-//!    [`EditSetPruner`] applies this to every agent whose consent a
+//!    `EditSetPruner` applies this to every agent whose consent a
 //!    coalition/target-graph move requires.
 //!
 //! 2. **Partner two-hop bound (neighborhood moves).** Every edge a
@@ -38,7 +38,7 @@
 //!    `(d(a, c) − 1) + Σ_{w ∉ {a, c}} max(0, d(a, w) − 2)`.
 //!    If `α` is at least that bound, `a` can never consent to `c` and
 //!    every candidate adding `{a, c}` is pruned —
-//!    [`NeighborhoodPruner::partner_may_consent`] shrinks the partner
+//!    `NeighborhoodPruner::partner_may_consent` shrinks the partner
 //!    list, which shrinks the scan *exponentially* (the add masks range
 //!    over the surviving partners only).
 //!
@@ -47,7 +47,7 @@
 //!    — a shortest path either avoids all new edges or leaves `c` through
 //!    one of them. Summing gives a floor `LB_A(c)` and a saving cap
 //!    `save_A = D(c) − LB_A(c)` that is independent of the removal set, so
-//!    one `O(|A|·n)` computation ([`NeighborhoodPruner::center_add_cap`])
+//!    one `O(|A|·n)` computation (`NeighborhoodPruner::center_add_cap`)
 //!    prunes every removal mask with `|R| ≤ |A|` and
 //!    `α·(|A| − |R|) ≥ save_A` across the whole `2^{|N(c)|}` inner loop.
 //!
@@ -78,12 +78,12 @@
 //!    `1 + d(z, w) ≥ 1 + min_{z∈Z} d(z, w)`. Hence
 //!    `d'(u, w) ≥ min(d(u, w), 1 + min_{z∈Z} d(z, w))`, and summing the
 //!    positive parts gives a per-endpoint saving cap `cap_u`
-//!    ([`coalition_member_cap`]) independent of the removal subset.
+//!    (`coalition_member_cap`) independent of the removal subset.
 //!    Each removed *own-incident* edge `{u, x}` additionally pushes
 //!    `d'(u, x)` from 1 to ≥ 2 (no other saving is counted at `x`, whose
 //!    current distance is already minimal), so an endpoint gaining `g`
 //!    edges and shedding `l` own edges improves only if
-//!    `α·g − (α − 1)·l < cap_u`. [`add_endpoint_requirement`] solves this
+//!    `α·g − (α − 1)·l < cap_u`. `add_endpoint_requirement` solves this
 //!    inequality per endpoint into a verdict the mask scans apply with
 //!    one popcount per removal mask — a minimum (α > 1) or maximum
 //!    (α < 1) own-incident removal count, a whole-subspace kill, or no
@@ -97,7 +97,7 @@
 //! candidates on stable instances, but the scan loops still iterated
 //! every surviving mask to apply the per-candidate tests — a star hub
 //! alone owns `2^{n−1}` pure-removal masks, all skipped one by one.
-//! The branch-and-bound [`generator`](crate::generator) removed that
+//! The branch-and-bound candidate generator removed that
 //! bound: the same inequalities, relaxed to subtree worst cases (caps
 //! are monotone in the added set; removal counts take the
 //! least-prunable end of their range), kill whole aligned mask ranges
@@ -133,8 +133,8 @@ pub struct CandidateStats {
     pub deduped: u64,
     /// Candidates actually priced by the engine.
     pub evaluated: u64,
-    /// Enumeration steps the branch-and-bound
-    /// [`generator`](crate::generator) took: surviving leaves emitted
+    /// Enumeration steps the branch-and-bound candidate generator
+    /// took: surviving leaves emitted
     /// plus dead subtrees skipped whole. On a dense (non-generated)
     /// scan this stays 0; on a generated scan,
     /// `visited / generated` is the fraction of the raw mask space the
@@ -161,7 +161,7 @@ impl CandidateStats {
     }
 
     /// Accumulates another scan's counters (parallel shards, sweeps).
-    pub fn merge(&mut self, other: &CandidateStats) {
+    pub(crate) fn merge(&mut self, other: &CandidateStats) {
         self.generated += other.generated;
         self.pruned += other.pruned;
         self.deduped += other.deduped;
@@ -232,7 +232,7 @@ impl NeighborhoodPruner {
     /// single edge to `center` under a neighborhood move around `center`?
     /// `false` is a proof of impossibility; `true` is no claim.
     #[must_use]
-    pub fn partner_may_consent(&self, state: &GameState, partner: u32, center: u32) -> bool {
+    pub(crate) fn partner_may_consent(&self, state: &GameState, partner: u32, center: u32) -> bool {
         if !self.active {
             return true;
         }
@@ -264,14 +264,14 @@ impl NeighborhoodPruner {
     /// Inequality 4: are all pure-removal candidates non-improving from
     /// this state (`α ≤ 1`, or a tree where any removal disconnects)?
     #[must_use]
-    pub fn removal_only_prunable(&self) -> bool {
+    pub(crate) fn removal_only_prunable(&self) -> bool {
         self.active && (self.alpha_le_one || self.is_tree)
     }
 
     /// Inequality 3: the removal-independent cap `save_A` on the center's
     /// distance saving for the added set `A` (`O(|A|·n)`).
     #[must_use]
-    pub fn center_add_cap(&self, state: &GameState, center: u32, added: &[u32]) -> u64 {
+    pub(crate) fn center_add_cap(&self, state: &GameState, center: u32, added: &[u32]) -> u64 {
         debug_assert!(self.active);
         let dist = state.distances();
         let row_c = dist.row(center);
@@ -297,7 +297,7 @@ impl NeighborhoodPruner {
     /// improves only if `α·na − (α − 1)·nr < save_a` (inequality 6's
     /// specialization to neighborhood moves).
     #[must_use]
-    pub fn center_class_prunable(&self, nr: u32, na: u32, save_a: u64) -> bool {
+    pub(crate) fn center_class_prunable(&self, nr: u32, na: u32, save_a: u64) -> bool {
         if !self.active {
             return false;
         }
@@ -314,7 +314,7 @@ impl NeighborhoodPruner {
 /// map above, so the budget-maximal partner counts (up to 2²⁵ masks)
 /// never pre-allocate gigabytes for scans that visit few classes.
 #[derive(Debug, Default)]
-pub struct CenterCapCache {
+pub(crate) struct CenterCapCache {
     dense: Vec<u64>,
     sparse: std::collections::HashMap<u64, u64>,
     use_dense: bool,
@@ -374,7 +374,7 @@ impl CenterCapCache {
 /// the distance-floor bound per required consenter and the pure-removal
 /// rules, computed from per-agent edge deltas in `O(|edits|)`.
 #[derive(Debug)]
-pub struct EditSetPruner {
+pub(crate) struct EditSetPruner {
     alpha: Alpha,
     /// Connected state **and** a cost model inequalities 1/4/6 are
     /// proven for ([`filter_sound`]).
@@ -395,7 +395,7 @@ impl EditSetPruner {
     /// distance-linear model; the soundness capability deactivates the
     /// bounds otherwise).
     #[must_use]
-    pub fn from_state(state: &GameState) -> Self {
+    pub(crate) fn from_state(state: &GameState) -> Self {
         let (alpha, costs) = (state.alpha(), state.costs());
         let n = costs.len();
         let connected = costs.iter().all(|c| c.unreachable == 0);
@@ -423,7 +423,7 @@ impl EditSetPruner {
     /// Inequality 4: are all pure-removal edit sets non-improving from
     /// this state (`α ≤ 1`, or a tree where any removal disconnects)?
     #[must_use]
-    pub fn removal_only_prunable(&self) -> bool {
+    pub(crate) fn removal_only_prunable(&self) -> bool {
         self.active && (self.alpha_le_one || self.is_tree)
     }
 
@@ -435,7 +435,7 @@ impl EditSetPruner {
     /// the oracle kills must stay a subset of this filter's skips, and
     /// one implementation cannot drift from itself.
     #[must_use]
-    pub fn agent_cannot_improve(&self, x: u32, gained: u32, lost: u32) -> bool {
+    pub(crate) fn agent_cannot_improve(&self, x: u32, gained: u32, lost: u32) -> bool {
         gained > lost
             && !self
                 .alpha
@@ -447,7 +447,7 @@ impl EditSetPruner {
     /// improve, some removed edge has no endpoint that could improve, or
     /// the pure-removal rules apply. Exactness-preserving (see the
     /// [module docs](self)); `false` is no claim.
-    pub fn prunable(&mut self, rem: &[(u32, u32)], add: &[(u32, u32)]) -> bool {
+    pub(crate) fn prunable(&mut self, rem: &[(u32, u32)], add: &[(u32, u32)]) -> bool {
         if !self.active {
             return false;
         }
@@ -506,7 +506,7 @@ fn splitmix(seed: u64) -> u64 {
 /// so they are order-independent by construction and mask scans can fold
 /// them bit by bit.
 #[must_use]
-pub fn edit_key(u: u32, v: u32, added: bool) -> u128 {
+pub(crate) fn edit_key(u: u32, v: u32, added: bool) -> u128 {
     let id = (u64::from(u.min(v)) << 33) | (u64::from(u.max(v)) << 1) | u64::from(added);
     (u128::from(splitmix(id ^ 0x5EED_CAFE_F00D_BA5E)) << 64)
         | u128::from(splitmix(id ^ 0x0BAD_C0DE_DEAD_BEA7))
@@ -516,7 +516,7 @@ pub fn edit_key(u: u32, v: u32, added: bool) -> u128 {
 /// key; see the [module docs](self) on collision safety). Edit sets never
 /// repeat an edge, so the XOR fold cannot self-cancel.
 #[must_use]
-pub fn edit_fingerprint(rem: &[(u32, u32)], add: &[(u32, u32)]) -> u128 {
+pub(crate) fn edit_fingerprint(rem: &[(u32, u32)], add: &[(u32, u32)]) -> u128 {
     let mut fp = 0u128;
     for &(u, v) in rem {
         fp ^= edit_key(u, v, false);
@@ -529,7 +529,7 @@ pub fn edit_fingerprint(rem: &[(u32, u32)], add: &[(u32, u32)]) -> u128 {
 
 /// Inequality 6 support: `out[w] = min_{z∈nodes} d(z, w)`, the distance
 /// profile of an added set's endpoints, computed in `O(|nodes|·n)`.
-pub fn coalition_min_rows(dist: &DistanceMatrix, nodes: &[u32], out: &mut Vec<u32>) {
+pub(crate) fn coalition_min_rows(dist: &DistanceMatrix, nodes: &[u32], out: &mut Vec<u32>) {
     out.clear();
     out.resize(dist.n(), u32::MAX);
     for &z in nodes {
@@ -546,7 +546,7 @@ pub fn coalition_min_rows(dist: &DistanceMatrix, nodes: &[u32], out: &mut Vec<u3
 /// the profiled node set (see [`coalition_min_rows`]). Only meaningful on
 /// connected states.
 #[must_use]
-pub fn coalition_member_cap(dist: &DistanceMatrix, u: u32, min_profile: &[u32]) -> u64 {
+pub(crate) fn coalition_member_cap(dist: &DistanceMatrix, u: u32, min_profile: &[u32]) -> u64 {
     let mut cap = 0u64;
     for (w, &d) in dist.row(u).iter().enumerate() {
         let floor = u64::from(min_profile[w]).saturating_add(1);
@@ -561,7 +561,7 @@ pub fn coalition_member_cap(dist: &DistanceMatrix, u: u32, min_profile: &[u32]) 
 /// The per-endpoint verdict of inequality 6, resolved against a removal
 /// subspace (see [`add_endpoint_requirement`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EndpointRequirement {
+pub(crate) enum EndpointRequirement {
     /// No removal subset makes the endpoint improve: the whole class dies.
     Dead,
     /// Improvement requires at least this many own-incident removals.
@@ -578,7 +578,7 @@ pub enum EndpointRequirement {
 /// count `l`. Returns the strongest constraint on `l` the inequality
 /// supports — callers apply it to removal masks with one popcount.
 #[must_use]
-pub fn add_endpoint_requirement(
+pub(crate) fn add_endpoint_requirement(
     alpha: Alpha,
     gained: u32,
     cap: u64,
@@ -626,8 +626,19 @@ pub fn add_endpoint_requirement(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::AgentCost;
     use crate::moves::Move;
+    use crate::state::MoveDelta;
     use bncg_graph::generators;
+
+    /// The post-move cost of `agent`, if it is a consenting agent.
+    fn cost_after(delta: &MoveDelta, agent: u32) -> Option<AgentCost> {
+        delta
+            .agents
+            .iter()
+            .find(|d| d.agent == agent)
+            .map(|d| d.after)
+    }
 
     fn a(s: &str) -> Alpha {
         s.parse().unwrap()
@@ -684,7 +695,7 @@ mod tests {
                                 add: vec![partner],
                             };
                             let d = ev.evaluate(&mv).unwrap();
-                            let pd = d.cost_after(partner).unwrap();
+                            let pd = cost_after(&d, partner).unwrap();
                             assert!(
                                 !pd.better_than(&state.cost(partner), state.alpha()),
                                 "pruned partner {partner} consented to {mv} at α = {alpha}"
@@ -749,8 +760,7 @@ mod tests {
                             // Added endpoints must all improve and each
                             // removed edge needs an improving endpoint.
                             let improves = |x: u32| {
-                                delta
-                                    .cost_after(x)
+                                cost_after(&delta, x)
                                     .is_some_and(|c| c.better_than(&state.cost(x), state.alpha()))
                             };
                             let viable = add.iter().all(|&(u, v)| improves(u) && improves(v))
@@ -804,8 +814,8 @@ mod tests {
         // Connected state, but priced under a model the inequality
         // proofs do not cover: every bound must report inactive, so the
         // scans run filter-free instead of silently wrong. The Zobrist
-        // dedup is model-free and unaffected.
-        use crate::cost_model::{filter_sound, CostModelSpec, FilterId, Utility};
+        // dedup is model-free and has no gate.
+        use crate::cost_model::{CostModelSpec, Utility};
         let g = generators::cycle(8);
         for model in [
             CostModelSpec::Generalized(Utility::Quadratic),
@@ -820,7 +830,6 @@ mod tests {
             assert!(!ep.active(), "{model}: edit-set bounds must be off");
             let e = g.edges().next().unwrap();
             assert!(!ep.prunable(&[e], &[]));
-            assert!(filter_sound(FilterId::EditDedup, model));
         }
         // The identity utility is the paper's objective on the generic
         // dispatch path: every proof carries over and the bounds stay on.

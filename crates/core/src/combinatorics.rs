@@ -1,18 +1,6 @@
-//! Small combinatorial helpers shared by the coalition checkers and the
-//! experiment harness.
+//! Small combinatorial helpers for the coalition checkers.
 
 /// Iterates over all `k`-element subsets of `0..n` in lexicographic order.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_core::combinatorics::combinations;
-///
-/// let pairs: Vec<Vec<u32>> = combinations(4, 2).collect();
-/// assert_eq!(pairs.len(), 6);
-/// assert_eq!(pairs[0], vec![0, 1]);
-/// assert_eq!(pairs[5], vec![2, 3]);
-/// ```
 pub fn combinations(n: usize, k: usize) -> Combinations {
     Combinations {
         n,
@@ -24,7 +12,7 @@ pub fn combinations(n: usize, k: usize) -> Combinations {
 
 /// Iterator type of [`combinations`].
 #[derive(Debug, Clone)]
-pub struct Combinations {
+pub(crate) struct Combinations {
     n: usize,
     k: usize,
     state: Option<Vec<u32>>,
@@ -74,7 +62,7 @@ impl Iterator for Combinations {
 
 /// Iterates over all subsets of `items` with size between `min_size` and
 /// `max_size` (inclusive), materialized as vectors.
-pub fn bounded_subsets<T: Copy>(
+pub(crate) fn bounded_subsets<T: Copy>(
     items: &[T],
     min_size: usize,
     max_size: usize,
@@ -83,20 +71,6 @@ pub fn bounded_subsets<T: Copy>(
     (min_size..=max_size.min(n)).flat_map(move |k| {
         combinations(n, k).map(move |idx| idx.iter().map(|&i| items[i as usize]).collect())
     })
-}
-
-/// `C(n, k)` with saturation, for budget accounting.
-#[must_use]
-pub fn binomial(n: u64, k: u64) -> u64 {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut result = 1u64;
-    for i in 0..k {
-        result = result.saturating_mul(n - i) / (i + 1);
-    }
-    result
 }
 
 #[cfg(test)]
@@ -114,6 +88,10 @@ mod tests {
 
     #[test]
     fn combinations_are_sorted_and_unique() {
+        let pairs: Vec<Vec<u32>> = combinations(4, 2).collect();
+        assert_eq!(pairs.len(), 6);
+        assert_eq!(pairs[0], vec![0, 1]);
+        assert_eq!(pairs[5], vec![2, 3]);
         let all: Vec<Vec<u32>> = combinations(6, 3).collect();
         assert_eq!(all.len(), 20);
         for c in &all {
@@ -131,13 +109,5 @@ mod tests {
         // C(3,1) + C(3,2) = 3 + 3
         assert_eq!(subs.len(), 6);
         assert!(subs.iter().all(|s| (1..=2).contains(&s.len())));
-    }
-
-    #[test]
-    fn binomial_values() {
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(10, 0), 1);
-        assert_eq!(binomial(4, 5), 0);
-        assert_eq!(binomial(52, 5), 2_598_960);
     }
 }

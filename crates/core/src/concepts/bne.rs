@@ -5,7 +5,7 @@
 //! Nash equilibrium of the unilateral game (paper, footnote 4).
 //!
 //! The move space is `Θ(n·2^{n−1})`. Since the branch-and-bound
-//! [`generator`](crate::generator) landed, the exact scan is
+//! candidate generator landed, the exact scan is
 //! **evaluation-bound**, not enumeration-bound: the candidate stream is
 //! generated by branching on one endpoint at a time, and whole mask
 //! subtrees the pruning inequalities kill are skipped in `O(1)` instead
@@ -35,7 +35,7 @@
 //! [`BitsetGraph`] per workspace, holds each removal class applied
 //! across its run of consecutive leaves, flips only the addition words
 //! per leaf, and prices every consenting agent with the `u64`-frontier
-//! [`agent_cost_bits`](crate::cost::agent_cost_bits) BFS kernel (routed
+//! `agent_cost_bits` BFS kernel (routed
 //! through the state's [`CostModelSpec`](crate::CostModelSpec), so
 //! non-default models price the identical stream with their own bitset
 //! kernels). The scalar
@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minimal RNG abstraction so the sampled refuter does not force a `rand`
 /// dependency onto every caller; implemented for closures and for anything
-/// resembling `rand::Rng` via [`from_rand`].
+/// resembling `rand::Rng`.
 mod rand_like {
     /// Source of uniform `u64`s.
     pub trait RngLike {

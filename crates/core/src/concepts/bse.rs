@@ -10,7 +10,7 @@
 //! graphs, which is feasible for `n ≤ 7`.
 //!
 //! The default scan filters each target graph's edit set through the
-//! [`EditSetPruner`] inequalities (see [`crate::candidates`]) before any
+//! edit-set inequalities (see [`crate::candidates`]) before any
 //! BFS is paid: masks whose added edges touch an agent that provably
 //! cannot improve, whose removed edges have no viable endpoint, or that
 //! are pure removals at `α ≤ 1` (or on a tree) are skipped. The filters
@@ -18,7 +18,7 @@
 //! equal the raw scan retained as [`find_violation_in_reference`]. The
 //! [`crate::solver`] surface drives the same scan anytime-style over
 //! fixed-size mask chunks (4096-mask units), and within each chunk the
-//! masks are generated branch-and-bound style ([`crate::generator`]):
+//! masks are generated branch-and-bound style:
 //! aligned mask ranges whose fixed edits already violate the filters
 //! are skipped whole instead of being iterated.
 

@@ -24,8 +24,8 @@
 //! 2. each canonical edit set needs to be evaluated **once**, even though
 //!    the coalition enumeration regenerates it for every covering
 //!    coalition. The scan deduplicates by canonical fingerprint
-//!    ([`crate::candidates::edit_fingerprint`]) and prunes candidates the
-//!    [`EditSetPruner`] inequalities prove non-improving.
+//!    (`candidates::edit_fingerprint`) and prunes candidates the
+//!    edit-set inequalities of [`crate::candidates`] prove non-improving.
 //!
 //! The pre-dedup scan is retained as [`find_violation_in_reference`] for
 //! the property suite and the `ci_gate` kernels. The exact scan's one

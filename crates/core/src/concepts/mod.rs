@@ -38,7 +38,7 @@ use std::str::FromStr;
 /// reference scans (`*_in_reference`, `bne::find_violation_in_dense`)
 /// take an explicit budget and size their **raw** move space against it
 /// before any work starts, refusing an oversized instance with
-/// [`GameError::CheckTooLarge`]; [`crate::best_response`] and
+/// [`GameError::CheckTooLarge`]; [`crate::best_response()`] and
 /// `round_robin::run` apply the same guard
 /// ([`crate::check_enumeration_budget`]) at the default budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

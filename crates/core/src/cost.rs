@@ -45,7 +45,7 @@ impl AgentCost {
     /// Exact three-way comparison under edge price `alpha`:
     /// lexicographically by unreachable count, then by `α·edges + dist`.
     #[must_use]
-    pub fn compare(&self, other: &AgentCost, alpha: Alpha) -> Ordering {
+    pub(crate) fn compare(&self, other: &AgentCost, alpha: Alpha) -> Ordering {
         self.unreachable.cmp(&other.unreachable).then_with(|| {
             alpha
                 .cost_key(self.edges, self.dist)
@@ -115,7 +115,7 @@ impl Ratio {
     ///
     /// Panics if `other` is zero.
     #[must_use]
-    pub fn div(&self, other: &Ratio) -> Ratio {
+    pub(crate) fn div(&self, other: &Ratio) -> Ratio {
         assert!(other.num != 0, "division by zero ratio");
         Ratio::new(self.num * other.den, self.den * other.num)
     }
@@ -171,7 +171,7 @@ pub fn agent_cost(g: &Graph, u: u32) -> AgentCost {
 ///
 /// Panics if `u` is out of range.
 #[must_use]
-pub fn agent_cost_with_buf(g: &Graph, u: u32, buf: &mut Vec<u32>) -> AgentCost {
+pub(crate) fn agent_cost_with_buf(g: &Graph, u: u32, buf: &mut Vec<u32>) -> AgentCost {
     let reached = bfs_distances(g, u, buf);
     let dist_sum = buf
         .iter()
@@ -197,7 +197,7 @@ pub fn agent_cost_with_buf(g: &Graph, u: u32, buf: &mut Vec<u32>) -> AgentCost {
 ///
 /// Panics if `u` is out of range.
 #[must_use]
-pub fn agent_cost_bits(bits: &BitsetGraph, u: u32) -> AgentCost {
+pub(crate) fn agent_cost_bits(bits: &BitsetGraph, u: u32) -> AgentCost {
     let (unreachable, dist) = bits.cost_from(u);
     AgentCost {
         unreachable,

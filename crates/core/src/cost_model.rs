@@ -28,7 +28,7 @@
 //! * [`SumDistances`] — the paper's objective. The default; the pricing
 //!   functions are byte-for-byte the pre-trait `agent_cost*` paths, so
 //!   default-model witnesses and verdicts are bit-identical to before.
-//! * [`GeneralizedDistance`] — distance-based utilities (arXiv
+//! * `GeneralizedDistance` — distance-based utilities (arXiv
 //!   2510.00239): `dist = Σ_v f(d(u, v))` for a non-decreasing per-hop
 //!   [`Utility`] `f`. [`Utility::Identity`] reproduces the paper's
 //!   objective through the generic dispatch arm (the perf gate's
@@ -49,18 +49,19 @@
 //! The PR 2 pruning inequalities and the PR 5 subtree oracles are
 //! *theorems about the sum-of-distances objective*; under another model
 //! they are unproven and may discard improving moves. Each filter
-//! family declares (via [`filter_sound`]) which models it is proven
+//! family declares (via `filter_sound`) which models it is proven
 //! for, and the pruning layer consults the table at construction time:
 //! an unproven combination runs **filter-free** — correct but slower —
 //! never silently wrong. Canonical-fingerprint dedup is model-free (it
 //! only collapses identical successor graphs) and stays on everywhere.
+//! The coalition bounds (inequality 6's minimum rows, member caps and
+//! per-endpoint removal requirements) run inside the edit-set scan and
+//! share its gate.
 //!
 //! | Filter family | `sum_distances` | `generalized:id` | other `generalized` | `adversary_robust` |
 //! |---|---|---|---|---|
-//! | [`FilterId::EditDedup`] | ✓ | ✓ | ✓ | ✓ |
-//! | [`FilterId::NeighborhoodBounds`] | ✓ | ✓ | — | — |
-//! | [`FilterId::EditSetBounds`] | ✓ | ✓ | — | — |
-//! | [`FilterId::CoalitionBounds`] | ✓ | ✓ | — | — |
+//! | neighborhood bounds | ✓ | ✓ | — | — |
+//! | edit-set bounds | ✓ | ✓ | — | — |
 //!
 //! `generalized:id` inherits every proof because `f(d) = d` *is* the
 //! paper's objective — only the dispatch path differs.
@@ -71,7 +72,7 @@ use bncg_graph::{bfs_distances, BitsetGraph, DistanceMatrix, Graph, UNREACHABLE}
 use std::fmt;
 use std::str::FromStr;
 
-/// A non-decreasing per-hop utility `f` for [`GeneralizedDistance`]:
+/// A non-decreasing per-hop utility `f` for `GeneralizedDistance`:
 /// the agent pays `Σ_v f(d(u, v))` instead of `Σ_v d(u, v)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Utility {
@@ -160,7 +161,7 @@ impl CostModelSpec {
     /// issued under. The default model contributes nothing — existing
     /// serialized frontiers, atlas records, and checkpoints stay valid.
     #[must_use]
-    pub fn fingerprint_tag(self) -> u64 {
+    pub(crate) fn fingerprint_tag(self) -> u64 {
         self.token().bytes().fold(0xBC05_7A61u64, |h, b| {
             bncg_graph::fnv1a_u64(h, u64::from(b))
         })
@@ -256,7 +257,7 @@ impl CostModel for SumDistances {
 /// for a non-decreasing per-hop [`Utility`] `f`. Unreachable nodes keep
 /// the lexicographic penalty regardless of `f`.
 #[derive(Debug, Clone, Copy)]
-pub struct GeneralizedDistance {
+pub(crate) struct GeneralizedDistance {
     /// The per-hop utility.
     pub utility: Utility,
 }
@@ -470,32 +471,16 @@ impl CostModel for CostModelSpec {
 /// One id per *proof*, not per call site: every inequality a family
 /// bundles shares the same objective hypothesis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FilterId {
-    /// Canonical-fingerprint dedup of successor graphs
-    /// (`edit_fingerprint` / Zobrist). Model-free: it only collapses
-    /// candidates with identical successors.
-    EditDedup,
+pub(crate) enum FilterId {
     /// The neighborhood-scan bounds: inequalities 2/3/4, the per-class
     /// saving caps, and their subtree relaxations
     /// ([`crate::candidates::NeighborhoodPruner`] and the
     /// `NeighborhoodOracle` built on it).
     NeighborhoodBounds,
-    /// The edit-set bounds: inequalities 1/4 and the `EditOracle`
-    /// subtree tests ([`crate::candidates::EditSetPruner`]).
+    /// The edit-set bounds: inequalities 1/4, the `EditOracle`
+    /// subtree tests ([`crate::candidates::EditSetPruner`]), and the
+    /// coalition bounds the edit-set scan applies under the same gate.
     EditSetBounds,
-    /// The coalition bounds: inequality 6's minimum-rows, member caps,
-    /// and per-endpoint removal requirements.
-    CoalitionBounds,
-}
-
-impl FilterId {
-    /// All filter families, for table-driven tests and docs.
-    pub const ALL: [FilterId; 4] = [
-        FilterId::EditDedup,
-        FilterId::NeighborhoodBounds,
-        FilterId::EditSetBounds,
-        FilterId::CoalitionBounds,
-    ];
 }
 
 /// The soundness capability: whether `filter` is proven to discard only
@@ -504,12 +489,9 @@ impl FilterId {
 /// (the scan runs dense — correct but slower). See the
 /// [module docs](self) for the full table.
 #[must_use]
-pub fn filter_sound(filter: FilterId, model: CostModelSpec) -> bool {
+pub(crate) fn filter_sound(filter: FilterId, model: CostModelSpec) -> bool {
     match filter {
-        FilterId::EditDedup => true,
-        FilterId::NeighborhoodBounds | FilterId::EditSetBounds | FilterId::CoalitionBounds => {
-            model.distance_linear()
-        }
+        FilterId::NeighborhoodBounds | FilterId::EditSetBounds => model.distance_linear(),
     }
 }
 
@@ -665,7 +647,7 @@ mod tests {
 
     #[test]
     fn soundness_table() {
-        for f in FilterId::ALL {
+        for f in [FilterId::NeighborhoodBounds, FilterId::EditSetBounds] {
             assert!(filter_sound(f, CostModelSpec::SumDistances));
             assert!(filter_sound(
                 f,
@@ -677,10 +659,8 @@ mod tests {
             CostModelSpec::Generalized(Utility::Quadratic),
             CostModelSpec::AdversaryRobust,
         ] {
-            assert!(filter_sound(FilterId::EditDedup, model));
             assert!(!filter_sound(FilterId::NeighborhoodBounds, model));
             assert!(!filter_sound(FilterId::EditSetBounds, model));
-            assert!(!filter_sound(FilterId::CoalitionBounds, model));
         }
     }
 

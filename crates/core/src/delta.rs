@@ -13,7 +13,7 @@
 //! addition on a tree in `O(d(u, v))` from the same summary.
 //!
 //! The batched exponential scans price surviving leaves through a third
-//! path — the word-parallel [`crate::cost::agent_cost_bits`] kernel on a
+//! path — the word-parallel `agent_cost_bits` kernel on a
 //! toggled [`bncg_graph::BitsetGraph`] — which the tests here also pin
 //! against the matrix-based fast engine, closing the differential
 //! triangle between all three.
@@ -480,22 +480,6 @@ impl<'a> TreeSwapPricer<'a> {
     }
 }
 
-/// The distance-sum gain (old − new, ≥ 0) for `u` when the edge `{u, v}` is
-/// added, for connected graphs; a convenience over [`cost_after_add`].
-#[must_use]
-pub fn add_distance_gain(d: &DistanceMatrix, u: u32, v: u32) -> u64 {
-    let row_u = d.row(u);
-    let row_v = d.row(v);
-    let mut gain = 0u64;
-    for w in 0..row_u.len() {
-        let (du, dv) = (row_u[w], row_v[w]);
-        if du != UNREACHABLE && dv != UNREACHABLE && dv + 1 < du {
-            gain += u64::from(du - dv - 1);
-        }
-    }
-    gain
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,13 +631,28 @@ mod tests {
     }
 
     #[test]
-    fn add_distance_gain_matches_cost_delta() {
-        let g = generators::cycle(8);
-        let d = DistanceMatrix::new(&g);
-        for (u, v) in g.non_edges() {
-            let before = agent_cost(&g, u);
-            let after = cost_after_add(&g, &d, u, v);
-            assert_eq!(before.dist - after.dist, add_distance_gain(&d, u, v));
+    fn add_kernels_price_the_distance_gain() {
+        // The spec: adding `{u, v}` shortens `u`'s route to `w` from
+        // `d(u, w)` to `d(v, w) + 1` whenever that is shorter.
+        let gain = |d: &DistanceMatrix, u: u32, v: u32| -> u64 {
+            let (row_u, row_v) = (d.row(u), d.row(v));
+            (0..row_u.len())
+                .map(|w| u64::from(row_u[w].saturating_sub(row_v[w] + 1)))
+                .sum()
+        };
+        let tree = generators::random_tree(12, &mut bncg_graph::test_rng(7));
+        for g in [generators::cycle(8), tree] {
+            let d = DistanceMatrix::new(&g);
+            let summary = TreeSummary::new(&g);
+            for (u, v) in g.non_edges() {
+                let (cu, cv) = (agent_cost(&g, u), agent_cost(&g, v));
+                let after = [cost_after_add(&g, &d, u, v), cost_after_add(&g, &d, v, u)];
+                assert_eq!(cu.dist - after[0].dist, gain(&d, u, v));
+                assert_eq!(cv.dist - after[1].dist, gain(&d, v, u));
+                if let Some(t) = &summary {
+                    assert_eq!(t.add_costs(&g, u, v), after, "({u}, {v})");
+                }
+            }
         }
     }
 }

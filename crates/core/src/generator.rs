@@ -94,7 +94,7 @@ pub enum Step {
 /// leaf in the range is provably skipped by the scan's own leaf-level
 /// filters — `false` is no claim. Leaves themselves are never probed;
 /// they are emitted for the scan loop's exact per-candidate logic.
-pub trait SubtreeOracle {
+pub(crate) trait SubtreeOracle {
     /// Whether the aligned subtree `[base, base + 2^level)` is dead.
     fn probe(&mut self, base: u64, level: u32) -> bool;
 }
@@ -102,7 +102,7 @@ pub trait SubtreeOracle {
 /// The branch-and-bound cursor over a mask interval (see the
 /// [module docs](self) for the contract).
 #[derive(Debug, Clone)]
-pub struct BranchScan {
+pub(crate) struct BranchScan {
     cursor: u64,
     end: u64,
 }
@@ -191,7 +191,7 @@ fn field(mask: u64, shift: u32, width: u32) -> u64 {
 /// Both relaxations only ever strengthen the per-leaf inequality, so a
 /// killed subtree contains no candidate the dense leaf tests would have
 /// kept — the exactness contract of [`SubtreeOracle`].
-pub struct NeighborhoodOracle<'a> {
+pub(crate) struct NeighborhoodOracle<'a> {
     state: &'a GameState,
     pruner: &'a NeighborhoodPruner,
     center: u32,
@@ -273,7 +273,7 @@ impl<'a> NeighborhoodOracle<'a> {
     /// The exact inequality-3 saving cap of the class selected by
     /// `add_mask`, memoized for the class the scan is currently inside
     /// (ascending order visits each class in one contiguous run).
-    pub fn class_cap(&mut self, add_mask: u64) -> u64 {
+    pub(crate) fn class_cap(&mut self, add_mask: u64) -> u64 {
         if let Some((m, cap)) = self.class_cache {
             if m == add_mask {
                 return cap;
@@ -358,7 +358,7 @@ impl SubtreeOracle for NeighborhoodOracle<'_> {
 /// the count of set bits in `incident` must fall in `[lo, hi]` for the
 /// endpoint to possibly improve.
 #[derive(Debug, Clone, Copy)]
-pub struct IncidentInterval {
+pub(crate) struct IncidentInterval {
     /// Mask of removal positions incident to the endpoint.
     pub incident: u64,
     /// Minimum own-incident removals required.
@@ -372,7 +372,7 @@ pub struct IncidentInterval {
 /// exceed its maximum, or even taking every free incident removal stays
 /// below its minimum. Leaves the intervals keep may still fail them
 /// individually; the leaf loop re-checks exactly.
-pub struct RemovalIntervalOracle<'a> {
+pub(crate) struct RemovalIntervalOracle<'a> {
     /// The per-endpoint requirements of the current addition class.
     pub reqs: &'a [IncidentInterval],
 }
@@ -403,7 +403,7 @@ impl SubtreeOracle for RemovalIntervalOracle<'_> {
 ///
 /// Subtrees containing the current graph's own mask are never killed, so
 /// the identity skip stays a leaf-loop concern.
-pub struct EditOracle {
+pub(crate) struct EditOracle {
     current: u64,
     pairs: Vec<(u32, u32)>,
     /// Per-node mask of incident pair positions.

@@ -10,16 +10,15 @@
 //!   disconnection penalty ([`agent_cost`], [`Alpha`], [`Game`]);
 //! * the incremental **`GameState` evaluation engine** every checker and
 //!   dynamics loop routes through: cached distance matrix and agent costs,
-//!   exact per-move deltas without full recomputation ([`state`],
-//!   [`GameState`]);
+//!   exact per-move deltas without full recomputation ([`GameState`]);
 //! * the full ladder of **solution concepts** ordered by cooperation —
 //!   RE, BAE, PS, BSwE, BGE, BNE, k-BSE, BSE — each with a
 //!   witness-producing checker ([`concepts`], [`Concept`]);
 //! * the **candidate-pruning layer** the exponential checkers and
-//!   [`best_response`] route through: sound cost-threshold and locality
+//!   [`best_response()`] route through: sound cost-threshold and locality
 //!   filters plus canonical-fingerprint dedup that skip provably
 //!   non-improving moves without pricing them ([`candidates`]);
-//! * the **branch-and-bound candidate [`generator`]** those scans are
+//! * the **branch-and-bound candidate generator** those scans are
 //!   built on: candidates are generated by branching on one mask bit at
 //!   a time, with the pruning inequalities lifted to subtree bounds
 //!   that skip whole mask ranges in `O(1)` — what makes exact BNE
@@ -85,23 +84,23 @@
 
 mod alpha;
 mod best_response;
+mod combinatorics;
 mod cost;
 mod error;
 mod game;
+mod generator;
 mod moves;
+mod pool;
 mod scan;
+mod state;
 
 pub mod bounds;
 pub mod candidates;
-pub mod combinatorics;
 pub mod concepts;
 pub mod cost_model;
 pub mod delta;
-pub mod generator;
 pub mod jsonio;
-pub mod pool;
 pub mod solver;
-pub mod state;
 pub mod unilateral;
 pub mod windows;
 
@@ -113,8 +112,8 @@ pub use best_response::{
 pub use candidates::CandidateStats;
 pub use concepts::{CheckBudget, Concept};
 pub use cost::{
-    agent_cost, agent_cost_bits, agent_cost_from_matrix, optimum_cost, social_cost,
-    social_cost_ratio, AgentCost, Ratio,
+    agent_cost, agent_cost_from_matrix, optimum_cost, social_cost, social_cost_ratio, AgentCost,
+    Ratio,
 };
 pub use cost_model::{CostModel, CostModelSpec, Utility};
 pub use error::GameError;

@@ -282,7 +282,7 @@ impl Move {
     /// # Errors
     ///
     /// Same contract as [`Move::apply`].
-    pub fn apply_in_place(&self, g: &mut Graph) -> Result<AppliedMove, GameError> {
+    pub(crate) fn apply_in_place(&self, g: &mut Graph) -> Result<AppliedMove, GameError> {
         let n = g.n();
         let check_node = |x: u32| -> Result<(), GameError> {
             if (x as usize) < n {
@@ -395,7 +395,7 @@ pub struct AppliedMove {
 impl AppliedMove {
     /// The performed toggles `(u, v, added)` in application order.
     #[must_use]
-    pub fn toggles(&self) -> &[(u32, u32, bool)] {
+    pub(crate) fn toggles(&self) -> &[(u32, u32, bool)] {
         &self.toggles
     }
 
@@ -404,7 +404,7 @@ impl AppliedMove {
     /// # Panics
     ///
     /// Panics if `g` is not the graph the toggles were applied to.
-    pub fn undo(&self, g: &mut Graph) {
+    pub(crate) fn undo(&self, g: &mut Graph) {
         for &(u, v, added) in self.toggles.iter().rev() {
             if added {
                 g.remove_edge(u, v).expect("undoing a recorded addition");
@@ -421,7 +421,7 @@ impl AppliedMove {
     /// # Panics
     ///
     /// Panics if a toggled endpoint is out of the bitset's range.
-    pub fn redo_on_bits(&self, bits: &mut BitsetGraph) {
+    pub(crate) fn redo_on_bits(&self, bits: &mut BitsetGraph) {
         for &(u, v, added) in &self.toggles {
             if added {
                 bits.add_edge(u, v);
@@ -437,7 +437,7 @@ impl AppliedMove {
     /// # Panics
     ///
     /// Panics if a toggled endpoint is out of the bitset's range.
-    pub fn undo_on_bits(&self, bits: &mut BitsetGraph) {
+    pub(crate) fn undo_on_bits(&self, bits: &mut BitsetGraph) {
         for &(u, v, added) in self.toggles.iter().rev() {
             if added {
                 bits.remove_edge(u, v);

@@ -1,45 +1,42 @@
-//! Shared evaluation-budget pools with admission control — the
-//! multi-tenant generalization of [`ExecPolicy::batch_budget`].
-//!
-//! [`ExecPolicy::batch_budget`] caps one `check_many` batch with a
-//! single anonymous atomic counter. A [`BudgetPool`] makes that pool a
-//! first-class, long-lived object: it carries its **grant** (total
-//! evaluations allowed, top-uppable while the pool is live), its
-//! **used** counter (the atomic every scan flushes into — the same
-//! counter `check_many_pooled` accepts), and an optional **expiry
-//! instant**, so a serving layer can hold one pool per tenant and admit,
-//! meter, and shed that tenant's queries independently of every other
-//! tenant's.
-//!
-//! The intended consumer is [`Solver::check_sliced`]
-//! (one query, one bounded time slice, drawn from a shared pool — the
-//! scheduling primitive of `bncg-serve`), but the type is useful
-//! anywhere a budget outlives a single call: sweeps that chunk their
-//! instances, dynamics runs that meter activations across slices, or a
-//! daemon's per-tenant fair-share accounting.
-//!
-//! # Accounting contract
-//!
-//! * The pool never blocks: admission is a load, draining is the scan
-//!   poll protocol, so overshoot is bounded by the scan poll quantum
-//!   (at most `threads · 1024` evaluations past the grant — the same
-//!   bound [`ExecPolicy::batch_budget`] documents).
-//! * [`BudgetPool::drained`] is monotone under a fixed grant: once a
-//!   pool reads drained, every later admission check sheds until
-//!   [`BudgetPool::top_up`] raises the grant.
-//! * Counters are cumulative for the lifetime of the pool — a tenant's
-//!   `used` total is its fair-share accounting record, not a per-call
-//!   scratch value.
-//!
-//! [`ExecPolicy::batch_budget`]: crate::solver::ExecPolicy::batch_budget
-//! [`Solver::check_sliced`]: crate::solver::Solver::check_sliced
+//! Shared evaluation-budget pools with admission control.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A shared, top-uppable evaluation budget with admission control.
 ///
-/// See the [module docs](self) for the accounting contract.
+/// [`ExecPolicy::batch_budget`] caps one `check_many` batch with a
+/// single anonymous atomic counter. A [`BudgetPool`] makes that pool a
+/// first-class, long-lived object: it carries its **grant** (total
+/// evaluations allowed, top-uppable while the pool is live), its
+/// **used** counter (the atomic every scan flushes into — the same
+/// counter `check_many_pooled` accepts), and an optional **expiry
+/// instant**, so a serving layer can hold one pool per tenant and admit,
+/// meter, and shed that tenant's queries independently of every other
+/// tenant's.
+///
+/// The intended consumer is [`Solver::check_sliced`]
+/// (one query, one bounded time slice, drawn from a shared pool — the
+/// scheduling primitive of `bncg-serve`), but the type is useful
+/// anywhere a budget outlives a single call: sweeps that chunk their
+/// instances, dynamics runs that meter activations across slices, or a
+/// daemon's per-tenant fair-share accounting.
+///
+/// # Accounting contract
+///
+/// * The pool never blocks: admission is a load, draining is the scan
+///   poll protocol, so overshoot is bounded by the scan poll quantum
+///   (at most `threads · 1024` evaluations past the grant — the same
+///   bound [`ExecPolicy::batch_budget`] documents).
+/// * [`BudgetPool::drained`] is monotone under a fixed grant: once a
+///   pool reads drained, every later admission check sheds until
+///   [`BudgetPool::top_up`] raises the grant.
+/// * Counters are cumulative for the lifetime of the pool — a tenant's
+///   `used` total is its fair-share accounting record, not a per-call
+///   scratch value.
+///
+/// [`ExecPolicy::batch_budget`]: crate::solver::ExecPolicy::batch_budget
+/// [`Solver::check_sliced`]: crate::solver::Solver::check_sliced
 #[derive(Debug)]
 pub struct BudgetPool {
     /// Total evaluations granted over the pool's lifetime.
@@ -113,7 +110,7 @@ impl BudgetPool {
     ///
     /// [`ExecPolicy::deadline`]: crate::solver::ExecPolicy::deadline
     #[must_use]
-    pub fn expires_at(&self) -> Option<Instant> {
+    pub(crate) fn expires_at(&self) -> Option<Instant> {
         self.expires_at
     }
 
@@ -143,7 +140,7 @@ impl BudgetPool {
     /// [`ExecPolicy::batch_budget`](crate::solver::ExecPolicy::batch_budget)
     /// set to this pool's grant to span the pool across a batch sweep.
     #[must_use]
-    pub fn counter(&self) -> &AtomicU64 {
+    pub(crate) fn counter(&self) -> &AtomicU64 {
         &self.used
     }
 
@@ -152,7 +149,7 @@ impl BudgetPool {
     /// scan bounded by this cap stops after roughly one slice of work
     /// *and* never overruns the pool, in a single stop condition.
     #[must_use]
-    pub fn slice_cap(&self, slice: u64) -> u64 {
+    pub(crate) fn slice_cap(&self, slice: u64) -> u64 {
         self.granted().min(self.used().saturating_add(slice.max(1)))
     }
 }

@@ -202,7 +202,7 @@ const FRONTIER_LAYOUT: u64 = 1;
 /// resuming against a different query — or with a unit cursor outside
 /// the scan — is rejected instead of silently producing garbage.
 ///
-/// Since the branch-and-bound [`crate::generator`] landed, `pos` is the
+/// Since the branch-and-bound candidate generator landed, `pos` is the
 /// generator's **branch stack in packed form**: the path from the root
 /// of the mask tree to the next unvisited leaf, one bit per branching
 /// level (bit `i` is the branch taken at depth `width − i`), which is
@@ -563,8 +563,7 @@ impl Solver {
     /// time-slices thousands of concurrent queries with.
     ///
     /// The slice runs under a batch-budget cap of
-    /// [`BudgetPool::slice_cap`]`(slice)` = `min(granted, used +
-    /// max(slice, 1))`, flushing its evaluations into the pool's
+    /// `min(granted, used + max(slice, 1))`, flushing its evaluations into the pool's
     /// counter: one scan stop condition simultaneously bounds the slice
     /// at roughly `slice` evaluations *and* guarantees the pool's grant
     /// is never overrun (beyond the documented poll-quantum overshoot).
@@ -573,7 +572,7 @@ impl Solver {
     /// returns [`Verdict::Exhausted`] with a **zero-work** frontier at
     /// its resume cursor — load shedding, exactly the
     /// [`ExecPolicy::batch_budget`] batch semantics. If the pool
-    /// carries an [expiry instant](BudgetPool::expires_at), the
+    /// carries an expiry instant, the
     /// remaining wall-clock is propagated into this slice's deadline
     /// (tightening any per-query [`ExecPolicy::deadline`]).
     ///

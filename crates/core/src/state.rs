@@ -1,80 +1,4 @@
 //! The incremental `GameState` evaluation engine.
-//!
-//! Every solution-concept checker, best-response computation, and dynamics
-//! loop reduces to one primitive: *given a state, how do agent costs change
-//! under a candidate [`Move`]?* The naive answer — apply the move and
-//! rebuild the all-pairs [`DistanceMatrix`] — costs `O(n·(n+m))` per
-//! candidate and caps the reproduction at toy sizes, because the BNE-style
-//! move spaces alone hold `Θ(n·2^{n−1})` candidates.
-//!
-//! [`GameState`] owns the graph together with two caches that are kept
-//! **exactly** consistent with it at all times:
-//!
-//! * the all-pairs [`DistanceMatrix`], and
-//! * the per-agent [`AgentCost`] vector.
-//!
-//! A tree under the default cost model keeps a third, the `O(n)`
-//! [`TreeSummary`], takes its costs from the summary's rerooted distance
-//! sums, and builds the `O(n²)` matrix only when something first asks
-//! for it ([`GameState::distances`]). The polynomial checks (RE, BAE,
-//! PS, BSwE, BGE) and the evaluator's add and swap fast paths price tree
-//! moves from the summary, so on a tree none of them builds the matrix.
-//!
-//! # The incremental-evaluation contract
-//!
-//! 1. **Evaluation is pure and exact.** [`GameState::evaluate_move`] (and
-//!    the reusable [`MoveEvaluator`]) never touches the state and returns
-//!    the same lexicographic [`AgentCost`]s a from-scratch recomputation on
-//!    the successor graph would produce — the engine only swaps the
-//!    *algorithm*, never the *semantics*. Single-edge additions are priced
-//!    in `O(n)` straight from the cached matrix (`d'(u,w) =
-//!    min(d(u,w), 1 + d(v,w))`), or in `O(d(u, v))` from the summary
-//!    on a tree, and tree swaps in `O(d(agent, new))` from the summary;
-//!    everything else applies the move to a private scratch graph and
-//!    re-runs BFS **only for the consenting agents**, never a full
-//!    matrix rebuild.
-//! 2. **Application is incremental.** [`GameState::apply_move`] replays the
-//!    move one edge toggle at a time through
-//!    [`DistanceMatrix::apply_edge_toggle`], which re-expands only the
-//!    sources whose distance vector can change (endpoint-distance gap ≥ 2
-//!    for additions, exactly 1 for removals), then refreshes exactly the
-//!    affected agents' costs.
-//! 3. **Caches never drift.** After any sequence of `apply_move` calls the
-//!    caches equal `DistanceMatrix::new(graph)` and `agent_cost(graph, u)`
-//!    for every `u` — the property suite in `tests/proptests.rs` asserts
-//!    this on random graphs and random moves of all five kinds.
-//!
-//! # Examples
-//!
-//! Evaluating a candidate move without recomputing anything:
-//!
-//! ```
-//! use bncg_core::{agent_cost, Alpha, GameState, Move};
-//! use bncg_graph::generators;
-//!
-//! let alpha = Alpha::integer(1)?;
-//! let state = GameState::new(generators::path(6), alpha);
-//! let delta = state.evaluate_move(&Move::BilateralAdd { u: 0, v: 5 })?;
-//! // Exact: matches a from-scratch recomputation on the successor graph.
-//! let g2 = Move::BilateralAdd { u: 0, v: 5 }.apply(state.graph())?;
-//! assert_eq!(delta.agents[0].after, agent_cost(&g2, 0));
-//! assert!(delta.improving_all); // the two path ends both profit at α = 1
-//! # Ok::<(), bncg_core::GameError>(())
-//! ```
-//!
-//! Applying moves keeps the caches exact:
-//!
-//! ```
-//! use bncg_core::{agent_cost, Alpha, GameState, Move};
-//! use bncg_graph::{generators, DistanceMatrix};
-//!
-//! let mut state = GameState::new(generators::path(5), Alpha::integer(2)?);
-//! state.apply_move(&Move::BilateralAdd { u: 0, v: 4 })?;
-//! state.apply_move(&Move::Remove { agent: 1, target: 2 })?;
-//! assert_eq!(*state.distances(), DistanceMatrix::new(state.graph()));
-//! assert_eq!(state.cost(1), agent_cost(state.graph(), 1));
-//! # Ok::<(), bncg_core::GameError>(())
-//! ```
 
 use crate::alpha::Alpha;
 use crate::cost::{AgentCost, Ratio};
@@ -87,7 +11,81 @@ use std::sync::OnceLock;
 
 /// A game state with incrementally maintained distance and cost caches.
 ///
-/// See the [module docs](self) for the evaluation contract.
+/// Every solution-concept checker, best-response computation, and dynamics
+/// loop reduces to one primitive: *given a state, how do agent costs change
+/// under a candidate [`Move`]?* The naive answer — apply the move and
+/// rebuild the all-pairs [`DistanceMatrix`] — costs `O(n·(n+m))` per
+/// candidate and caps the reproduction at toy sizes, because the BNE-style
+/// move spaces alone hold `Θ(n·2^{n−1})` candidates.
+///
+/// [`GameState`] owns the graph together with two caches that are kept
+/// **exactly** consistent with it at all times:
+///
+/// * the all-pairs [`DistanceMatrix`], and
+/// * the per-agent [`AgentCost`] vector.
+///
+/// A tree under the default cost model keeps a third, the `O(n)`
+/// [`TreeSummary`], takes its costs from the summary's rerooted distance
+/// sums, and builds the `O(n²)` matrix only when something first asks
+/// for it ([`GameState::distances`]). The polynomial checks (RE, BAE,
+/// PS, BSwE, BGE) and the evaluator's add and swap fast paths price tree
+/// moves from the summary, so on a tree none of them builds the matrix.
+///
+/// # The incremental-evaluation contract
+///
+/// 1. **Evaluation is pure and exact.** [`GameState::evaluate_move`] (and
+///    the reusable [`MoveEvaluator`]) never touches the state and returns
+///    the same lexicographic [`AgentCost`]s a from-scratch recomputation on
+///    the successor graph would produce — the engine only swaps the
+///    *algorithm*, never the *semantics*. Single-edge additions are priced
+///    in `O(n)` straight from the cached matrix (`d'(u,w) =
+///    min(d(u,w), 1 + d(v,w))`), or in `O(d(u, v))` from the summary
+///    on a tree, and tree swaps in `O(d(agent, new))` from the summary;
+///    everything else applies the move to a private scratch graph and
+///    re-runs BFS **only for the consenting agents**, never a full
+///    matrix rebuild.
+/// 2. **Application is incremental.** [`GameState::apply_move`] replays the
+///    move one edge toggle at a time through
+///    [`DistanceMatrix::apply_edge_toggle`], which re-expands only the
+///    sources whose distance vector can change (endpoint-distance gap ≥ 2
+///    for additions, exactly 1 for removals), then refreshes exactly the
+///    affected agents' costs.
+/// 3. **Caches never drift.** After any sequence of `apply_move` calls the
+///    caches equal `DistanceMatrix::new(graph)` and `agent_cost(graph, u)`
+///    for every `u` — the property suite in `tests/proptests.rs` asserts
+///    this on random graphs and random moves of all five kinds.
+///
+/// # Examples
+///
+/// Evaluating a candidate move without recomputing anything:
+///
+/// ```
+/// use bncg_core::{agent_cost, Alpha, GameState, Move};
+/// use bncg_graph::generators;
+///
+/// let alpha = Alpha::integer(1)?;
+/// let state = GameState::new(generators::path(6), alpha);
+/// let delta = state.evaluate_move(&Move::BilateralAdd { u: 0, v: 5 })?;
+/// // Exact: matches a from-scratch recomputation on the successor graph.
+/// let g2 = Move::BilateralAdd { u: 0, v: 5 }.apply(state.graph())?;
+/// assert_eq!(delta.agents[0].after, agent_cost(&g2, 0));
+/// assert!(delta.improving_all); // the two path ends both profit at α = 1
+/// # Ok::<(), bncg_core::GameError>(())
+/// ```
+///
+/// Applying moves keeps the caches exact:
+///
+/// ```
+/// use bncg_core::{agent_cost, Alpha, GameState, Move};
+/// use bncg_graph::{generators, DistanceMatrix};
+///
+/// let mut state = GameState::new(generators::path(5), Alpha::integer(2)?);
+/// state.apply_move(&Move::BilateralAdd { u: 0, v: 4 })?;
+/// state.apply_move(&Move::Remove { agent: 1, target: 2 })?;
+/// assert_eq!(*state.distances(), DistanceMatrix::new(state.graph()));
+/// assert_eq!(state.cost(1), agent_cost(state.graph(), 1));
+/// # Ok::<(), bncg_core::GameError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct GameState {
     g: Graph,
@@ -121,17 +119,6 @@ pub struct MoveDelta {
     /// Whether **every** consenting agent strictly improves — the
     /// feasibility predicate all solution concepts share.
     pub improving_all: bool,
-}
-
-impl MoveDelta {
-    /// The post-move cost of `agent`, if it is a consenting agent.
-    #[must_use]
-    pub fn cost_after(&self, agent: u32) -> Option<AgentCost> {
-        self.agents
-            .iter()
-            .find(|d| d.agent == agent)
-            .map(|d| d.after)
-    }
 }
 
 impl GameState {
@@ -215,10 +202,10 @@ impl GameState {
 
     /// Prices agent `u` on a bitset mirror of some candidate graph
     /// under this state's model — the routed form of
-    /// [`crate::agent_cost_bits`] the scan loops call.
+    /// [`crate::cost::agent_cost_bits`] the scan loops call.
     #[inline]
     #[must_use]
-    pub fn price_bits(&self, bits: &BitsetGraph, u: u32) -> AgentCost {
+    pub(crate) fn price_bits(&self, bits: &BitsetGraph, u: u32) -> AgentCost {
         self.model.cost_bits(bits, u)
     }
 
@@ -227,7 +214,7 @@ impl GameState {
     /// BFS buffer).
     #[inline]
     #[must_use]
-    pub fn price_scalar(&self, g: &Graph, u: u32, buf: &mut Vec<u32>) -> AgentCost {
+    pub(crate) fn price_scalar(&self, g: &Graph, u: u32, buf: &mut Vec<u32>) -> AgentCost {
         self.model.cost_scalar(g, u, buf)
     }
 
@@ -371,7 +358,7 @@ impl GameState {
         }
     }
 
-    /// Evaluates one candidate move exactly (see the [module docs](self)).
+    /// Evaluates one candidate move exactly (see [`GameState`]).
     ///
     /// For repeated evaluation use [`GameState::evaluator`], which reuses
     /// its scratch graph across calls.
@@ -510,8 +497,8 @@ impl MoveEvaluator<'_> {
         self.state
     }
 
-    /// Evaluates one candidate move exactly; see the
-    /// [module docs](self) for the algorithm per move shape.
+    /// Evaluates one candidate move exactly; see [`GameState`] for the
+    /// algorithm per move shape.
     ///
     /// # Errors
     ///
@@ -744,8 +731,9 @@ mod tests {
                         let mv = Move::Swap { agent, old, new };
                         let delta = ev.evaluate(&mv).unwrap();
                         let g2 = mv.apply(&g).unwrap();
-                        assert_eq!(delta.cost_after(agent).unwrap(), agent_cost(&g2, agent));
-                        assert_eq!(delta.cost_after(new).unwrap(), agent_cost(&g2, new));
+                        // Consenting agents in `Move::consenting_agents` order.
+                        assert_eq!(delta.agents[0].after, agent_cost(&g2, agent));
+                        assert_eq!(delta.agents[1].after, agent_cost(&g2, new));
                     }
                 }
             }

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 /// // Path 0-1-2 where 0 owns {0,1} and 2 owns {1,2}.
 /// let g = Graph::from_edges(3, [(0, 1), (1, 2)])?;
 /// let s = UnilateralState::new(g, [((0, 1), 0), ((1, 2), 2)])?;
-/// assert_eq!(s.owned_count(1), 0);
-/// assert_eq!(s.owned_count(0), 1);
+/// assert_eq!(s.agent_cost(1).edges, 0);
+/// assert_eq!(s.agent_cost(0).edges, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,13 +152,13 @@ impl UnilateralState {
 
     /// How many edges `u` owns (pays for).
     #[must_use]
-    pub fn owned_count(&self, u: u32) -> u32 {
+    pub(crate) fn owned_count(&self, u: u32) -> u32 {
         self.owner.values().filter(|&&o| o == u).count() as u32
     }
 
     /// The targets `u` currently buys (its strategy `S_u`).
     #[must_use]
-    pub fn strategy(&self, u: u32) -> Vec<u32> {
+    pub(crate) fn strategy(&self, u: u32) -> Vec<u32> {
         self.owner
             .iter()
             .filter(|&(_, &o)| o == u)
@@ -185,7 +185,7 @@ impl UnilateralState {
     /// Finds a profitable single-edge removal by its owner, or `None` if
     /// the state is in unilateral Remove Equilibrium.
     #[must_use]
-    pub fn find_remove_violation(&self, alpha: Alpha) -> Option<UnilateralMove> {
+    pub(crate) fn find_remove_violation(&self, alpha: Alpha) -> Option<UnilateralMove> {
         let mut scratch = self.graph.clone();
         for (&(u, v), &o) in &self.owner {
             let old = self.agent_cost(o);
@@ -235,7 +235,10 @@ impl UnilateralState {
     ///
     /// Returns [`GameError::CheckTooLarge`] if any agent has more than 20
     /// plausible targets.
-    pub fn find_ne_violation(&self, alpha: Alpha) -> Result<Option<UnilateralMove>, GameError> {
+    pub(crate) fn find_ne_violation(
+        &self,
+        alpha: Alpha,
+    ) -> Result<Option<UnilateralMove>, GameError> {
         let n = self.graph.n() as u32;
         for agent in 0..n {
             let old = self.agent_cost(agent);
@@ -288,69 +291,19 @@ impl UnilateralState {
         Ok(None)
     }
 
-    /// Finds a profitable *single greedy change* — buying one edge,
-    /// dropping one owned edge, or swapping one owned edge to a new
-    /// target — or `None` if the state is in unilateral **Greedy
-    /// Equilibrium** (Lenzner's GE, referenced in the paper's footnote 3
-    /// as the unilateral ancestor of the BGE).
-    #[must_use]
-    pub fn find_greedy_violation(&self, alpha: Alpha) -> Option<UnilateralMove> {
-        if let Some(mv) = self.find_remove_violation(alpha) {
-            return Some(mv);
-        }
-        if let Some(mv) = self.find_add_violation(alpha) {
-            return Some(mv);
-        }
-        // Swaps: replace one owned edge {o, t} by {o, w}; the owner's
-        // buying cost is unchanged, nobody else is asked.
-        let mut scratch = self.graph.clone();
-        for (&(u, v), &o) in &self.owner {
-            let t = if o == u { v } else { u };
-            let old = self.agent_cost(o);
-            for w in 0..self.graph.n() as u32 {
-                if w == o || w == t || self.graph.has_edge(o, w) {
-                    continue;
-                }
-                scratch.remove_edge(o, t).expect("owned edge");
-                scratch.add_edge(o, w).expect("fresh target");
-                let after = cost_without(&scratch, o, old.edges);
-                scratch.remove_edge(o, w).expect("restore");
-                scratch.add_edge(o, t).expect("restore");
-                if after.better_than(&old, alpha) {
-                    return Some(UnilateralMove::Rewire {
-                        agent: o,
-                        drops: vec![t],
-                        buys: vec![w],
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether the state is in unilateral Greedy Equilibrium.
-    #[must_use]
-    pub fn is_greedy_stable(&self, alpha: Alpha) -> bool {
-        self.find_greedy_violation(alpha).is_none()
-    }
-
     /// Whether the state is in unilateral Remove Equilibrium.
     #[must_use]
     pub fn is_remove_stable(&self, alpha: Alpha) -> bool {
         self.find_remove_violation(alpha).is_none()
     }
 
-    /// Whether the state is in unilateral Add Equilibrium.
-    #[must_use]
-    pub fn is_add_stable(&self, alpha: Alpha) -> bool {
-        self.find_add_violation(alpha).is_none()
-    }
-
     /// Whether the state is a Pure Nash Equilibrium.
     ///
     /// # Errors
     ///
-    /// Same guard as [`UnilateralState::find_ne_violation`].
+    /// Returns [`GameError::CheckTooLarge`] if any agent has more than 20
+    /// plausible targets (the `2^c` candidate target sets per agent are
+    /// enumerated).
     pub fn is_ne(&self, alpha: Alpha) -> Result<bool, GameError> {
         Ok(self.find_ne_violation(alpha)?.is_none())
     }
@@ -437,7 +390,7 @@ mod tests {
             s.find_add_violation(a("3")),
             Some(UnilateralMove::Buy { .. })
         ));
-        assert!(s.is_add_stable(a("4")));
+        assert!(s.find_add_violation(a("4")).is_none());
     }
 
     #[test]
@@ -483,7 +436,7 @@ mod tests {
             for alpha in ["1", "2"] {
                 let alpha = a(alpha);
                 for s in UnilateralState::all_assignments(&g).unwrap().iter().take(8) {
-                    if s.is_add_stable(alpha) {
+                    if s.find_add_violation(alpha).is_none() {
                         assert!(
                             Concept::Bae.is_stable(&g, alpha).unwrap(),
                             "Prop 2.1 violated at α = {alpha}"
@@ -491,67 +444,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn ne_implies_greedy_stability() {
-        // GE allows a strict subset of NE deviations, so NE ⊆ GE.
-        let mut rng = bncg_graph::test_rng(91);
-        for _ in 0..10 {
-            let g = generators::random_connected(6, 0.3, &mut rng);
-            for alpha in ["1", "2", "4"] {
-                let alpha = a(alpha);
-                for s in UnilateralState::all_assignments(&g)
-                    .unwrap()
-                    .iter()
-                    .take(12)
-                {
-                    if s.is_ne(alpha).unwrap() {
-                        assert!(s.is_greedy_stable(alpha), "NE state failed GE");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ge_and_ne_coincide_on_trees() {
-        // Lenzner 2012: for trees, Greedy Equilibria and Nash Equilibria
-        // coincide in the unilateral NCG.
-        let mut rng = bncg_graph::test_rng(92);
-        for _ in 0..8 {
-            let g = generators::random_tree(7, &mut rng);
-            for alpha in ["1", "3/2", "3", "8"] {
-                let alpha = a(alpha);
-                for s in UnilateralState::all_assignments(&g).unwrap() {
-                    assert_eq!(
-                        s.is_greedy_stable(alpha),
-                        s.is_ne(alpha).unwrap(),
-                        "GE ≠ NE on a tree assignment at α = {alpha}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_swaps_are_detected() {
-        // Leaf-owned star where one leaf instead hangs off another leaf:
-        // the deep leaf prefers swapping its edge to the center.
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (2, 3)]).unwrap();
-        let s = UnilateralState::new(g, [((0, 1), 1), ((0, 2), 2), ((2, 3), 3)]).unwrap();
-        // At α = 10 no addition or removal pays, but leaf owners profit
-        // from re-aiming their single edge (e.g. 3 re-aims 2 → 0).
-        assert!(s.is_add_stable(a("10")));
-        assert!(s.is_remove_stable(a("10")));
-        let mv = s.find_greedy_violation(a("10")).expect("swap expected");
-        match mv {
-            UnilateralMove::Rewire { drops, buys, .. } => {
-                assert_eq!(drops.len(), 1);
-                assert_eq!(buys.len(), 1);
-            }
-            other => panic!("expected a one-edge swap, got {other:?}"),
         }
     }
 

@@ -269,9 +269,8 @@ pub fn run_with_rng<R: Rng + ?Sized>(
 /// every per-step exponential-concept stability check goes through one
 /// [`Solver`] (threads shard the scans, and this holds for **all**
 /// selection rules — for BNE/k-BSE/BSE the enumerating rules degrade to
-/// the checker's single deterministic violation, exactly as
-/// [`enumerate_violations`] does). The policy's deadline is anchored
-/// once and bounds the **whole run** (each step's check receives the
+/// the checker's single deterministic violation). The policy's deadline
+/// is anchored once and bounds the **whole run** (each step's check receives the
 /// remaining slice, matching [`round_robin::run_with_policy_under`]);
 /// the eval budget applies per step. A step stopped by the policy ends
 /// the run with `exhausted = true` and a [`DynamicsCheckpoint`]
@@ -460,9 +459,9 @@ fn run_impl<R: Rng + ?Sized>(
     let mut converged = false;
     let mut checkpoint: Option<DynamicsCheckpoint> = None;
     // For exponential concepts every rule reduces to the checker's
-    // single deterministic violation (enumerate_violations falls back
-    // to it), so the solver-routed path covers Random/MostImproving too
-    // — without it they would bypass the policy. (This also means every
+    // single deterministic violation, so the solver-routed path covers
+    // Random/MostImproving too — without it they would bypass the
+    // policy. (This also means every
     // checkpointable check is deterministic, which is what makes resumed
     // chains replay the identical trajectory.)
     let effective_rule = if concept.is_exponential() {
@@ -536,7 +535,10 @@ fn run_impl<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Forwards guard errors from the exponential checkers.
-pub fn enumerate_violations(state: &GameState, concept: Concept) -> Result<Vec<Move>, GameError> {
+pub(crate) fn enumerate_violations(
+    state: &GameState,
+    concept: Concept,
+) -> Result<Vec<Move>, GameError> {
     if concept.is_exponential() {
         return Ok(concept.find_violation_in(state)?.into_iter().collect());
     }
@@ -550,13 +552,19 @@ pub fn enumerate_violations(state: &GameState, concept: Concept) -> Result<Vec<M
     Ok(out)
 }
 
+/// The violating move of a polynomial concept with the largest total
+/// gain of its consenting agents, the first such in
+/// [`single_edge::moves`] order on ties. One evaluation per candidate:
+/// the delta that decides feasibility also carries the gain.
 fn pick_most_improving(state: &GameState, concept: Concept) -> Result<Option<Move>, GameError> {
     let alpha = state.alpha();
-    let all = enumerate_violations(state, concept)?;
     let mut ev = state.evaluator();
     let mut best: Option<(i128, Move)> = None;
-    for mv in all {
+    for mv in single_edge::moves(state.graph(), concept) {
         let delta = ev.evaluate(&mv)?;
+        if !delta.improving_all {
+            continue;
+        }
         let gain: i128 = delta
             .agents
             .iter()
@@ -751,6 +759,65 @@ mod tests {
                         all.first(),
                         "checker and enumerator disagree under {concept}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The spec of [`SelectionRule::MostImproving`]: the brute-force
+    /// violations ranked by the consenting agents' total cost drop,
+    /// priced from scratch; the first maximum wins.
+    fn most_improving_spec(g: &Graph, alpha: Alpha, concept: Concept) -> Option<Move> {
+        let key = |g: &Graph, u: u32| {
+            let c = bncg_core::agent_cost(g, u);
+            alpha.cost_key(c.edges, c.dist)
+        };
+        let mut best: Option<(i128, Move)> = None;
+        for mv in brute_force_violations(g, alpha, concept) {
+            let after = mv.apply(g).unwrap();
+            let gain: i128 = mv
+                .consenting_agents()
+                .into_iter()
+                .map(|u| key(g, u) - key(&after, u))
+                .sum();
+            if best.as_ref().is_none_or(|(b, _)| gain > *b) {
+                best = Some((gain, mv));
+            }
+        }
+        best.map(|(_, mv)| mv)
+    }
+
+    #[test]
+    fn most_improving_steps_match_the_spec() {
+        let mut rng = bncg_graph::test_rng(37);
+        for n in [5usize, 7, 9] {
+            let mut starts = Vec::new();
+            for _ in 0..3 {
+                starts.push(generators::random_tree(n, &mut rng));
+                starts.push(generators::random_connected(n, 0.3, &mut rng));
+            }
+            let alphas = [a("1/2"), a("2"), Alpha::integer(n as i64).unwrap()];
+            for (start, alpha) in starts.iter().flat_map(|g| alphas.map(|x| (g, x))) {
+                for concept in [
+                    Concept::Re,
+                    Concept::Bae,
+                    Concept::Ps,
+                    Concept::Bswe,
+                    Concept::Bge,
+                ] {
+                    let t = run(start, alpha, concept, SelectionRule::MostImproving, 100).unwrap();
+                    let mut g = start.clone();
+                    for (i, mv) in t.steps.iter().enumerate() {
+                        assert_eq!(
+                            Some(mv),
+                            most_improving_spec(&g, alpha, concept).as_ref(),
+                            "{concept} at α = {alpha}, step {i} on {g:?}"
+                        );
+                        g = mv.apply(&g).unwrap();
+                    }
+                    if t.converged {
+                        assert_eq!(most_improving_spec(&g, alpha, concept), None);
+                    }
                 }
             }
         }

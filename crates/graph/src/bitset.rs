@@ -174,32 +174,6 @@ impl BitsetGraph {
         self.rows[u as usize] & (1u64 << v) != 0
     }
 
-    /// The set of nodes reachable from `src` (including `src`), as a
-    /// bitmask — the frontier loop without distance bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    #[must_use]
-    pub fn reachable_from(&self, src: u32) -> u64 {
-        assert!((src as usize) < self.n, "source node out of range");
-        let mut reached = 1u64 << src;
-        let mut frontier = reached;
-        while frontier != 0 {
-            let mut next = 0u64;
-            let mut f = frontier;
-            while f != 0 {
-                let v = f.trailing_zeros() as usize;
-                f &= f - 1;
-                next |= self.rows[v];
-            }
-            next &= !reached;
-            reached |= next;
-            frontier = next;
-        }
-        reached
-    }
-
     /// Writes BFS hop distances from `src` into `out` (all `n` entries
     /// overwritten; [`UNREACHABLE`] for other components). Returns the
     /// number of reached nodes, including `src` — the same contract as
@@ -344,11 +318,6 @@ mod tests {
                     .map(|&d| u64::from(d))
                     .sum();
                 assert_eq!(b.cost_from(u), (expect_unreachable, expect_dist));
-                assert_eq!(
-                    b.reachable_from(u).count_ones() as usize,
-                    reached,
-                    "reachable mask from {u}"
-                );
             }
         }
     }

@@ -19,17 +19,8 @@ use std::collections::HashSet;
 
 /// Iterator over the canonical level sequences of all rooted trees on `n`
 /// nodes (Beyer–Hedetniemi 1980). Levels start at 1 for the root.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_graph::enumerate::RootedTreeSequences;
-///
-/// // Rooted trees on 5 nodes: 9 of them.
-/// assert_eq!(RootedTreeSequences::new(5).count(), 9);
-/// ```
 #[derive(Debug, Clone)]
-pub struct RootedTreeSequences {
+pub(crate) struct RootedTreeSequences {
     levels: Vec<u32>,
     started: bool,
     done: bool,
@@ -85,7 +76,7 @@ impl Iterator for RootedTreeSequences {
 /// Returns [`GraphError::InvalidEncoding`] if the sequence is not a valid
 /// level sequence (must start at 1 and each entry `L[i] ≥ 2` must have a
 /// previous entry at level `L[i] − 1`).
-pub fn tree_from_level_sequence(levels: &[u32]) -> Result<Graph, GraphError> {
+pub(crate) fn tree_from_level_sequence(levels: &[u32]) -> Result<Graph, GraphError> {
     let n = levels.len();
     if n == 0 || levels[0] != 1 {
         return Err(GraphError::InvalidEncoding);
@@ -110,7 +101,7 @@ pub fn tree_from_level_sequence(levels: &[u32]) -> Result<Graph, GraphError> {
 
 /// Maximum `n` supported by [`free_trees`]; the count grows like `2.96^n`
 /// and the centroid-filter pass touches every rooted tree.
-pub const MAX_FREE_TREE_NODES: usize = 18;
+pub(crate) const MAX_FREE_TREE_NODES: usize = 18;
 
 /// All free (unlabeled) trees on `n` nodes, one representative per
 /// isomorphism class.
@@ -152,7 +143,7 @@ pub fn free_trees(n: usize) -> Result<Vec<Graph>, GraphError> {
 
 /// Maximum `n` supported by [`connected_graphs`]: `2^{n(n−1)/2}` edge
 /// subsets are scanned, which is about 2 million at `n = 7`.
-pub const MAX_CONNECTED_GRAPH_NODES: usize = 7;
+pub(crate) const MAX_CONNECTED_GRAPH_NODES: usize = 7;
 
 /// All connected graphs on `n` nodes up to isomorphism.
 ///
@@ -229,19 +220,6 @@ fn mask_is_connected(n: usize, pairs: &[(u32, u32)], mask: u64) -> bool {
         reached = next;
     }
     reached == full
-}
-
-/// All connected graphs on `n` nodes with exactly `m` edges, up to
-/// isomorphism.
-///
-/// # Errors
-///
-/// Returns [`GraphError::TooLarge`] if `n > MAX_CONNECTED_GRAPH_NODES`.
-pub fn connected_graphs_with_edges(n: usize, m: usize) -> Result<Vec<Graph>, GraphError> {
-    Ok(connected_graphs(n)?
-        .into_iter()
-        .filter(|g| g.m() == m)
-        .collect())
 }
 
 /// Maximum `n` supported by [`graph_classes`] / [`connected_graph_classes`].
@@ -505,7 +483,8 @@ mod tests {
     fn connected_graphs_include_tree_classes() {
         // Trees are exactly the connected graphs with n − 1 edges.
         for n in 2..=6 {
-            let trees = connected_graphs_with_edges(n, n - 1).unwrap();
+            let mut trees = connected_graphs(n).unwrap();
+            trees.retain(|g| g.m() == n - 1);
             assert_eq!(trees.len(), FREE_COUNTS[n]);
             assert!(trees.iter().all(Graph::is_tree));
         }
@@ -630,16 +609,14 @@ mod tests {
         // Same isomorphism classes as the 2^{n(n−1)/2} mask scan where
         // both enumerations are defined.
         for n in 1..=6 {
+            let key = |g: &Graph| crate::graph6::encode(&crate::iso::canonical_form(g).0).unwrap();
             let by_extension: std::collections::BTreeSet<String> = connected_graph_classes(n)
                 .unwrap()
                 .iter()
-                .map(crate::iso::canonical_key)
+                .map(key)
                 .collect();
-            let by_mask: std::collections::BTreeSet<String> = connected_graphs(n)
-                .unwrap()
-                .iter()
-                .map(crate::iso::canonical_key)
-                .collect();
+            let by_mask: std::collections::BTreeSet<String> =
+                connected_graphs(n).unwrap().iter().map(key).collect();
             assert_eq!(by_extension, by_mask, "class mismatch at n = {n}");
         }
     }

@@ -436,15 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn complement_and_degree_sequence() {
-        let g = star(5);
-        assert_eq!(g.degree_sequence(), vec![4, 1, 1, 1, 1]);
-        let c = g.complement();
-        assert_eq!(c.degree_sequence(), vec![3, 3, 3, 3, 0]);
-        assert_eq!(c.complement(), g);
-    }
-
-    #[test]
     fn pruefer_decoding_matches_known_example() {
         // Classic example: sequence (3, 3, 3, 4) on 6 nodes gives a tree
         // where 3 has degree 4 and 4 has degree 2.

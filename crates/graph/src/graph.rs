@@ -313,34 +313,6 @@ impl Graph {
         self.n() >= 1 && self.m == self.n() - 1 && self.is_connected()
     }
 
-    /// Returns the connected component ids for each node, and the number of
-    /// components. Component ids are assigned in order of their smallest
-    /// node.
-    #[must_use]
-    pub fn components(&self) -> (Vec<u32>, usize) {
-        let n = self.n();
-        let mut comp = vec![u32::MAX; n];
-        let mut next = 0u32;
-        let mut stack = Vec::new();
-        for start in 0..n as u32 {
-            if comp[start as usize] != u32::MAX {
-                continue;
-            }
-            comp[start as usize] = next;
-            stack.push(start);
-            while let Some(u) = stack.pop() {
-                for &v in self.neighbors(u) {
-                    if comp[v as usize] == u32::MAX {
-                        comp[v as usize] = next;
-                        stack.push(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        (comp, next as usize)
-    }
-
     /// Relabels the graph by a permutation: node `u` of `self` becomes node
     /// `perm[u]` of the result.
     ///
@@ -382,35 +354,6 @@ impl Graph {
             }
         }
         (g, map)
-    }
-
-    /// The complement graph: same nodes, exactly the non-edges.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bncg_graph::{generators, Graph};
-    /// let g = generators::path(4);
-    /// let c = g.complement();
-    /// assert_eq!(g.m() + c.m(), 4 * 3 / 2);
-    /// assert!(c.has_edge(0, 2));
-    /// assert!(!c.has_edge(0, 1));
-    /// ```
-    #[must_use]
-    pub fn complement(&self) -> Graph {
-        let mut g = Graph::new(self.n());
-        for (u, v) in self.non_edges() {
-            g.add_edge(u, v).expect("non-edges are simple");
-        }
-        g
-    }
-
-    /// The sorted (descending) degree sequence.
-    #[must_use]
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut degrees: Vec<usize> = (0..self.n() as u32).map(|u| self.degree(u)).collect();
-        degrees.sort_unstable_by(|a, b| b.cmp(a));
-        degrees
     }
 
     /// Packs the upper-triangular adjacency into a bitmask, little-endian in
@@ -463,7 +406,7 @@ impl Graph {
 /// Index of the unordered pair `{u, v}` (with `u < v`) in lexicographic
 /// order among all pairs of `0..n`.
 #[must_use]
-pub fn pair_index(n: usize, u: u32, v: u32) -> u32 {
+pub(crate) fn pair_index(n: usize, u: u32, v: u32) -> u32 {
     let (u, v) = if u < v { (u, v) } else { (v, u) };
     let (n, u, v) = (n as u64, u as u64, v as u64);
     (u * (2 * n - u - 1) / 2 + (v - u - 1)) as u32
@@ -550,18 +493,6 @@ mod tests {
         assert!(Graph::new(1).is_tree());
         assert!(!Graph::new(0).is_tree());
         assert!(Graph::new(0).is_connected());
-    }
-
-    #[test]
-    fn components_are_labeled_by_smallest_node() {
-        let g = Graph::from_edges(5, [(1, 3), (2, 4)]).unwrap();
-        let (comp, count) = g.components();
-        assert_eq!(count, 3);
-        assert_eq!(comp[0], 0);
-        assert_eq!(comp[1], 1);
-        assert_eq!(comp[3], 1);
-        assert_eq!(comp[2], 2);
-        assert_eq!(comp[4], 2);
     }
 
     #[test]

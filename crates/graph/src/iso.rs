@@ -30,7 +30,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Panics if `g` is not a tree or `root` is out of range.
 #[must_use]
-pub fn ahu_encoding(g: &Graph, root: u32) -> Vec<u8> {
+pub(crate) fn ahu_encoding(g: &Graph, root: u32) -> Vec<u8> {
     assert!(g.is_tree(), "AHU encoding requires a tree");
     // Iterative post-order: children encodings are sorted and concatenated.
     fn encode(g: &Graph, u: u32, parent: u32) -> Vec<u8> {
@@ -63,7 +63,7 @@ pub fn ahu_encoding(g: &Graph, root: u32) -> Vec<u8> {
 ///
 /// Panics if `g` is not a tree.
 #[must_use]
-pub fn tree_centroids(g: &Graph) -> Vec<u32> {
+pub(crate) fn tree_centroids(g: &Graph) -> Vec<u32> {
     assert!(g.is_tree(), "centroid requires a tree");
     let n = g.n();
     if n == 1 {
@@ -116,7 +116,7 @@ pub fn canonical_tree_encoding(g: &Graph) -> Vec<u8> {
 /// sorted distance-frequency vector. Equal fingerprints are necessary but
 /// not sufficient for isomorphism — use [`are_isomorphic`] to confirm.
 #[must_use]
-pub fn invariant_fingerprint(g: &Graph) -> u64 {
+pub(crate) fn invariant_fingerprint(g: &Graph) -> u64 {
     let d = DistanceMatrix::new(g);
     let n = g.n();
     let mut profiles: Vec<Vec<u32>> = Vec::with_capacity(n);
@@ -245,9 +245,8 @@ pub fn are_isomorphic(a: &Graph, b: &Graph) -> bool {
 /// full representative check: graphs hash to the same bucket iff they share
 /// the fingerprint, and a [`CanonicalSet`] resolves collisions exactly.
 #[derive(Debug, Default)]
-pub struct CanonicalSet {
+pub(crate) struct CanonicalSet {
     buckets: std::collections::HashMap<u64, Vec<Graph>>,
-    len: usize,
 }
 
 impl CanonicalSet {
@@ -255,18 +254,6 @@ impl CanonicalSet {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of isomorphism classes stored.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts `g` if no isomorphic graph is present. Returns `true` if the
@@ -278,27 +265,12 @@ impl CanonicalSet {
             return false;
         }
         bucket.push(g);
-        self.len += 1;
         true
-    }
-
-    /// Whether an isomorphic copy of `g` is present.
-    #[must_use]
-    pub fn contains(&self, g: &Graph) -> bool {
-        let key = invariant_fingerprint(g);
-        self.buckets
-            .get(&key)
-            .is_some_and(|bucket| bucket.iter().any(|h| are_isomorphic(h, g)))
-    }
-
-    /// Iterates over one representative per stored isomorphism class.
-    pub fn iter(&self) -> impl Iterator<Item = &Graph> {
-        self.buckets.values().flatten()
     }
 
     /// Consumes the set, returning all representatives.
     #[must_use]
-    pub fn into_graphs(self) -> Vec<Graph> {
+    pub(crate) fn into_graphs(self) -> Vec<Graph> {
         self.buckets.into_values().flatten().collect()
     }
 }
@@ -576,7 +548,7 @@ pub(crate) fn canonical_labeling(rows: &[u64]) -> Labeling {
 /// upper triangle) over all labelings consistent with the refined color
 /// classes — an isomorphism-invariant restriction, so two isomorphic
 /// graphs always map to the *same* representative, which is what makes
-/// [`canonical_key`] usable as an exact atlas/dedup key. The search is a
+/// its graph6 encoding usable as an exact atlas/dedup key. The search is a
 /// class-blocked branch-and-bound: positions are filled class by class,
 /// only minimum-column candidates are branched (ties only, in ascending
 /// vertex order), and unplaced twins are pruned (swapping them is an
@@ -617,18 +589,6 @@ pub fn canonical_form(g: &Graph) -> (Graph, Vec<u32>) {
     }
     let perm = canonical_labeling(&bit_rows(g)).perm();
     (g.relabeled(&perm), perm)
-}
-
-/// The canonical graph6 key of `g`'s isomorphism class: two graphs share
-/// the key iff they are isomorphic. This is the atlas key format.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds the graph6 encoder's limit (far above the
-/// enumeration sizes this is meant for).
-#[must_use]
-pub fn canonical_key(g: &Graph) -> String {
-    crate::graph6::encode(&canonical_form(g).0).expect("enumeration-sized graph encodes")
 }
 
 /// The adjacency-list canonical form this module shipped before the
@@ -722,7 +682,7 @@ mod reference {
     /// upper triangle) over all labelings consistent with the refined color
     /// classes — an isomorphism-invariant restriction, so two isomorphic
     /// graphs always map to the *same* representative, which is what makes
-    /// [`canonical_key`] usable as an exact atlas/dedup key. The search is a
+    /// its graph6 encoding usable as an exact atlas/dedup key. The search is a
     /// class-blocked branch-and-bound: positions are filled class by class,
     /// only minimum-column candidates are branched (ties only), and unplaced
     /// twins are pruned (swapping them is an automorphism). Intended for the
@@ -939,10 +899,9 @@ mod tests {
         assert!(set.insert(g.clone()));
         assert!(!set.insert(g.relabeled(&[3, 1, 4, 0, 2])));
         assert!(set.insert(generators::path(5)));
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(&generators::cycle(5)));
-        assert!(!set.contains(&generators::star(5)));
-        assert_eq!(set.into_graphs().len(), 2);
+        assert!(!set.insert(generators::cycle(5)));
+        assert!(set.insert(generators::star(5)));
+        assert_eq!(set.into_graphs().len(), 3);
     }
 
     #[test]
@@ -950,6 +909,12 @@ mod tests {
         assert!(are_isomorphic(&Graph::new(0), &Graph::new(0)));
         assert!(are_isomorphic(&Graph::new(3), &Graph::new(3)));
         assert!(!are_isomorphic(&Graph::new(3), &Graph::new(4)));
+    }
+
+    /// The canonical graph6 key of `g`'s isomorphism class, the atlas
+    /// key format.
+    fn canonical_key(g: &Graph) -> String {
+        crate::graph6::encode(&canonical_form(g).0).unwrap()
     }
 
     #[test]

@@ -50,8 +50,8 @@ pub mod iso;
 
 pub use bitset::{BitsetGraph, BITSET_MAX_N};
 pub use error::GraphError;
-pub use graph::{fnv1a_lines, fnv1a_u64, pair_index, Graph};
-pub use traversal::{bfs_distances, diameter, dist_sum_from, DistanceMatrix, UNREACHABLE};
+pub use graph::{fnv1a_lines, fnv1a_u64, Graph};
+pub use traversal::{bfs_distances, diameter, DistanceMatrix, UNREACHABLE};
 pub use tree::{root_at_median, tree_medians, RootedTree};
 
 /// A seeded small RNG for deterministic tests and examples.

@@ -53,29 +53,6 @@ pub fn bfs_distances(g: &Graph, src: u32, out: &mut Vec<u32>) -> usize {
     reached
 }
 
-/// Sum of hop distances from `u` to all nodes, or `None` if some node is
-/// unreachable from `u`.
-///
-/// # Examples
-///
-/// ```
-/// use bncg_graph::{dist_sum_from, Graph};
-///
-/// let path = Graph::from_edges(3, [(0, 1), (1, 2)])?;
-/// assert_eq!(dist_sum_from(&path, 0), Some(3));
-/// assert_eq!(dist_sum_from(&path, 1), Some(2));
-/// # Ok::<(), bncg_graph::GraphError>(())
-/// ```
-#[must_use]
-pub fn dist_sum_from(g: &Graph, u: u32) -> Option<u64> {
-    let mut dist = Vec::new();
-    let reached = bfs_distances(g, u, &mut dist);
-    if reached != g.n() {
-        return None;
-    }
-    Some(dist.iter().map(|&d| u64::from(d)).sum())
-}
-
 /// The all-pairs hop-distance matrix of a graph, stored densely.
 ///
 /// Rows are BFS distance vectors; disconnected pairs hold [`UNREACHABLE`].
@@ -174,7 +151,7 @@ impl DistanceMatrix {
     /// Eccentricity of `u` (max distance), or `None` if `u` cannot reach
     /// some node.
     #[must_use]
-    pub fn eccentricity(&self, u: u32) -> Option<u32> {
+    pub(crate) fn eccentricity(&self, u: u32) -> Option<u32> {
         let mut ecc = 0u32;
         for &d in self.row(u) {
             if d == UNREACHABLE {
@@ -248,7 +225,7 @@ impl DistanceMatrix {
     /// edge. Sources that reach neither endpoint are unaffected too (if `s`
     /// reaches one endpoint of an existing edge it reaches both).
     #[must_use]
-    pub fn removal_affected_sources(&self, u: u32, v: u32) -> Vec<u32> {
+    pub(crate) fn removal_affected_sources(&self, u: u32, v: u32) -> Vec<u32> {
         let row_u = self.row(u);
         let row_v = self.row(v);
         (0..self.n as u32)
@@ -265,7 +242,7 @@ impl DistanceMatrix {
     /// endpoint distances differ by at most one, the new edge shortens no
     /// path from `s` by the triangle inequality.
     #[must_use]
-    pub fn addition_affected_sources(&self, u: u32, v: u32) -> Vec<u32> {
+    pub(crate) fn addition_affected_sources(&self, u: u32, v: u32) -> Vec<u32> {
         let row_u = self.row(u);
         let row_v = self.row(v);
         (0..self.n as u32)
@@ -423,15 +400,13 @@ mod tests {
     fn dist_sum_matches_matrix() {
         let g = generators::path(6);
         let d = DistanceMatrix::new(&g);
-        for u in 0..6 {
-            assert_eq!(dist_sum_from(&g, u), d.row_sum(u));
-        }
+        let sums: Vec<_> = (0..6).map(|u| d.row_sum(u)).collect();
+        assert_eq!(sums, [15, 11, 9, 9, 11, 15].map(Some));
     }
 
     #[test]
     fn dist_sum_is_none_when_disconnected() {
         let g = Graph::new(3);
-        assert_eq!(dist_sum_from(&g, 0), None);
         let d = DistanceMatrix::new(&g);
         assert_eq!(d.row_sum(0), None);
         assert_eq!(d.diameter(), None);

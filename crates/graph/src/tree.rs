@@ -258,14 +258,8 @@ impl RootedTree {
             .collect()
     }
 
-    /// Sum of distances from `u` into its own subtree,
-    /// `dist(u, T_u) = Σ_{v ∈ T_u} dist(u, v)`.
-    #[must_use]
-    pub fn subtree_dist_sum(&self, u: u32) -> u64 {
-        self.subtree_dist_sums()[u as usize]
-    }
-
-    /// [`RootedTree::subtree_dist_sum`] for every node at once, in `O(n)`.
+    /// Every node's sum of distances into its own subtree,
+    /// `dist(u, T_u) = Σ_{v ∈ T_u} dist(u, v)`, in `O(n)`.
     #[must_use]
     pub fn subtree_dist_sums(&self) -> Vec<u64> {
         let mut sums = vec![0u64; self.n()];
@@ -396,17 +390,18 @@ mod tests {
     }
 
     #[test]
-    fn subtree_dist_sum_matches_matrix() {
+    fn subtree_dist_sums_match_matrix() {
         let g = generators::random_tree(30, &mut crate::test_rng(23));
         let t = RootedTree::new(&g, 0).unwrap();
         let d = DistanceMatrix::new(&g);
+        let sums = t.subtree_dist_sums();
         for u in 0..30u32 {
             let expected: u64 = t
                 .subtree_nodes(u)
                 .iter()
                 .map(|&v| u64::from(d.dist(u, v)))
                 .sum();
-            assert_eq!(t.subtree_dist_sum(u), expected);
+            assert_eq!(sums[u as usize], expected);
         }
     }
 
@@ -449,6 +444,6 @@ mod tests {
         assert_eq!(t.depth(), 0);
         assert_eq!(t.one_medians(), vec![0]);
         assert_eq!(t.dist_sums(), vec![0]);
-        assert_eq!(t.subtree_dist_sum(0), 0);
+        assert_eq!(t.subtree_dist_sums(), vec![0]);
     }
 }

@@ -6,7 +6,7 @@
 //! as one line of the repo's escape-free flat JSON to `grants.jsonl`,
 //! with the same torn-tail discipline as the atlas segments
 //! (`bncg_atlas`): a crash mid-append leaves at most one line without a
-//! trailing newline, and [`GrantJournal::open`] truncates that torn
+//! trailing newline, and `GrantJournal::open` truncates that torn
 //! tail before replaying, so replay never interprets half a record.
 //!
 //! The journal is a log of *events*, not a snapshot: a tenant granted
@@ -18,14 +18,14 @@
 use bncg_core::jsonio;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// File name used when the journal path is a directory.
-pub const GRANTS_FILE: &str = "grants.jsonl";
+pub(crate) const GRANTS_FILE: &str = "grants.jsonl";
 
 /// One replayed control-plane action.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GrantEvent {
+pub(crate) enum GrantEvent {
     /// `{"tenant":…,"evals":…}` — fund the tenant by `evals`
     /// (create-with-exactly on first sight, top-up afterwards — the
     /// same semantics as the live `grant` op).
@@ -45,11 +45,10 @@ pub enum GrantEvent {
     },
 }
 
-/// The open journal: an append handle plus the path it lives at.
+/// The open journal: an append handle.
 #[derive(Debug)]
-pub struct GrantJournal {
+pub(crate) struct GrantJournal {
     file: File,
-    path: PathBuf,
 }
 
 impl GrantJournal {
@@ -99,13 +98,7 @@ impl GrantJournal {
                 });
             }
         }
-        Ok((GrantJournal { file, path }, events))
-    }
-
-    /// Where the journal lives (resolved from a directory argument).
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok((GrantJournal { file }, events))
     }
 
     /// Appends a funding event.
@@ -115,7 +108,7 @@ impl GrantJournal {
     /// Propagates the write failure; the in-memory grant has already
     /// been applied by the caller, so a failed append degrades to
     /// non-persistence, not to a rejected grant.
-    pub fn record_grant(&mut self, tenant: &str, evals: u64) -> io::Result<()> {
+    pub(crate) fn record_grant(&mut self, tenant: &str, evals: u64) -> io::Result<()> {
         self.append(tenant, "evals", evals)
     }
 
@@ -124,7 +117,7 @@ impl GrantJournal {
     /// # Errors
     ///
     /// Propagates the write failure (see [`GrantJournal::record_grant`]).
-    pub fn record_weight(&mut self, tenant: &str, weight: u64) -> io::Result<()> {
+    pub(crate) fn record_weight(&mut self, tenant: &str, weight: u64) -> io::Result<()> {
         self.append(tenant, "weight", weight)
     }
 
@@ -143,6 +136,7 @@ impl GrantJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bncg-journal-{tag}-{}", std::process::id()));
@@ -186,7 +180,7 @@ mod tests {
         let dir = tmpdir("torn");
         let (mut j, _) = GrantJournal::open(&dir).unwrap();
         j.record_grant("alice", 50).unwrap();
-        let path = j.path().to_path_buf();
+        let path = dir.join(GRANTS_FILE);
         drop(j);
         // Simulate a crash mid-append: a partial record with no newline.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();

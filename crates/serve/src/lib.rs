@@ -29,7 +29,7 @@
 //! delays another tenant's single query by at most one round of
 //! slices, and a weight set via `grant` skews throughput
 //! proportionally ([`scheduler`]). Grants and weights are journaled
-//! append-only ([`journal`]) and replayed on restart.
+//! append-only (the `journal` module) and replayed on restart.
 //!
 //! The front end is a single **readiness loop** ([`server`], over the
 //! `poll(2)` substrate in [`reactor`]): non-blocking sockets, one
@@ -73,8 +73,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+mod journal;
+
 pub mod atlas;
-pub mod journal;
 pub mod protocol;
 pub mod reactor;
 pub mod scheduler;
@@ -82,8 +83,6 @@ pub mod server;
 pub mod tenant;
 
 pub use atlas::AtlasService;
-pub use journal::{GrantEvent, GrantJournal};
-pub use protocol::{parse_request, BadRequest, Request, Response, TenantRow};
+pub use protocol::{parse_request, Response, TenantRow};
 pub use scheduler::{QuerySpec, Scheduler, SchedulerConfig, Work};
 pub use server::{Server, ServerConfig};
-pub use tenant::{Tenant, TenantRegistry, TenantStats};

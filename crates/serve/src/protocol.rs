@@ -12,7 +12,7 @@
 //!
 //! * **no escapes anywhere**: strings never contain `"`, `\`, braces, or
 //!   brackets (tenant names are validated against that alphabet, and
-//!   the encoder passes outbound free text through [`sanitize`]);
+//!   the encoder passes outbound free text through `sanitize`);
 //! * **`"resume"` carries a nested token**, parsed with the request into
 //!   the op's typed [`Token`] — a solver [`Frontier`] for `check`, a
 //!   [`BestResponseFrontier`] for `best_response`, a
@@ -42,7 +42,7 @@ use bncg_graph::Graph;
 use std::fmt;
 
 /// Tenant used when a request omits the `tenant` field.
-pub const DEFAULT_TENANT: &str = "public";
+pub(crate) const DEFAULT_TENANT: &str = "public";
 
 /// Hard node-count ceiling per request. Polynomial concepts would happily
 /// run far larger, but each resident query carries an `n × n` distance
@@ -50,7 +50,7 @@ pub const DEFAULT_TENANT: &str = "public";
 pub const MAX_N: usize = 1024;
 
 /// Longest tenant name the registry accepts.
-pub const MAX_TENANT_LEN: usize = 64;
+pub(crate) const MAX_TENANT_LEN: usize = 64;
 
 /// A parsed request line.
 #[derive(Debug, Clone)]
@@ -95,17 +95,6 @@ pub enum Request {
         /// Client-chosen correlation id.
         id: u64,
     },
-}
-
-impl Request {
-    /// The request's correlation id.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        match self {
-            Request::Query { spec, .. } => spec.id,
-            Request::Grant { id, .. } | Request::Stats { id } | Request::Shutdown { id } => *id,
-        }
-    }
 }
 
 /// A request the daemon refuses to run, answered with
@@ -300,7 +289,7 @@ pub fn render_edges(g: &Graph) -> String {
 /// control characters are replaced, not escaped. Lossy by design — these
 /// strings are for humans, never re-parsed.
 #[must_use]
-pub fn sanitize(text: &str) -> String {
+pub(crate) fn sanitize(text: &str) -> String {
     text.chars()
         .map(|c| match c {
             '"' => '\'',
@@ -426,7 +415,7 @@ impl fmt::Display for Token {
 
 /// One response line. Its `Display` impl is the wire encoder: every line
 /// the daemon writes goes through it, and free text (error reasons,
-/// tenant names) is passed through [`sanitize`] there, once.
+/// tenant names) is passed through `sanitize` there, once.
 #[derive(Debug, Clone)]
 pub enum Response {
     /// A `check` verdict, or an `atlas_lookup` verdict when `source` is

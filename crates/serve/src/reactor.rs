@@ -17,7 +17,7 @@
 //! idle-connection CI kernel) that scan is microseconds, far below one
 //! solver slice.
 //!
-//! Cross-thread wakeups use the self-pipe idiom ([`waker`]): scheduler
+//! Cross-thread wakeups use the self-pipe idiom (`waker`): scheduler
 //! workers finish responses on their own threads, push the bytes into a
 //! connection outbox, and write one byte into a [`UnixStream`] pair to
 //! pop the event loop out of [`wait`].
@@ -34,11 +34,11 @@ pub const POLLIN: i16 = 0x001;
 /// `POLLOUT`: writable without blocking.
 pub const POLLOUT: i16 = 0x004;
 /// `POLLERR`: error condition (always polled, never requested).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// `POLLHUP`: peer hung up (always polled, never requested).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// `POLLNVAL`: fd not open (always polled, never requested).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One entry of the poll set — ABI-identical to `struct pollfd`.
 #[repr(C)]
@@ -102,7 +102,7 @@ pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 /// The writing half of a self-pipe: any thread holding one can pop the
 /// event loop out of [`wait`].
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     tx: UnixStream,
 }
 
@@ -118,7 +118,7 @@ impl Waker {
 /// The reading half of a self-pipe: polled by the event loop alongside
 /// the sockets.
 #[derive(Debug)]
-pub struct WakeReceiver {
+pub(crate) struct WakeReceiver {
     rx: UnixStream,
 }
 
@@ -141,7 +141,7 @@ impl WakeReceiver {
 /// # Errors
 ///
 /// Propagates socketpair/fcntl failures.
-pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
+pub(crate) fn waker() -> io::Result<(Waker, WakeReceiver)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;

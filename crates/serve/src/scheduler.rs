@@ -28,7 +28,7 @@
 //! `sched_fairness` CI kernel pins this down).
 //!
 //! Fairness in *volume* stays budget-driven: before and after every
-//! slice the job's [`Tenant`] pool is consulted, and a drained (or
+//! slice the job's tenant pool is consulted, and a drained (or
 //! expired) pool sheds the job with zero further work — carrying the
 //! resume token, so the shed work is suspended, not lost. An operator
 //! `grant` plus a resubmission with the token continues exactly where
@@ -36,7 +36,7 @@
 //! pool caps *total computation*.
 //!
 //! Grants and weights are durable when the scheduler is given a journal
-//! path ([`crate::journal`]): each control action appends one line to
+//! path: each control action appends one line to
 //! `grants.jsonl` before it is applied, and a restart replays the
 //! journal, so provisioned tenants survive the daemon.
 //!
@@ -343,7 +343,7 @@ impl Scheduler {
     /// [`submit`](Scheduler::submit), plus a `progress` callback fired
     /// once per requeued slice — each call carries one streaming
     /// `progress` frame, and every frame precedes the final response.
-    pub fn submit_with_progress(
+    pub(crate) fn submit_with_progress(
         &self,
         spec: QuerySpec,
         progress: Box<dyn Fn(Response) + Send>,
@@ -421,7 +421,7 @@ impl Scheduler {
     /// Sets a tenant's deficit round-robin weight (clamped to ≥ 1),
     /// journaling the stored value when persistence is on. Returns the
     /// weight as stored.
-    pub fn set_weight(&self, tenant: &str, weight: u64) -> u64 {
+    pub(crate) fn set_weight(&self, tenant: &str, weight: u64) -> u64 {
         let stored = self.shared.tenants.set_weight(tenant, weight);
         if let Some(journal) = &self.shared.journal {
             let _ = journal
@@ -434,7 +434,7 @@ impl Scheduler {
 
     /// The tenant registry, for embedders reading pool state directly.
     #[must_use]
-    pub fn registry(&self) -> &TenantRegistry {
+    pub(crate) fn registry(&self) -> &TenantRegistry {
         &self.shared.tenants
     }
 

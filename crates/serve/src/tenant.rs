@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 /// One tenant: a name, its lifetime budget pool, and its scheduling
 /// weight.
 #[derive(Debug)]
-pub struct Tenant {
+pub(crate) struct Tenant {
     name: String,
     pool: BudgetPool,
     weight: AtomicU64,
@@ -54,12 +54,12 @@ impl Tenant {
 
     /// Sets the weight; zero is clamped to 1 so a tenant with queued
     /// work always makes progress.
-    pub fn set_weight(&self, weight: u64) {
+    pub(crate) fn set_weight(&self, weight: u64) {
         self.weight.store(weight.max(1), Ordering::Relaxed);
     }
 }
 
-/// A point-in-time accounting row from [`TenantRegistry::snapshot`].
+/// A point-in-time accounting row, as [`crate::Scheduler::tenants`] returns it.
 #[derive(Debug, Clone)]
 pub struct TenantStats {
     /// Tenant name.
@@ -102,7 +102,7 @@ impl TenantRegistry {
 
     /// The tenant named `name`, created with the default grant if it
     /// does not exist yet.
-    pub fn get_or_create(&self, name: &str) -> Arc<Tenant> {
+    pub(crate) fn get_or_create(&self, name: &str) -> Arc<Tenant> {
         let mut map = self.tenants.lock().expect("no poisoning");
         Arc::clone(
             map.entry(name.to_string())
@@ -129,7 +129,7 @@ impl TenantRegistry {
     /// Sets `name`'s scheduling weight (clamped to ≥ 1), creating the
     /// tenant with the default grant if needed. Returns the weight as
     /// stored.
-    pub fn set_weight(&self, name: &str, weight: u64) -> u64 {
+    pub(crate) fn set_weight(&self, name: &str, weight: u64) -> u64 {
         let tenant = self.get_or_create(name);
         tenant.set_weight(weight);
         tenant.weight()
@@ -138,7 +138,7 @@ impl TenantRegistry {
     /// Accounting rows for every registered tenant, sorted by name (a
     /// deterministic order for the `stats` response).
     #[must_use]
-    pub fn snapshot(&self) -> Vec<TenantStats> {
+    pub(crate) fn snapshot(&self) -> Vec<TenantStats> {
         let map = self.tenants.lock().expect("no poisoning");
         let mut rows: Vec<TenantStats> = map
             .values()

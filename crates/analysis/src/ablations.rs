@@ -251,7 +251,7 @@ pub fn incremental_engine(report: &mut Report, quick: bool) -> Result<(), GameEr
         let mut ev = state.evaluator();
         let engine_improving = moves
             .iter()
-            .filter(|mv| ev.improves_all(mv).expect("valid candidate"))
+            .filter(|mv| ev.improves_all(mv).expect("valid candidate").is_some())
             .count();
         let engine_ms = t0.elapsed().as_secs_f64() * 1e3;
 

@@ -116,7 +116,6 @@
 //! pruned ones).
 
 use crate::alpha::Alpha;
-use crate::cost_model::{filter_sound, FilterId};
 use crate::state::GameState;
 use bncg_graph::DistanceMatrix;
 
@@ -179,7 +178,8 @@ pub struct NeighborhoodPruner {
     alpha: Alpha,
     /// Whether every agent reaches every other **and** the state's cost
     /// model is one inequalities 2/3/4 are proven for
-    /// ([`filter_sound`]) — the gate for all bounds.
+    /// ([`crate::CostModelSpec::distance_linear`]) — the gate for all
+    /// bounds.
     active: bool,
     is_tree: bool,
     alpha_le_one: bool,
@@ -196,7 +196,7 @@ impl NeighborhoodPruner {
     pub fn new(state: &GameState) -> Self {
         let n = state.n();
         let connected = state.costs().iter().all(|c| c.unreachable == 0);
-        let active = connected && filter_sound(FilterId::NeighborhoodBounds, state.cost_model());
+        let active = connected && state.cost_model().distance_linear();
         let mut spread2 = Vec::with_capacity(n);
         for u in 0..n as u32 {
             let s2 = if active {
@@ -377,7 +377,7 @@ impl CenterCapCache {
 pub(crate) struct EditSetPruner {
     alpha: Alpha,
     /// Connected state **and** a cost model inequalities 1/4/6 are
-    /// proven for ([`filter_sound`]).
+    /// proven for ([`crate::CostModelSpec::distance_linear`]).
     active: bool,
     is_tree: bool,
     alpha_le_one: bool,
@@ -399,7 +399,7 @@ impl EditSetPruner {
         let (alpha, costs) = (state.alpha(), state.costs());
         let n = costs.len();
         let connected = costs.iter().all(|c| c.unreachable == 0);
-        let active = connected && filter_sound(FilterId::EditSetBounds, state.cost_model());
+        let active = connected && state.cost_model().distance_linear();
         let floor = n.saturating_sub(1) as u64;
         EditSetPruner {
             alpha,

@@ -219,6 +219,7 @@ pub(crate) fn find_violation_in(state: &GameState, concept: Concept) -> Option<M
             .get_or_insert_with(|| state.evaluator())
             .improves_all(&mv)
             .expect("single-edge candidates are valid moves")
+            .is_some()
     };
     let improves = |a: u32, after: AgentCost| after.better_than(&before[a as usize], alpha);
     let remove = |agent: u32, target: u32| {

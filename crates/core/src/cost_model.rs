@@ -48,9 +48,10 @@
 //!
 //! The PR 2 pruning inequalities and the PR 5 subtree oracles are
 //! *theorems about the sum-of-distances objective*; under another model
-//! they are unproven and may discard improving moves. Each filter
-//! family declares (via `filter_sound`) which models it is proven
-//! for, and the pruning layer consults the table at construction time:
+//! they are unproven and may discard improving moves. Every filter
+//! family is proven for exactly the distance-linear models
+//! ([`CostModelSpec::distance_linear`]), and the pruning layer consults
+//! that predicate at construction time:
 //! an unproven combination runs **filter-free** — correct but slower —
 //! never silently wrong. Canonical-fingerprint dedup is model-free (it
 //! only collapses identical successor graphs) and stays on everywhere.
@@ -130,7 +131,10 @@ impl CostModelSpec {
     /// Whether the model's `dist` field is the plain sum of hop
     /// distances — the hypothesis of every pruning-inequality proof.
     /// True for [`SumDistances`] and [`Utility::Identity`] (identical
-    /// objective, different dispatch path).
+    /// objective, different dispatch path). The pruning layer's
+    /// soundness gate: both filter families (the neighborhood bounds
+    /// and the edit-set bounds) run only where this holds; see the
+    /// [module docs](self) for the table.
     #[inline]
     #[must_use]
     pub fn distance_linear(self) -> bool {
@@ -467,34 +471,6 @@ impl CostModel for CostModelSpec {
     }
 }
 
-/// The filter families of the pruning layer, for the soundness table.
-/// One id per *proof*, not per call site: every inequality a family
-/// bundles shares the same objective hypothesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum FilterId {
-    /// The neighborhood-scan bounds: inequalities 2/3/4, the per-class
-    /// saving caps, and their subtree relaxations
-    /// ([`crate::candidates::NeighborhoodPruner`] and the
-    /// `NeighborhoodOracle` built on it).
-    NeighborhoodBounds,
-    /// The edit-set bounds: inequalities 1/4, the `EditOracle`
-    /// subtree tests ([`crate::candidates::EditSetPruner`]), and the
-    /// coalition bounds the edit-set scan applies under the same gate.
-    EditSetBounds,
-}
-
-/// The soundness capability: whether `filter` is proven to discard only
-/// non-improving candidates under `model`. The pruning layer consults
-/// this at construction; an unproven combination deactivates the filter
-/// (the scan runs dense — correct but slower). See the
-/// [module docs](self) for the full table.
-#[must_use]
-pub(crate) fn filter_sound(filter: FilterId, model: CostModelSpec) -> bool {
-    match filter {
-        FilterId::NeighborhoodBounds | FilterId::EditSetBounds => model.distance_linear(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,20 +623,18 @@ mod tests {
 
     #[test]
     fn soundness_table() {
-        for f in [FilterId::NeighborhoodBounds, FilterId::EditSetBounds] {
-            assert!(filter_sound(f, CostModelSpec::SumDistances));
-            assert!(filter_sound(
-                f,
-                CostModelSpec::Generalized(Utility::Identity)
-            ));
+        for model in [
+            CostModelSpec::SumDistances,
+            CostModelSpec::Generalized(Utility::Identity),
+        ] {
+            assert!(model.distance_linear());
         }
         for model in [
             CostModelSpec::Generalized(Utility::Capped(2)),
             CostModelSpec::Generalized(Utility::Quadratic),
             CostModelSpec::AdversaryRobust,
         ] {
-            assert!(!filter_sound(FilterId::NeighborhoodBounds, model));
-            assert!(!filter_sound(FilterId::EditSetBounds, model));
+            assert!(!model.distance_linear());
         }
     }
 

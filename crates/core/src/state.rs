@@ -508,22 +508,23 @@ impl MoveEvaluator<'_> {
         self.eval(mv, false)
     }
 
-    /// Whether every consenting agent of `mv` strictly improves — the
-    /// shared feasibility predicate, stopping at the first non-improving
-    /// agent (the rejection-dominated scans never pay for more than one
-    /// cost computation past the failure).
+    /// The full delta of `mv` if every consenting agent strictly
+    /// improves, `None` otherwise — the shared feasibility predicate,
+    /// stopping at the first non-improving agent (the rejection-dominated
+    /// scans never pay for more than one cost computation past the
+    /// failure). A returned delta prices every consenting agent.
     ///
     /// # Errors
     ///
     /// Same contract as [`MoveEvaluator::evaluate`].
-    pub fn improves_all(&mut self, mv: &Move) -> Result<bool, GameError> {
-        Ok(self.eval(mv, true)?.improving_all)
+    pub fn improves_all(&mut self, mv: &Move) -> Result<Option<MoveDelta>, GameError> {
+        let delta = self.eval(mv, true)?;
+        Ok(delta.improving_all.then_some(delta))
     }
 
     /// Shared evaluation core. With `short_circuit` the per-agent loop
-    /// stops at the first non-improving agent and the returned delta only
-    /// covers the agents actually priced (callers then read
-    /// `improving_all` alone).
+    /// stops at the first non-improving agent, so the returned delta
+    /// covers every agent exactly when `improving_all` holds.
     fn eval(&mut self, mv: &Move, short_circuit: bool) -> Result<MoveDelta, GameError> {
         let state = self.state;
         let alpha = state.alpha;

@@ -529,23 +529,19 @@ fn run_impl<R: Rng + ?Sized>(
 /// BSwE, BGE) in `state`, in [`single_edge::moves`] order: each candidate
 /// is priced by the engine (matrix fast path for additions,
 /// consenting-agent BFS otherwise) against the cached pre-move costs.
-/// The exponential concepts fall back to the single move the exact
-/// checker reports.
 ///
 /// # Errors
 ///
-/// Forwards guard errors from the exponential checkers.
+/// Forwards the evaluator's move validation, which the generated
+/// candidates always pass.
 pub(crate) fn enumerate_violations(
     state: &GameState,
     concept: Concept,
 ) -> Result<Vec<Move>, GameError> {
-    if concept.is_exponential() {
-        return Ok(concept.find_violation_in(state)?.into_iter().collect());
-    }
     let mut ev = state.evaluator();
     let mut out = Vec::new();
     for mv in single_edge::moves(state.graph(), concept) {
-        if ev.improves_all(&mv)? {
+        if ev.improves_all(&mv)?.is_some() {
             out.push(mv);
         }
     }
@@ -554,17 +550,17 @@ pub(crate) fn enumerate_violations(
 
 /// The violating move of a polynomial concept with the largest total
 /// gain of its consenting agents, the first such in
-/// [`single_edge::moves`] order on ties. One evaluation per candidate:
-/// the delta that decides feasibility also carries the gain.
+/// [`single_edge::moves`] order on ties. Each candidate is priced once,
+/// stopping at its first non-improving agent; the delta of a violation
+/// also carries the gain.
 fn pick_most_improving(state: &GameState, concept: Concept) -> Result<Option<Move>, GameError> {
     let alpha = state.alpha();
     let mut ev = state.evaluator();
     let mut best: Option<(i128, Move)> = None;
     for mv in single_edge::moves(state.graph(), concept) {
-        let delta = ev.evaluate(&mv)?;
-        if !delta.improving_all {
+        let Some(delta) = ev.improves_all(&mv)? else {
             continue;
-        }
+        };
         let gain: i128 = delta
             .agents
             .iter()

@@ -368,7 +368,7 @@ fn polynomial_checks_price_moves_under_the_querys_model() {
                         let mut ev = state.evaluator();
                         let expected = polynomial_moves(concept, &g)
                             .into_iter()
-                            .find(|mv| ev.improves_all(mv).expect("valid move"));
+                            .find(|mv| ev.improves_all(mv).expect("valid move").is_some());
                         let got = Solver::new(ExecPolicy::default())
                             .check(&StabilityQuery::new(concept, &g, alpha).with_cost_model(model))
                             .expect("polynomial checks always complete")

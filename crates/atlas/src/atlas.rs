@@ -137,11 +137,33 @@ impl<B: MemoryBacking> Atlas<B> {
     ///
     /// Propagates backing failures.
     pub fn append(&mut self, record: &AtlasRecord) -> Result<(), GameError> {
+        self.append_rendered(record.to_string(), record.index_key(), record.evals)
+    }
+
+    /// Appends a record already rendered as its `line`, under its
+    /// precomputed `index_key`, moving the line into the backing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backing failures.
+    pub(crate) fn append_rendered(
+        &mut self,
+        line: String,
+        index_key: String,
+        evals: u64,
+    ) -> Result<(), GameError> {
         let at = self.backing.len();
-        self.backing.append_line(&record.to_string())?;
-        self.evals_total += record.evals;
-        self.index.insert(record.index_key(), at);
+        self.backing.append_owned(line)?;
+        self.evals_total += evals;
+        self.index.insert(index_key, at);
         Ok(())
+    }
+
+    /// Makes room in the index for `additional` more records, so a
+    /// build appending a whole level rehashes it once.
+    pub(crate) fn reserve(&mut self, additional: u64) {
+        self.index
+            .reserve(usize::try_from(additional).unwrap_or(usize::MAX));
     }
 
     /// Exact-triple fetch by safe key (no canonicalization — the caller

@@ -49,6 +49,16 @@ pub trait MemoryBacking {
     /// Propagates storage failures as [`GameError::Unsupported`].
     fn append_line(&mut self, line: &str) -> Result<(), GameError>;
 
+    /// [`MemoryBacking::append_line`] taking the line by value, so a
+    /// backing that keeps its lines in memory stores it without a copy.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoryBacking::append_line`].
+    fn append_owned(&mut self, line: String) -> Result<(), GameError> {
+        self.append_line(&line)
+    }
+
     /// Streams every stored line, in append order, to `visit` as
     /// `(index, line)`. Callback-based so a disk-resident corpus is
     /// replayed without materializing it.
@@ -93,6 +103,10 @@ pub trait MemoryBacking {
 impl MemoryBacking for Box<dyn MemoryBacking + Send + Sync> {
     fn append_line(&mut self, line: &str) -> Result<(), GameError> {
         (**self).append_line(line)
+    }
+
+    fn append_owned(&mut self, line: String) -> Result<(), GameError> {
+        (**self).append_owned(line)
     }
 
     fn for_each_line(&self, visit: &mut dyn FnMut(u64, &str)) -> Result<(), GameError> {
@@ -140,8 +154,12 @@ impl RamBacking {
 
 impl MemoryBacking for RamBacking {
     fn append_line(&mut self, line: &str) -> Result<(), GameError> {
+        self.append_owned(line.to_string())
+    }
+
+    fn append_owned(&mut self, line: String) -> Result<(), GameError> {
         debug_assert!(!line.contains('\n'), "backing lines must be newline-free");
-        self.lines.push(line.to_string());
+        self.lines.push(line);
         Ok(())
     }
 

@@ -11,13 +11,31 @@
 //! lazy walk over the levels ([`bncg_graph::enumerate::graph_class_levels`]),
 //! so each node count is enumerated once, and never past the level an
 //! interrupted build stops in; the walk's own threads never change the
-//! order. Queries run strictly
-//! sequentially (one worker) against a budget pool whose position is
-//! `Σ` of the stored `evals` column — so a build interrupted at *any*
-//! record boundary and resumed (even across process restarts, even
-//! after a torn-tail repair re-derives the last record) appends exactly
-//! the lines the uninterrupted build would have, byte for byte. The
-//! root `tests/atlas.rs` suite property-tests this.
+//! order. The budget pool's position is `Σ` of the stored `evals`
+//! column — so a build interrupted at *any* record boundary and resumed
+//! (even across process restarts, even after a torn-tail repair
+//! re-derives the last record) appends exactly the lines the
+//! uninterrupted build would have, byte for byte. The root
+//! `tests/atlas.rs` suite property-tests this.
+//!
+//! ## Parallel speculation, sequential commit
+//!
+//! The output is the one-thread walk's: each query checked in walk
+//! order on one thread against the real pool. To use every core, each
+//! level is taken in windows of `WINDOW` classes. Workers, one per
+//! core, build one [`GameState`] per α for each class this call appends
+//! whole, run its items one thread per query, and render each record
+//! line and index key; all their scans drain one window counter capped
+//! at the budget the pool has left. Then one thread commits the window
+//! in walk order. It keeps a speculative record only if its scan
+//! completed and `pool + evals < budget`, strictly: then no budget poll
+//! inside the sequential scan could have stopped it, and a one-thread
+//! scan's visit order does not depend on the counter, so the record is
+//! the sequential one. Every other item — one the speculation stopped,
+//! one at or past the drain point, a partly stored class, one cut by
+//! `step_limit`, and every item once the pool reads drained at a window
+//! start — is checked exactly as the sequential walk checks it. The
+//! stored resume prefix is never re-checked.
 //!
 //! Running dry is not an error: once the pool drains, remaining
 //! exponential checks are stored as first-class `exhausted` records
@@ -27,12 +45,14 @@ use crate::atlas::Atlas;
 use crate::backing::MemoryBacking;
 use crate::key;
 use crate::record::{AtlasRecord, StoredVerdict};
-use bncg_core::{Alpha, Concept, CostModelSpec, ExecPolicy, GameError, Solver, StabilityQuery};
-use bncg_graph::{enumerate, graph6};
-use std::fmt;
+use bncg_core::{
+    Alpha, Concept, CostModelSpec, ExecPolicy, GameError, GameState, Solver, StabilityQuery,
+    Verdict,
+};
+use bncg_graph::{enumerate, graph6, Graph};
+use std::fmt::{self, Write as _};
 use std::str::FromStr;
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One α grid entry: either a pinned price or the instance-dependent
 /// price `α = n`.
@@ -145,14 +165,13 @@ impl BuildSpec {
         Ok(grid)
     }
 
-    /// The per-class work items `(concept, α)` in build order.
-    fn class_items(&self, n: u32) -> Result<Vec<(Concept, Alpha)>, GameError> {
-        let grid = self.resolved_grid(n)?;
-        Ok(self
-            .concepts
+    /// The per-class work items in build order: each concept, then each
+    /// of the `prices` grid entries.
+    fn class_items(&self, prices: usize) -> Vec<Item> {
+        self.concepts
             .iter()
-            .flat_map(|c| grid.iter().map(move |a| (*c, *a)))
-            .collect())
+            .flat_map(|&c| (0..prices).map(move |a| (c, a)))
+            .collect()
     }
 }
 
@@ -212,6 +231,30 @@ pub struct BuildReport {
     pub rederived_tail: u64,
 }
 
+/// Classes per speculation window: each window is solved and rendered
+/// on every core, then committed in walk order. It bounds the results
+/// held at once and the speculative work a drain or a step limit can
+/// discard.
+const WINDOW: usize = 64;
+
+/// One work item of a class: the concept and the index of its price in
+/// the level's resolved grid.
+type Item = (Concept, usize);
+
+/// One record line, rendered with its index key.
+struct Rendered {
+    line: String,
+    index_key: String,
+    evals: u64,
+}
+
+/// What a speculation worker made of one class: its key and, per item,
+/// the rendered record if the item's scan completed.
+struct Speculated {
+    key: String,
+    items: Vec<Option<Rendered>>,
+}
+
 /// Runs (or resumes) the build walk on `atlas`.
 ///
 /// `budget` is the **total** eval budget of the whole atlas, not of
@@ -233,15 +276,16 @@ pub fn build<B: MemoryBacking>(
 ) -> Result<BuildReport, GameError> {
     let done = atlas.len();
     let rederived_tail = atlas.dropped_tail();
-    let pool = AtomicU64::new(atlas.evals_total());
     let evals_at_start = atlas.evals_total();
-    // One worker, strictly in input order: the determinism basis for
-    // byte-identical interrupt/resume chains.
+    let pool = AtomicU64::new(evals_at_start);
+    // The committing solver: one worker, strictly in input order, the
+    // reference every speculative result must equal.
     let solver = Solver::new(
         ExecPolicy::default()
             .with_threads(1)
             .with_batch_budget(budget),
     );
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
 
     let mut idx = 0u64; // global work-item index
     let mut appended = 0u64;
@@ -251,59 +295,86 @@ pub fn build<B: MemoryBacking>(
     // only as far as the build actually reaches.
     'walk: for (n, level) in enumerate::graph_class_levels(spec.max_n as usize)? {
         let n = n as u32;
-        let classes: Vec<_> = level.into_iter().filter(|g| g.is_connected()).collect();
-        let items = spec.class_items(n)?;
+        let classes: Vec<Graph> = level.into_iter().filter(Graph::is_connected).collect();
+        let grid = spec.resolved_grid(n)?;
+        let items = spec.class_items(grid.len());
         let per_class = items.len() as u64;
-        for g in &classes {
-            if idx + per_class <= done {
-                // Fully stored class; spot-check the newest record if it
-                // falls here, then skip without touching the solver.
-                if done - idx <= per_class {
+        let level_records = classes.len() as u64 * per_class;
+        atlas
+            .reserve(step_limit.map_or(level_records, |limit| level_records.min(limit - appended)));
+        for window in classes.chunks(WINDOW) {
+            // Speculate only on classes this call appends whole, and only
+            // while the pool has budget left.
+            let left = budget.saturating_sub(pool.load(Ordering::Relaxed));
+            let mut todo = Vec::new();
+            let mut room = step_limit.map_or(u64::MAX, |limit| limit - appended);
+            for k in 0..window.len() {
+                let (start, take) = class_span(idx + k as u64 * per_class, per_class, done, room);
+                if left > 0 && start == 0 && take == per_class {
+                    todo.push(k);
+                }
+                if take < per_class - start {
+                    break;
+                }
+                room -= take;
+            }
+            let speculated = speculate(window, &todo, n, &grid, &items, left, threads);
+
+            for (g, speculated) in window.iter().zip(speculated) {
+                if idx < done && done <= idx + per_class {
+                    // The newest stored record falls in this class.
                     let at = usize::try_from(done - 1 - idx).expect("per-class count is small");
-                    spot_check(atlas, done - 1, g, n, items[at])?;
+                    let (concept, a) = items[at];
+                    spot_check(atlas, done - 1, g, n, (concept, grid[a]))?;
+                }
+                let room = step_limit.map_or(u64::MAX, |limit| limit - appended);
+                let (start, take) = class_span(idx, per_class, done, room);
+                if take > 0 {
+                    // Only whole classes are speculated on, so `ready` lines
+                    // up with the span.
+                    let (key, ready) = match speculated {
+                        Some(s) => (s.key, s.items),
+                        None => (class_key(g)?, Vec::new()),
+                    };
+                    let mut ready = ready.into_iter();
+                    // One state per price, shared by every concept; built
+                    // only if some item runs here.
+                    let mut states: Option<Vec<GameState>> = None;
+                    let span = usize::try_from(start).expect("per-class count is small")
+                        ..usize::try_from(start + take).expect("per-class count is small");
+                    for &(concept, a) in &items[span] {
+                        // A completed speculative scan equals the committing
+                        // scan whenever `pool + evals < budget`: no budget poll
+                        // of a one-thread scan could have stopped it, and its
+                        // visit order does not depend on the counter.
+                        let record = match ready.next().flatten() {
+                            Some(r)
+                                if budget.saturating_sub(pool.load(Ordering::Relaxed))
+                                    > r.evals =>
+                            {
+                                pool.fetch_add(r.evals, Ordering::Relaxed);
+                                r
+                            }
+                            _ => {
+                                let states = states.get_or_insert_with(|| class_states(g, &grid));
+                                let query = StabilityQuery::on(concept, &states[a]);
+                                let verdict = solver
+                                    .check_many_pooled(std::slice::from_ref(&query), &pool)
+                                    .pop()
+                                    .expect("one query, one verdict")?;
+                                render(&key, n, concept, grid[a], &verdict)
+                            }
+                        };
+                        atlas.append_rendered(record.line, record.index_key, record.evals)?;
+                        appended += 1;
+                    }
+                }
+                if take < per_class - start {
+                    complete = false;
+                    break 'walk;
                 }
                 idx += per_class;
-                continue;
             }
-            let start = usize::try_from(done.saturating_sub(idx)).expect("within one class");
-            if start > 0 {
-                spot_check(atlas, done - 1, g, n, items[start - 1])?;
-            }
-            let mut take = items.len() - start;
-            if let Some(limit) = step_limit {
-                let left = usize::try_from(limit - appended).unwrap_or(usize::MAX);
-                take = take.min(left);
-            }
-            if take < items.len() - start {
-                complete = false;
-            }
-            if take > 0 {
-                let safe = class_key(g)?;
-                let slice = &items[start..start + take];
-                let queries: Vec<StabilityQuery> = slice
-                    .iter()
-                    .map(|(c, a)| StabilityQuery::new(*c, g, *a))
-                    .collect();
-                for ((concept, alpha), verdict) in
-                    slice.iter().zip(solver.check_many_pooled(&queries, &pool))
-                {
-                    let (stored, evals) = StoredVerdict::of_verdict(&verdict?);
-                    atlas.append(&AtlasRecord {
-                        key: safe.clone(),
-                        n,
-                        concept: *concept,
-                        alpha: *alpha,
-                        model: CostModelSpec::SumDistances,
-                        verdict: stored,
-                        evals,
-                    })?;
-                    appended += 1;
-                }
-            }
-            if !complete {
-                break 'walk;
-            }
-            idx += per_class;
         }
     }
 
@@ -327,8 +398,114 @@ pub fn build<B: MemoryBacking>(
     })
 }
 
+/// The items `start..start + take` of the class whose first item has
+/// walk index `idx` that this call appends: those past the `done`
+/// stored records, at most `room` of them.
+fn class_span(idx: u64, per_class: u64, done: u64, room: u64) -> (u64, u64) {
+    let start = done.saturating_sub(idx).min(per_class);
+    (start, (per_class - start).min(room))
+}
+
+/// Solves and renders the classes of `window` at positions `todo` on
+/// `threads` cores (the calling thread included). Every scan runs on one
+/// thread and all of them drain one counter capped at `left`, the budget
+/// the pool has left, so speculation never spends more than the build
+/// could. Classes not speculated on, or whose key failed, are `None`.
+fn speculate(
+    window: &[Graph],
+    todo: &[usize],
+    n: u32,
+    grid: &[Alpha],
+    items: &[Item],
+    left: u64,
+    threads: usize,
+) -> Vec<Option<Speculated>> {
+    let solver = Solver::new(
+        ExecPolicy::default()
+            .with_threads(1)
+            .with_batch_budget(left),
+    );
+    let counter = AtomicU64::new(0);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut made = Vec::new();
+        while let Some(&k) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if let Ok(key) = class_key(&window[k]) {
+                let states = class_states(&window[k], grid);
+                let queries: Vec<StabilityQuery> = items
+                    .iter()
+                    .map(|&(concept, a)| StabilityQuery::on(concept, &states[a]))
+                    .collect();
+                let rendered = solver
+                    .check_many_pooled(&queries, &counter)
+                    .iter()
+                    .zip(items)
+                    .map(|(verdict, &(concept, a))| match verdict {
+                        Ok(v) if v.is_stable().is_some() => {
+                            Some(render(&key, n, concept, grid[a], v))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                made.push((
+                    k,
+                    Speculated {
+                        key,
+                        items: rendered,
+                    },
+                ));
+            }
+        }
+        made
+    };
+    let helpers = threads.min(todo.len()).saturating_sub(1);
+    let finished = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut finished = work();
+        for helper in spawned {
+            finished.extend(helper.join().expect("a speculation worker panicked"));
+        }
+        finished
+    });
+    let mut out: Vec<Option<Speculated>> = Vec::new();
+    out.resize_with(window.len(), || None);
+    for (k, s) in finished {
+        out[k] = Some(s);
+    }
+    out
+}
+
+/// One evaluation state per price of the level's grid.
+fn class_states(g: &Graph, grid: &[Alpha]) -> Vec<GameState> {
+    grid.iter().map(|&a| GameState::new(g.clone(), a)).collect()
+}
+
+/// Renders a verdict as its record line and index key.
+fn render(key: &str, n: u32, concept: Concept, alpha: Alpha, verdict: &Verdict) -> Rendered {
+    let (verdict, evals) = StoredVerdict::of_verdict(verdict);
+    let record = AtlasRecord {
+        key: key.to_string(),
+        n,
+        concept,
+        alpha,
+        model: CostModelSpec::SumDistances,
+        verdict,
+        evals,
+    };
+    Rendered {
+        // Pre-sized: `to_string` regrows the buffer several times per line.
+        line: {
+            let mut line = String::with_capacity(128);
+            write!(line, "{record}").expect("writing to a String cannot fail");
+            line
+        },
+        index_key: record.index_key(),
+        evals,
+    }
+}
+
 /// The safe key of an (already canonical) class representative.
-fn class_key(g: &bncg_graph::Graph) -> Result<String, GameError> {
+fn class_key(g: &Graph) -> Result<String, GameError> {
     let g6 = graph6::encode(g).map_err(|e| GameError::Unsupported {
         reason: format!("class representative does not encode as graph6: {e}"),
     })?;
@@ -341,7 +518,7 @@ fn class_key(g: &bncg_graph::Graph) -> Result<String, GameError> {
 fn spot_check<B: MemoryBacking>(
     atlas: &Atlas<B>,
     at: u64,
-    g: &bncg_graph::Graph,
+    g: &Graph,
     n: u32,
     (concept, alpha): (Concept, Alpha),
 ) -> Result<(), GameError> {

@@ -27,11 +27,16 @@
 //! ## Determinism
 //!
 //! The corpus is a pure function of the [`BuildSpec`] and the budget:
-//! build order is pinned, queries run sequentially, and the budget
-//! pool's position is recoverable as `Σ` of the stored `evals` column.
-//! Interrupting and resuming a build — at any record boundary, across
-//! process restarts, even after a torn-tail repair — yields the
-//! byte-identical atlas (property-tested in the root `tests/atlas.rs`).
+//! build order is pinned, and the budget pool's position is recoverable
+//! as `Σ` of the stored `evals` column. Queries are solved speculatively
+//! on every core but committed by one thread in walk order, and a
+//! speculative result is kept only where the sequential walk provably
+//! produces the same one, so every byte equals the one-thread walk's
+//! at any budget. Interrupting and resuming a build — at any record
+//! boundary, across process restarts, even after a torn-tail repair —
+//! yields the byte-identical atlas (property-tested in the root
+//! `tests/atlas.rs`, which also checks the build against a sequential
+//! reference walk across budgets).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

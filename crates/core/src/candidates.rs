@@ -326,7 +326,7 @@ impl CenterCapCache {
     const UNSET: u64 = u64::MAX;
 
     /// Clears the memo for a new center with `partner_count` partners.
-    pub fn reset(&mut self, partner_count: usize) {
+    pub(crate) fn reset(&mut self, partner_count: usize) {
         self.use_dense = partner_count <= Self::DENSE_BITS;
         self.dense.clear();
         self.sparse.clear();

@@ -1,7 +1,7 @@
 //! Small combinatorial helpers for the coalition checkers.
 
 /// Iterates over all `k`-element subsets of `0..n` in lexicographic order.
-pub fn combinations(n: usize, k: usize) -> Combinations {
+pub(crate) fn combinations(n: usize, k: usize) -> Combinations {
     Combinations {
         n,
         k,

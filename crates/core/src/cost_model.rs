@@ -13,7 +13,7 @@
 //! # The incremental-evaluation contract
 //!
 //! Every model must return the *same* [`AgentCost`] from all three
-//! substrates, and [`crate::GameState::evaluate_move`] /
+//! substrates, and [`crate::GameState::evaluator`] /
 //! [`crate::GameState::apply_move`] must agree with a from-scratch
 //! recomputation of the model on the successor graph — the exact
 //! contract `state.rs` documents for the default objective, now

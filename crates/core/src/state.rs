@@ -33,8 +33,8 @@ use std::sync::OnceLock;
 ///
 /// # The incremental-evaluation contract
 ///
-/// 1. **Evaluation is pure and exact.** [`GameState::evaluate_move`] (and
-///    the reusable [`MoveEvaluator`]) never touches the state and returns
+/// 1. **Evaluation is pure and exact.** The [`MoveEvaluator`] from
+///    [`GameState::evaluator`] never touches the state and returns
 ///    the same lexicographic [`AgentCost`]s a from-scratch recomputation on
 ///    the successor graph would produce — the engine only swaps the
 ///    *algorithm*, never the *semantics*. Single-edge additions are priced
@@ -65,7 +65,7 @@ use std::sync::OnceLock;
 ///
 /// let alpha = Alpha::integer(1)?;
 /// let state = GameState::new(generators::path(6), alpha);
-/// let delta = state.evaluate_move(&Move::BilateralAdd { u: 0, v: 5 })?;
+/// let delta = state.evaluator().evaluate(&Move::BilateralAdd { u: 0, v: 5 })?;
 /// // Exact: matches a from-scratch recomputation on the successor graph.
 /// let g2 = Move::BilateralAdd { u: 0, v: 5 }.apply(state.graph())?;
 /// assert_eq!(delta.agents[0].after, agent_cost(&g2, 0));
@@ -356,19 +356,6 @@ impl GameState {
             bits: BitsetGraph::from_graph(&self.g),
             buf: Vec::new(),
         }
-    }
-
-    /// Evaluates one candidate move exactly (see [`GameState`]).
-    ///
-    /// For repeated evaluation use [`GameState::evaluator`], which reuses
-    /// its scratch graph across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GameError::InvalidMove`] / [`GameError::NodeOutOfRange`]
-    /// if the move does not type-check against the current graph.
-    pub fn evaluate_move(&self, mv: &Move) -> Result<MoveDelta, GameError> {
-        self.evaluator().evaluate(mv)
     }
 
     /// Evaluates a batch of candidate moves across worker threads, each
@@ -758,7 +745,7 @@ mod tests {
             },
         ];
         for mv in moves {
-            if state.evaluate_move(&mv).is_err() {
+            if state.evaluator().evaluate(&mv).is_err() {
                 continue;
             }
             state.apply_move(&mv).unwrap();

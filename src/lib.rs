@@ -24,7 +24,7 @@
 //! *exhausted* with a serializable frontier that resumes the scan. The
 //! engine underneath is [`core::GameState`]: cached all-pairs distances
 //! and per-agent costs, exact per-move deltas
-//! ([`core::GameState::evaluate_move`]), and per-toggle delta-BFS
+//! ([`core::GameState::evaluator`]), and per-toggle delta-BFS
 //! application ([`core::GameState::apply_move`]). The `Concept`
 //! shorthands ([`core::Concept::find_violation`],
 //! [`core::Concept::is_stable_in`], …) are one sequential solver call

@@ -14,11 +14,12 @@
 //!    the tenant's budget pool nothing.
 
 use bncg::atlas::{
-    build, verify_atlas, AlphaSpec, Atlas, BuildSpec, DiskBacking, MemoryBacking, RamBacking,
+    build, key, verify_atlas, AlphaSpec, Atlas, AtlasRecord, BuildReport, BuildSpec, DiskBacking,
+    MemoryBacking, RamBacking, StoredVerdict,
 };
 use bncg::core::jsonio;
-use bncg::core::{Alpha, Concept};
-use bncg::graph::generators;
+use bncg::core::{Alpha, Concept, CostModelSpec, ExecPolicy, Solver, StabilityQuery};
+use bncg::graph::{enumerate, generators};
 use bncg::serve::protocol::render_edges;
 use bncg::serve::scheduler::SchedulerConfig;
 use bncg::serve::server::{Server, ServerConfig};
@@ -28,6 +29,7 @@ use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// A scratch directory under the target dir, wiped on creation and
@@ -128,6 +130,147 @@ fn resume_does_not_recheck_the_stored_prefix() {
     assert_eq!(again.appended, 0);
     assert_eq!(again.evals_charged, 0);
     assert_eq!(again.skipped, first.appended);
+}
+
+/// The sequential reference walk: every connected class of every level,
+/// then each concept, then each price, each query checked on one thread
+/// against one pool. Returns each record's line and evals.
+fn reference_build(spec: &BuildSpec, budget: u64) -> Vec<(String, u64)> {
+    let solver = Solver::new(
+        ExecPolicy::default()
+            .with_threads(1)
+            .with_batch_budget(budget),
+    );
+    let pool = AtomicU64::new(0);
+    let mut out = Vec::new();
+    for (n, level) in enumerate::graph_class_levels(spec.max_n as usize).unwrap() {
+        let mut grid: Vec<Alpha> = (spec.grid.iter())
+            .map(|a| match a {
+                AlphaSpec::Fixed(a) => *a,
+                AlphaSpec::N => Alpha::integer(n as i64).unwrap(),
+            })
+            .collect();
+        grid.sort();
+        grid.dedup();
+        for g in level.iter().filter(|g| g.is_connected()) {
+            let (key, _, _) = key::instance_key(g).unwrap();
+            for (&concept, &alpha) in spec
+                .concepts
+                .iter()
+                .flat_map(|c| grid.iter().map(move |a| (c, a)))
+            {
+                let query = StabilityQuery::new(concept, g, alpha);
+                let verdict = solver.check_many_pooled(&[query], &pool).pop().unwrap();
+                let (verdict, evals) = StoredVerdict::of_verdict(&verdict.unwrap());
+                let record = AtlasRecord {
+                    key: key.clone(),
+                    n: n as u32,
+                    concept,
+                    alpha,
+                    model: CostModelSpec::SumDistances,
+                    verdict,
+                    evals,
+                };
+                out.push((record.to_string(), evals));
+            }
+        }
+    }
+    out
+}
+
+/// Builds `spec` under `budget` in calls of at most `step` records, each
+/// on the atlas `open` hands back (`None` on the first call), and checks
+/// every call's report and the final lines against the reference walk.
+fn assert_build_matches_reference<B: MemoryBacking>(
+    spec: &BuildSpec,
+    budget: u64,
+    step: Option<u64>,
+    open: &mut dyn FnMut(Option<Atlas<B>>) -> Atlas<B>,
+) {
+    let want = reference_build(spec, budget);
+    let total = want.len() as u64;
+    let cum: Vec<u64> = std::iter::once(0)
+        .chain(want.iter().scan(0, |sum, (_, evals)| {
+            *sum += evals;
+            Some(*sum)
+        }))
+        .collect();
+    let mut atlas = open(None);
+    loop {
+        let done = atlas.len();
+        let report = build(&mut atlas, spec, budget, step).unwrap();
+        let end = step.map_or(total, |s| total.min(done + s));
+        let at = |i: u64| cum[usize::try_from(i).unwrap()];
+        let expected = BuildReport {
+            appended: end - done,
+            skipped: done,
+            evals_charged: at(end) - at(done),
+            pool_used: at(end),
+            complete: end == total,
+            rederived_tail: 0,
+        };
+        assert_eq!(
+            report, expected,
+            "budget {budget}, step {step:?}, from {done}"
+        );
+        if report.complete {
+            break;
+        }
+        atlas = open(Some(atlas));
+    }
+    let want: Vec<String> = want.into_iter().map(|(line, _)| line).collect();
+    assert!(
+        lines(&atlas) == want,
+        "budget {budget}, step {step:?}: the build diverged from the sequential walk"
+    );
+}
+
+#[test]
+fn builds_match_the_sequential_walk_at_every_budget() {
+    // Speculation must be invisible: at every budget — none, zero, one
+    // quantum either side of the first poll, and one eval either side of
+    // the reference's pool position at every 37th record, so each kind of
+    // drain point is crossed — the lines and every report field equal the
+    // sequential walk's, in one call or in chains of step-limited calls.
+    let spec = small_spec();
+    let unlimited = reference_build(&spec, u64::MAX);
+    let mut budgets = vec![0, 1, 64, 65, u64::MAX];
+    let mut sum = 0;
+    for (i, (_, evals)) in unlimited.iter().enumerate() {
+        sum += evals;
+        if i % 37 == 36 {
+            budgets.extend([sum.saturating_sub(1), sum, sum + 1]);
+        }
+    }
+    budgets.sort_unstable();
+    budgets.dedup();
+    let ram = &mut |prev: Option<Atlas<RamBacking>>| {
+        prev.unwrap_or_else(|| Atlas::open(RamBacking::new()).unwrap())
+    };
+    for &budget in &budgets {
+        assert_build_matches_reference(&spec, budget, None, ram);
+        let scratch = Scratch::new("budget-oneshot");
+        let disk = &mut |_: Option<Atlas<DiskBacking>>| {
+            Atlas::open(DiskBacking::open_with_segment_records(scratch.path(), 97).unwrap())
+                .unwrap()
+        };
+        assert_build_matches_reference(&spec, budget, None, disk);
+    }
+    // Chains at a finite budget that drains midway, each call reopening
+    // the directory as a new process would.
+    let half = unlimited[..unlimited.len() / 2]
+        .iter()
+        .map(|(_, e)| e)
+        .sum::<u64>();
+    for (budget, step) in [(half, 7), (half + 1, 50), (1000, 331)] {
+        assert_build_matches_reference(&spec, budget, Some(step), ram);
+        let scratch = Scratch::new("budget-chain");
+        let disk = &mut |_: Option<Atlas<DiskBacking>>| {
+            Atlas::open(DiskBacking::open_with_segment_records(scratch.path(), 97).unwrap())
+                .unwrap()
+        };
+        assert_build_matches_reference(&spec, budget, Some(step), disk);
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Per-model property suite for the pluggable cost-model layer
 //! (`bncg::core::cost_model`): the incremental-evaluation contract —
-//! [`GameState::evaluate_move`]-style deltas and [`GameState::apply_move`]
+//! [`GameState::evaluator`] deltas and [`GameState::apply_move`]
 //! cache maintenance agree with a from-scratch recomputation of the
 //! model on the successor graph — holds for **every** model, resumed
 //! scan chains reproduce uninterrupted scans, and unproven pruning

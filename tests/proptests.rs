@@ -124,7 +124,7 @@ fn pick<'a, T>(items: &'a [T], rng: &mut SmallRng) -> Option<&'a T> {
     }
 }
 
-/// ISSUE property 1: `GameState::evaluate_move` equals a from-scratch
+/// Property 1: `MoveEvaluator::evaluate` equals a from-scratch
 /// `agent_cost` recomputation on the mutated graph, for random graphs and
 /// random moves of every kind.
 #[test]
